@@ -7,7 +7,8 @@ the oracle and the drift of the discrete invariants.
 
 import numpy as np
 
-from wavetank import SchemeParams, advance, conservation_audit, discrete_l2_norm
+from wavetank import (SchemeParams, advance, conservation_audit,
+                      discrete_l2_norm, stable_tau)
 from wavetank.verification import SolitonBenchmark
 
 bench = SolitonBenchmark(c=1.0, g=6.0, d=1.0, amplitude=2.0, domain=16.0)
@@ -18,12 +19,12 @@ print(f"oracle: speed {orc.speed}, width {orc.width}, "
 grid = bench.grid(16)
 coeffs = bench.coefficients()
 state = orc.state(grid, 0.0)
-tau = 2e-5
 t_end = 1.0   # five transit times of the moving pulse
+tau = stable_tau(coeffs, grid, "two-stage", t_end)
+print(f"stable_tau for this grid and horizon: {tau:.3e}")
 
-final, run = advance(state, coeffs, grid,
-                     SchemeParams(tau=tau, b=1.01 * tau / grid.h_x**4),
-                     t_end, observe_every=5000)
+final, run = advance(state, coeffs, grid, SchemeParams(tau=tau), t_end,
+                     observe_every=5000)
 exact = orc.state(grid, final.time)
 rel = discrete_l2_norm(final, exact, grid) / np.sqrt(
     grid.h_x * np.sum(exact.theta**2))

@@ -31,10 +31,7 @@ from .solver import (
     TWO_STAGE,
     advance,
     discrete_l2_norm,
-    full_step,
-    half_step,
-    one_stage_step,
-    suggest_timestep,
+    stable_tau,
 )
 from .scenario import (
     PaddleProfile,

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: run | coeffs | converge | verify | fission.  Exit codes:
-0 success, 1 check failure, 2 usage/config error, 3 numerical abort
-(non-finite state).  Data files are byte-reproducible; wall-clock
-information only ever lands in the metadata sidecar.
+0 success, 1 check failure (including a coefficient ConsistencyError),
+2 usage/config error, 3 numerical abort (non-finite state).  Data files
+are byte-reproducible; wall-clock information only ever lands in the
+metadata sidecar.
 """
 
 from __future__ import annotations
@@ -12,18 +13,25 @@ import argparse
 import os
 import re
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 
 from . import fields, scenario, verification
-from .coefficients import build_coefficients, reconcile_with_reference
+from .coefficients import (
+    ConsistencyError,
+    build_coefficients,
+    reconcile_with_reference,
+)
 from .solver import (
     Grid,
     NonFiniteError,
     ONE_STAGE,
+    SchemeParams,
     TWO_STAGE,
     advance,
+    stable_tau,
 )
 
 F = "%.17g"
@@ -129,6 +137,14 @@ def cmd_run(args):
     basis = cfg.basis()
     coeffs = build_coefficients(basis, sigma=cfg.sigma, beta2=cfg.beta2)
     state, init_report = scenario.build_initial_state(cfg, basis)
+    limit = stable_tau(coeffs, cfg.grid, cfg.scheme.scheme, cfg.t_end)
+    if cfg.scheme.tau > limit:
+        warnings.warn(
+            f"dt = {cfg.scheme.tau:.3e} exceeds the {cfg.scheme.scheme} "
+            f"stable_tau = {limit:.3e} for t_end = {cfg.t_end:g}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
     def snapshot(step, st):
         path = os.path.join(out, f"{args.run_id}_t{st.time:.6f}_state.dat")
@@ -166,6 +182,8 @@ def cmd_run(args):
         f"run_id = {args.run_id}",
         f"scheme = {report.scheme}",
         f"tau = {F % report.tau}",
+        f"stable_tau = {F % limit}",
+        f"tau_over_stable_tau = {F % (report.tau / limit)}",
         f"steps = {report.steps}",
         f"wall_time_s = {report.wall_time:.3f}",
         f"final_time = {F % final.time}",
@@ -193,7 +211,8 @@ def cmd_coeffs(args):
     cfg = _load_scenario(args)
     out = _out_dir(args)
     basis = cfg.basis()
-    coeffs = build_coefficients(basis, sigma=cfg.sigma, beta2=cfg.beta2)
+    coeffs = build_coefficients(basis, sigma=cfg.sigma, beta2=cfg.beta2,
+                                method="quadrature")
 
     lines = ["# mode\tc [m/s]\td [m^3/s]\tB"]
     for i, n in enumerate(basis.indices):
@@ -275,11 +294,9 @@ def cmd_verify(args):
                                           domain=12.0)
     grid = bench.grid(16)
     coeffs = bench.coefficients()
-    from .solver import SchemeParams as SP
     tau = 1.2e-4
     state = bench.oracle().state(grid, 0.0)
-    _, report = advance(state, coeffs, grid,
-                        SP(tau=tau, scheme=TWO_STAGE, b=tau / grid.h_x**4 * 1.01),
+    _, report = advance(state, coeffs, grid, SchemeParams(tau=tau),
                         20000 * tau, observe_every=2000)
     audit = verification.conservation_audit(report)
     tol = 1e-12 * report.steps * float(np.max(np.abs(state.theta)))
@@ -374,6 +391,9 @@ def main(argv=None):
     except (ValueError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    except ConsistencyError as err:
+        print(f"check failure: {err}", file=sys.stderr)
+        return 1
     except NonFiniteError as err:
         print(f"numerical abort: {err}", file=sys.stderr)
         return 3

@@ -15,9 +15,10 @@ from N^2-weighted triple products of eigenfunctions:
 
 For the sine basis the triple-product trigonometric identities collapse
 the integral to a two-branch resonance rule (n = m + k or n = |m - k|),
-which is the closed-form path.  The quadrature path evaluates the
-integral directly; the two must agree to 1e-8 relative, which is the
-internal-consistency check that keeps either path falsifiable.  The
+which is the closed-form path and the production default.  The
+quadrature path evaluates the integral directly; the two must agree to
+1e-8 relative, which is the internal-consistency check that keeps
+either path falsifiable.  The
 closed form reproduces every entry of the tabulated five-mode reference
 tensors to a few tenths of a percent, including the sign pattern and
 the accidental zero at (n, m, k) = (4, 6, 2) where 3k = m.
@@ -141,13 +142,15 @@ def _tensor_quadrature(basis, sigma, quad_points):
     return g
 
 
-def nonlinear_coeffs(basis, method="quadrature", sigma=1.0,
+def nonlinear_coeffs(basis, method="closed_form", sigma=1.0,
                      quad_points=QUAD_POINTS_TENSOR):
     """Interaction tensor g^n_{m,k}, shape (L, L, L) indexed [n, m, k].
 
-    method is "quadrature" (Simpson over [0, h]) or "closed_form"
-    (resonance rule).  The quadrature path cross-checks itself against
-    the closed form and raises ConsistencyError beyond 1e-8 relative.
+    method is "closed_form" (resonance rule, the production path) or
+    "quadrature" (Simpson over [0, h]).  The quadrature path
+    cross-checks itself against the closed form and raises
+    ConsistencyError beyond 1e-8 relative, or when an off-resonance
+    entry exceeds 1e-12 of max|g|.
     """
     if method == "closed_form":
         return _tensor_closed_form(basis, sigma)
@@ -166,16 +169,19 @@ def nonlinear_coeffs(basis, method="quadrature", sigma=1.0,
     # only carries round-off there, then return the exact zeros
     exact_zero = g_closed == 0.0
     stray = float(np.max(np.abs(g_quad[exact_zero]), initial=0.0))
-    if stray > 1e-12:
+    limit = 1e-12 * max(1.0, float(np.max(np.abs(g_closed))))
+    if stray > limit:
         raise ConsistencyError(
-            f"off-resonance quadrature entries reach {stray:.3e} (> 1e-12)"
+            f"off-resonance quadrature entries reach {stray:.3e} "
+            f"(> 1e-12 max|g| = {limit:.3e})"
         )
     g_quad[exact_zero] = 0.0
     return g_quad
 
 
-def build_coefficients(basis, sigma=1.0, beta2=1.0, method="quadrature"):
-    """CoefficientSet (c, d, g) for a basis at the given scale parameters."""
+def build_coefficients(basis, sigma=1.0, beta2=1.0, method="closed_form"):
+    """CoefficientSet (c, d, g) for a basis at the given scale parameters;
+    method="quadrature" builds g by the cross-checked quadrature."""
     return CoefficientSet(
         mode_indices=basis.indices,
         c=basis.speeds.copy(),

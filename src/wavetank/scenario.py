@@ -80,14 +80,14 @@ def mcewan_default():
 
     a, l, b are qualitative defaults (pulse one tenth of the tank,
     vertical structure confined to the paddle region, stream-function
-    amplitude of order 1e-4 m^2/s).  The stability margin b is
-    calibrated for this configuration's dispersion coefficients.
+    amplitude of order 1e-4 m^2/s).  tau = 4e-5 s lies below the
+    solver's `stable_tau` for this horizon (4.9e-5 s).
     """
     strat = Stratification(N=1.23, depth=0.25)
     paddle = PaddleProfile(a=4e-4, l=0.05, b=40.0, z0=strat.depth / 2.0)
     n_points = 256
     grid = Grid(h_x=0.5 / n_points, n_points=n_points, x0=-0.25)
-    scheme = SchemeParams(tau=4e-5, scheme=TWO_STAGE, b=4.0e6)
+    scheme = SchemeParams(tau=4e-5, scheme=TWO_STAGE)
     return ScenarioConfig(
         strat=strat,
         modes=(2, 4, 6, 8, 10),
@@ -195,8 +195,6 @@ def serialize_config(cfg):
     cp["scheme"] = {
         "scheme": cfg.scheme.scheme,
         "dt": _F % cfg.scheme.tau,
-        "stability_margin": _F % cfg.scheme.b,
-        "dispersion_correction": str(cfg.scheme.dispersion_correction),
     }
     cp["run"] = {
         "t_end": _F % cfg.t_end,
@@ -223,7 +221,7 @@ def parse_config(text):
         "stratification": {"n", "depth"},
         "paddle": {"a", "l", "b", "z0"},
         "grid": {"dx", "n_points", "x0"},
-        "scheme": {"scheme", "dt", "stability_margin", "dispersion_correction"},
+        "scheme": {"scheme", "dt"},
         "run": {"t_end", "snapshot_every", "modes", "sigma", "beta2"},
     }
     for section in cp.sections():
@@ -256,12 +254,6 @@ def parse_config(text):
     scheme = SchemeParams(
         tau=get("scheme", "dt", float, base.scheme.tau),
         scheme=get("scheme", "scheme", str, base.scheme.scheme),
-        b=get("scheme", "stability_margin", float, base.scheme.b),
-        dispersion_correction=get(
-            "scheme", "dispersion_correction",
-            lambda s: s.strip().lower() in ("true", "1", "yes", "on"),
-            base.scheme.dispersion_correction,
-        ),
     )
     modes = get(
         "run", "modes",

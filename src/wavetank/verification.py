@@ -19,6 +19,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .coefficients import CoefficientSet
 from .solver import (
+    DEFAULT_GROWTH_BUDGET,
     Grid,
     ModeState,
     NonFiniteError,
@@ -28,6 +29,7 @@ from .solver import (
     advance,
     discrete_l2_norm,
     l2_per_mode,
+    stable_tau,
 )
 
 __all__ = [
@@ -57,7 +59,6 @@ __all__ = [
 
 ORACLE_RTOL = 1e-9
 FIT_RESIDUAL_LIMIT = 0.1   # log2 units
-DEFAULT_GROWTH_BUDGET = 10.0
 
 
 # -- finite-difference machinery for oracle residuals -----------------------
@@ -323,35 +324,42 @@ def fit_order(scales, norms):
     return float(slope), resid
 
 
-def _stability_tau(bench, grid, scheme, horizon, growth_budget):
-    """Largest tau keeping the round-off amplification budget: the
-    grid-scale symbol magnitude lambda is bounded by
-    2.598 |e| / h^3 + |c| / h; the weak instability of the explicit
-    stages accumulates ~ T tau lambda^2 / 2 (one-stage) or
-    T tau^3 lambda^4 / 8 (two-stage) in the exponent.  Round-off is
-    re-injected every step, so the budget must stay small enough that
-    n_steps * exp(budget) * eps remains far below truncation error."""
-    h = grid.h_x
-    e = bench.d - (bench.c * h**2 / 6.0 if scheme == TWO_STAGE else 0.0)
-    lam = 2.598 * abs(e) / h**3 + abs(bench.c) / h
-    if scheme == TWO_STAGE:
-        return (8.0 * growth_budget / (horizon * lam**4)) ** (1.0 / 3.0)
-    return 2.0 * growth_budget / (horizon * lam**2)
-
-
-def _run_soliton(bench, grid, scheme, tau, horizon, dispersion_correction=True):
+def _whole_steps(tau, horizon):
+    """tau adjusted to a whole number of steps across `horizon`."""
     n_steps = max(1, int(round(horizon / tau)))
-    tau = horizon / n_steps
-    orc = kdv_soliton_oracle(bench.c, bench.g, bench.d, bench.amplitude,
-                             x0=bench.domain / 2.0, domain=bench.domain,
-                             check_residual=False)
-    state = orc.state(grid, 0.0)
-    power = 4 if scheme == TWO_STAGE else 6
-    params = SchemeParams(tau=tau, scheme=scheme,
-                          b=max(1.0, 1.01 * tau / grid.h_x**power),
-                          dispersion_correction=dispersion_correction)
-    final, _ = advance(state, bench.coefficients(), grid, params, horizon)
-    return final, orc, tau, n_steps
+    return horizon / n_steps, n_steps
+
+
+def _relative(norm, exact, grid):
+    return norm / float(np.sqrt(grid.h_x * np.sum(exact.theta**2)))
+
+
+def _convergence_study(kind, scheme, coeffs, levels, horizon, initial, measure):
+    """Run one level per (grid, tau) pair and fit the order.
+
+    initial(grid) is the state at t = 0; measure(grid, final) returns
+    (norm, rel_norm, oracle_norm).  A level that goes non-finite is kept
+    as unstable and left out of the fit, which is taken against h_x
+    (kind "spatial") or tau (kind "temporal") over >= 3 stable levels.
+    """
+    out = []
+    for grid, tau in levels:
+        tau, n_steps = _whole_steps(tau, horizon)
+        try:
+            final, _ = advance(initial(grid), coeffs, grid,
+                               SchemeParams(tau=tau, scheme=scheme), horizon)
+            out.append(ConvergenceLevel(grid.h_x, tau, n_steps,
+                                        *measure(grid, final), True))
+        except NonFiniteError:
+            nan = float("nan")
+            out.append(ConvergenceLevel(grid.h_x, tau, 0, nan, nan, nan, False))
+    good = [lv for lv in out if lv.stable]
+    if len(good) < 3:
+        return ConvergenceReport(kind, scheme, tuple(out), None, None, False)
+    scales = [lv.h_x if kind == "spatial" else lv.tau for lv in good]
+    order, resid = fit_order(scales, [lv.norm for lv in good])
+    return ConvergenceReport(kind, scheme, tuple(out), order, resid,
+                             resid <= FIT_RESIDUAL_LIMIT)
 
 
 def measure_spatial_convergence(bench=None, scheme=TWO_STAGE,
@@ -361,44 +369,34 @@ def measure_spatial_convergence(bench=None, scheme=TWO_STAGE,
                                 tau_cap_fraction=0.02,
                                 error_constant_guess=0.5):
     """Error against the exact soliton under grid refinement at fixed
-    final time (halving h_x per level, tau held at the stability
-    margin but capped so its O(tau^2) share stays below
-    `tau_cap_fraction` of the expected O(h^2) error)."""
+    final time (halving h_x per level, tau held at `stable_tau` but
+    capped so its O(tau^2) share stays below `tau_cap_fraction` of the
+    expected O(h^2) error)."""
     if bench is None:
         bench = spatial_benchmark()
     if len(points_per_width) < 3:
         raise ValueError("need at least 3 refinement levels")
-    orc0 = bench.oracle()   # residual-verified once
-    speed = orc0.speed
-    horizon = n_transits * orc0.width / abs(speed)
+    orc = bench.oracle()   # residual-verified once
+    coeffs = bench.coefficients()
+    horizon = n_transits * orc.width / abs(orc.speed)
     levels = []
     for ppw in points_per_width:
         grid = bench.grid(ppw)
-        tau_stab = _stability_tau(bench, grid, scheme, horizon, growth_budget)
         expected_h2 = error_constant_guess * grid.h_x**2
         tau_cap = math.sqrt(
             tau_cap_fraction * expected_h2 * 6.0
-            / (horizon * abs(speed / orc0.width) ** 3)
+            / (horizon * abs(orc.speed / orc.width) ** 3)
         )
-        tau = min(tau_stab, tau_cap)
-        try:
-            final, orc, tau, n_steps = _run_soliton(bench, grid, scheme, tau, horizon)
-            exact = orc.state(grid, final.time)
-            norm = discrete_l2_norm(final, exact, grid)
-            rel = norm / float(np.sqrt(grid.h_x * np.sum(exact.theta**2)))
-            levels.append(ConvergenceLevel(grid.h_x, tau, n_steps, norm, rel,
-                                           norm, True))
-        except NonFiniteError:
-            levels.append(ConvergenceLevel(grid.h_x, tau, 0, float("nan"),
-                                           float("nan"), float("nan"), False))
-    good = [lv for lv in levels if lv.stable]
-    if len(good) >= 3:
-        order, resid = fit_order([lv.h_x for lv in good], [lv.norm for lv in good])
-        asym = resid <= FIT_RESIDUAL_LIMIT
-    else:
-        order, resid, asym = None, None, False
-    return ConvergenceReport("spatial", scheme, tuple(levels),
-                             order if asym else order, resid, asym)
+        levels.append((grid, min(stable_tau(coeffs, grid, scheme, horizon,
+                                            growth_budget), tau_cap)))
+
+    def measure(grid, final):
+        exact = orc.state(grid, final.time)
+        norm = discrete_l2_norm(final, exact, grid)
+        return norm, _relative(norm, exact, grid), norm
+
+    return _convergence_study("spatial", scheme, coeffs, levels, horizon,
+                              lambda grid: orc.state(grid, 0.0), measure)
 
 
 def measure_temporal_convergence(bench=None, scheme=ONE_STAGE,
@@ -419,35 +417,24 @@ def measure_temporal_convergence(bench=None, scheme=ONE_STAGE,
         raise ValueError("need at least 3 tau levels")
     grid = bench.grid(points_per_width)
     orc = bench.oracle()
+    coeffs = bench.coefficients()
     horizon = n_transits * orc.width / abs(orc.speed)
-    tau0 = _stability_tau(bench, grid, scheme, horizon, growth_budget)
+    tau0 = stable_tau(coeffs, grid, scheme, horizon, growth_budget)
 
-    reference, _, _, _ = _run_soliton(bench, grid, scheme,
-                                      tau0 / reference_divisor, horizon,
-                                      dispersion_correction=False)
+    start = orc.state(grid, 0.0)
+    ref_tau, _ = _whole_steps(tau0 / reference_divisor, horizon)
+    reference, _ = advance(start, coeffs, grid,
+                           SchemeParams(tau=ref_tau, scheme=scheme), horizon)
     exact = orc.state(grid, horizon)
-    exact_norm = float(np.sqrt(grid.h_x * np.sum(exact.theta**2)))
-    levels = []
-    for div in tau_divisors:
-        tau = tau0 / div
-        try:
-            final, _, tau, n_steps = _run_soliton(bench, grid, scheme, tau,
-                                                  horizon,
-                                                  dispersion_correction=False)
-            norm = discrete_l2_norm(final, reference, grid)
-            oracle_norm = discrete_l2_norm(final, exact, grid)
-            levels.append(ConvergenceLevel(grid.h_x, tau, n_steps, norm,
-                                           norm / exact_norm, oracle_norm, True))
-        except NonFiniteError:
-            levels.append(ConvergenceLevel(grid.h_x, tau, 0, float("nan"),
-                                           float("nan"), float("nan"), False))
-    good = [lv for lv in levels if lv.stable]
-    if len(good) >= 3:
-        order, resid = fit_order([lv.tau for lv in good], [lv.norm for lv in good])
-        asym = resid <= FIT_RESIDUAL_LIMIT
-    else:
-        order, resid, asym = None, None, False
-    return ConvergenceReport("temporal", scheme, tuple(levels), order, resid, asym)
+
+    def measure(grid, final):
+        norm = discrete_l2_norm(final, reference, grid)
+        return (norm, _relative(norm, exact, grid),
+                discrete_l2_norm(final, exact, grid))
+
+    return _convergence_study("temporal", scheme, coeffs,
+                              [(grid, tau0 / div) for div in tau_divisors],
+                              horizon, lambda grid: start, measure)
 
 
 # -- conservation audit -------------------------------------------------------
@@ -496,15 +483,16 @@ class StabilityProbeResult:
 def stability_probe(grid, coeffs, b_values, scheme=TWO_STAGE, steps=10000,
                     initial_state=None, blowup_factor=10.0):
     """Run `steps` steps at tau = b h^4 (two-stage) or b h^6
-    (one-stage) for each margin b; a run is unstable on NonFinite or
-    when the total L2 grows past `blowup_factor` times its start."""
+    (one-stage) for each multiplier b, the dispersion-dominated scaling
+    of `stable_tau`; a run is unstable on NonFinite or when the total L2
+    grows past `blowup_factor` times its start."""
     if initial_state is None:
         raise ValueError("stability probe needs an initial state")
     power = 4 if scheme == TWO_STAGE else 6
     verdicts = []
     for b in b_values:
         tau = b * grid.h_x**power
-        params = SchemeParams(tau=tau, scheme=scheme, b=b * 1.0000001)
+        params = SchemeParams(tau=tau, scheme=scheme)
         start_l2 = float(np.sqrt(np.sum(l2_per_mode(initial_state, grid) ** 2)))
         try:
             with np.errstate(all="ignore"):
@@ -608,14 +596,9 @@ def fission_census(coeffs, amplitude, width, t_end, grid=None,
     theta0 = amplitude / np.cosh((x - center) / width) ** 2
     state = ModeState(time=0.0, theta=theta0[None, :])
 
-    bench = SolitonBenchmark(c=c, g=g, d=d, amplitude=max(amplitude, 1e-12),
-                             domain=grid.length)
-    tau = _stability_tau(bench, grid, TWO_STAGE, max(t_end, 1e-12),
-                         growth_budget)
-    n_steps = max(1, int(round(t_end / tau)))
-    tau = t_end / n_steps
-    params = SchemeParams(tau=tau, scheme=TWO_STAGE,
-                          b=max(1.0, 1.01 * tau / grid.h_x**4))
+    tau, n_steps = _whole_steps(
+        stable_tau(coeffs, grid, TWO_STAGE, t_end, growth_budget), t_end)
+    params = SchemeParams(tau=tau, scheme=TWO_STAGE)
     snaps = []
     observe_every = max(1, n_steps // n_snapshots)
     final, _ = advance(state, coeffs, grid, params, t_end,
@@ -792,57 +775,35 @@ def integrable_pair_check(points_per_width=(8, 16, 32), horizon=2.0,
         return PairCheckReport(True, f"oracle construction failed: {err}",
                                None, None, None, None)
 
+    def pair_grid(ppw):
+        n = int(round(pair.domain / (pair.width / ppw)))
+        return Grid(h_x=pair.domain / n, n_points=n)
+
+    def measure(grid, final):
+        exact = pair.state(grid, horizon)
+        norm = discrete_l2_norm(final, exact, grid)
+        return norm, _relative(norm, exact, grid), norm
+
     levels = []
     for ppw in points_per_width:
-        h = pair.width / ppw
-        n = int(round(pair.domain / h))
-        grid = Grid(h_x=pair.domain / n, n_points=n)
-        lam = (2.598 * float(np.max(pair.coeffs.d)) / grid.h_x**3
-               + float(np.max(np.abs(pair.coeffs.c))) / grid.h_x)
-        tau = (8.0 * growth_budget / (horizon * lam**4)) ** (1.0 / 3.0)
-        n_steps = max(1, int(round(horizon / tau)))
-        tau = horizon / n_steps
-        params = SchemeParams(tau=tau, scheme=TWO_STAGE,
-                              b=max(1.0, tau / grid.h_x**4))
-        state = pair.state(grid, 0.0)
-        try:
-            final, _ = advance(state, pair.coeffs, grid, params, horizon)
-            exact = pair.state(grid, horizon)
-            norm = discrete_l2_norm(final, exact, grid)
-            rel = norm / float(np.sqrt(grid.h_x * np.sum(exact.theta**2)))
-            levels.append(ConvergenceLevel(grid.h_x, tau, n_steps, norm, rel,
-                                           norm, True))
-        except NonFiniteError:
-            levels.append(ConvergenceLevel(grid.h_x, tau, 0, float("nan"),
-                                           float("nan"), float("nan"), False))
-    good = [lv for lv in levels if lv.stable]
-    if len(good) >= 3:
-        order, resid = fit_order([lv.h_x for lv in good], [lv.norm for lv in good])
-        asym = resid <= FIT_RESIDUAL_LIMIT
-    else:
-        order, resid, asym = None, None, False
-    conv = ConvergenceReport("spatial", TWO_STAGE, tuple(levels), order, resid, asym)
+        grid = pair_grid(ppw)
+        levels.append((grid, stable_tau(pair.coeffs, grid, TWO_STAGE, horizon,
+                                        growth_budget)))
+    conv = _convergence_study("spatial", TWO_STAGE, pair.coeffs, levels,
+                              horizon, lambda grid: pair.state(grid, 0.0),
+                              measure)
 
     # time reversal on the middle grid over a shortened horizon
     rev_horizon = reversal_fraction * horizon
-    ppw = points_per_width[len(points_per_width) // 2]
-    h = pair.width / ppw
-    n = int(round(pair.domain / h))
-    grid = Grid(h_x=pair.domain / n, n_points=n)
-    lam = (2.598 * float(np.max(pair.coeffs.d)) / grid.h_x**3
-           + float(np.max(np.abs(pair.coeffs.c))) / grid.h_x)
-    tau = (8.0 * growth_budget / (rev_horizon * lam**4)) ** (1.0 / 3.0)
-    n_steps = max(1, int(round(rev_horizon / tau)))
-    tau = rev_horizon / n_steps
-    params = SchemeParams(tau=tau, scheme=TWO_STAGE,
-                          b=max(1.0, 1.01 * tau / grid.h_x**4))
+    grid = pair_grid(points_per_width[len(points_per_width) // 2])
+    tau, _ = _whole_steps(stable_tau(pair.coeffs, grid, TWO_STAGE, rev_horizon,
+                                     growth_budget), rev_horizon)
+    params = SchemeParams(tau=tau, scheme=TWO_STAGE)
     start = pair.state(grid, 0.0)
     fwd, _ = advance(start, pair.coeffs, grid, params, rev_horizon)
     forward_err = discrete_l2_norm(fwd, pair.state(grid, rev_horizon), grid)
     back, _ = advance(_reflect(fwd), pair.coeffs, grid, params,
                       fwd.time + rev_horizon)
-    returned = _reflect(back)
-    reversal_err = float(np.sqrt(grid.h_x * np.sum(
-        (returned.theta - start.theta) ** 2)))
+    reversal_err = discrete_l2_norm(_reflect(back), start, grid)
     return PairCheckReport(False, "", pair.residual, conv,
                            reversal_err, forward_err)

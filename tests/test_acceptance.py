@@ -286,10 +286,10 @@ def test_criterion_6_conservation():
     horizon = steps * tau0
 
     _, rep1 = advance(state, coeffs, grid,
-                      SchemeParams(tau=tau0, scheme=wt.ONE_STAGE, b=1e9),
+                      SchemeParams(tau=tau0, scheme=wt.ONE_STAGE),
                       horizon, observe_every=10_000)
     _, rep2 = advance(state, coeffs, grid,
-                      SchemeParams(tau=tau0 / 2, scheme=wt.ONE_STAGE, b=1e9),
+                      SchemeParams(tau=tau0 / 2, scheme=wt.ONE_STAGE),
                       horizon, observe_every=20_000)
     a1 = V.conservation_audit(rep1)
     a2 = V.conservation_audit(rep2)

@@ -1,9 +1,12 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
 
+import wavetank.cli as cli
 from wavetank.cli import main
+from wavetank.coefficients import ConsistencyError
 from wavetank.fields import read_state_file
 
 
@@ -33,6 +36,25 @@ class TestParsing:
     def test_bad_modes_list(self, capsys, outdir):
         assert run_cli("run", "--modes", "2,q", "--out", str(outdir)) == 2
 
+    @pytest.mark.parametrize("key", ["stability_margin",
+                                     "dispersion_correction"])
+    def test_removed_scheme_keys_rejected(self, capsys, outdir, key):
+        cfgfile = outdir / "old.cfg"
+        cfgfile.write_text(f"[scheme]\ndt = 4e-05\n{key} = 1\n")
+        assert run_cli("run", "--config", str(cfgfile),
+                       "--out", str(outdir)) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+    def test_consistency_error_exits_1(self, capsys, outdir, monkeypatch):
+        def failing_build(*args, **kwargs):
+            raise ConsistencyError("quadrature/closed-form tensor mismatch")
+        monkeypatch.setattr(cli, "build_coefficients", failing_build)
+        assert run_cli("coeffs", "--out", str(outdir)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("check failure: quadrature/closed-form")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestRun:
     def test_t_end_zero_initial_snapshot_only(self, outdir):
@@ -44,6 +66,31 @@ class TestRun:
         states = [f for f in files if f.endswith("_state.dat")]
         assert len(states) == 1
         assert any(f.endswith("_field.dat") for f in files)
+        meta = (outdir / "t0" / "t0_meta.txt").read_text().splitlines()
+        assert "steps = 0" in meta
+        assert "stable_tau = inf" in meta
+        assert "tau_over_stable_tau = 0" in meta
+
+    def test_default_run_records_stable_tau(self, outdir):
+        # the McEwan default runs inside its stable_tau: no warning, and
+        # the sidecar (only) says how close it ran to the limit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("run", "--out", str(outdir), "--run-id", "mc") == 0
+        d = outdir / "mc"
+        meta = dict(line.split(" = ", 1)
+                    for line in (d / "mc_meta.txt").read_text().splitlines()
+                    if line.startswith(("tau", "stable_tau")))
+        assert float(meta["tau"]) == 4e-5
+        ratio = float(meta["tau_over_stable_tau"])
+        assert ratio == pytest.approx(4e-5 / float(meta["stable_tau"]),
+                                      rel=1e-15)
+        assert 0.5 < ratio < 1.0
+        for name in os.listdir(d):
+            if name.endswith(".dat") or name == "config.cfg":
+                assert "stable_tau" not in (d / name).read_text()
+        mode2 = (d / "mc_t0.020000_mode2.dat").read_text().splitlines()
+        assert mode2[0] == "# time = 0.02"
 
     def test_overrides_beat_file_values(self, outdir):
         cfgfile = outdir / "base.cfg"
@@ -138,6 +185,16 @@ class TestCoeffs:
         rows = [l for l in (d / "g_tensor.dat").read_text().splitlines()
                 if not l.startswith("#")]
         assert len(rows) == 125
+
+    def test_ten_modes_pass_the_quadrature_check(self, outdir):
+        # off-resonance quadrature strays scale with max|g| (2.3e-12 at
+        # max|g| = 1365 here); an absolute 1e-12 limit rejected this set
+        modes = ",".join(str(n) for n in range(1, 11))
+        assert run_cli("coeffs", "--modes", modes, "--out", str(outdir),
+                       "--run-id", "m10") == 0
+        rows = [l for l in (outdir / "m10" / "g_tensor.dat").read_text()
+                .splitlines() if not l.startswith("#")]
+        assert len(rows) == 1000
 
     def test_custom_modes_skip_reconciliation(self, outdir):
         assert run_cli("coeffs", "--modes", "1,2,3", "--out", str(outdir),

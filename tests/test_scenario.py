@@ -132,3 +132,9 @@ class TestConfigRoundTrip:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             parse_config("[run]\nbogus = 1\n")
+
+    def test_scheme_section_has_scheme_and_dt_only(self):
+        text = serialize_config(mcewan_default())
+        section = text.split("[scheme]")[1].split("[run]")[0]
+        keys = [l.split(" = ")[0] for l in section.splitlines() if " = " in l]
+        assert keys == ["scheme", "dt"]

@@ -1,3 +1,7 @@
+import math
+import warnings
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,14 +11,19 @@ from wavetank.solver import (
     NonFiniteError,
     ONE_STAGE,
     SchemeParams,
+    TWO_STAGE,
     advance,
     discrete_l2_norm,
-    full_step,
-    half_step,
-    one_stage_step,
-    suggest_timestep,
+    stable_tau,
 )
 from wavetank.verification import kdv_soliton_oracle, single_mode_coefficients
+
+
+def one_step(state, coeffs, grid, tau, scheme=TWO_STAGE):
+    final, report = advance(state, coeffs, grid, SchemeParams(tau, scheme),
+                            state.time + tau)
+    assert report.steps == 1
+    return final
 
 
 def soliton_state(grid, c=1.0, g=6.0, d=1.0, A=2.0):
@@ -44,50 +53,52 @@ class TestSingleSteps:
         grid = Grid(h_x=0.1, n_points=32)
         coeffs = single_mode_coefficients(1.0, 6.0, 1.0)
         state = ModeState(0.0, np.zeros((1, 32)))
-        for stepped in (
-            half_step(state, coeffs, grid, 1e-3),
-            one_stage_step(state, coeffs, grid, 1e-3),
-        ):
+        for scheme in (TWO_STAGE, ONE_STAGE):
+            stepped = one_step(state, coeffs, grid, 1e-3, scheme)
             assert np.all(stepped.theta == 0.0)
 
     def test_constant_state_unchanged(self):
         grid = Grid(h_x=0.1, n_points=32)
         coeffs = single_mode_coefficients(1.3, 2.0, 0.7)
         state = ModeState(0.0, np.full((1, 32), 3.25))
-        h = half_step(state, coeffs, grid, 1e-3)
-        assert np.all(h.theta == 3.25)
-        f = full_step(state, h, coeffs, grid, 1e-3)
-        assert np.all(f.theta == 3.25)
+        for scheme in (TWO_STAGE, ONE_STAGE):
+            assert np.all(one_step(state, coeffs, grid, 1e-3, scheme).theta
+                          == 3.25)
 
     def test_pure_advection_half_step_hand_computed(self):
-        # d = c h^2 / 6 cancels the dispersion stencil exactly, leaving
-        # theta_i - 0.1 (theta_{i+1} - theta_{i-1}) at tau = 0.1
+        # d = c h^2 / 6 cancels the corrected dispersion stencil exactly:
+        # the half stage is theta_i - 0.1 (theta_{i+1} - theta_{i-1}) at
+        # tau = 0.1, and the full stage differences that half layer
         h, c, tau = 0.5, 2.0, 0.1
         grid = Grid(h_x=h, n_points=8)
         coeffs = single_mode_coefficients(c, 0.0001, c * h**2 / 6.0)
         coeffs.g[0, 0, 0] = 0.0
         theta = np.array([1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0])
-        state = ModeState(0.0, theta[None, :])
-        out = half_step(state, coeffs, grid, tau)
+        half = np.array([4.2, 1.8, 2.7, 4.5, 7.2, 11.7, 18.9, 36.0])
+        expected = theta - 0.2 * (np.roll(half, -1) - np.roll(half, 1))
+        out = one_step(ModeState(0.0, theta[None, :]), coeffs, grid, tau)
+        np.testing.assert_allclose(out.theta[0], expected, rtol=1e-14)
+        assert out.time == tau
+
+    def test_pure_advection_one_stage_hand_computed(self):
+        # one-stage keeps the unmodified e = d: with d = 0 the step is
+        # theta_i - 0.1 (theta_{i+1} - theta_{i-1}) at tau = 0.05
+        h, c, tau = 0.5, 2.0, 0.05
+        grid = Grid(h_x=h, n_points=8)
+        coeffs = single_mode_coefficients(c, 0.0001, 0.0)
+        coeffs.g[0, 0, 0] = 0.0
+        theta = np.array([1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0])
+        out = one_step(ModeState(0.0, theta[None, :]), coeffs, grid, tau,
+                       ONE_STAGE)
         expected = np.array([4.2, 1.8, 2.7, 4.5, 7.2, 11.7, 18.9, 36.0])
         np.testing.assert_allclose(out.theta[0], expected, rtol=1e-14)
-        assert out.time == pytest.approx(tau / 2.0)
-
-    def test_one_stage_equals_uncorrected_half_step_at_half_tau(self):
-        grid = Grid(h_x=0.05, n_points=64)
-        state, coeffs, _ = soliton_state(grid)
-        tau = 2e-4
-        a = half_step(state, coeffs, grid, tau, dispersion_correction=False)
-        b = one_stage_step(state, coeffs, grid, tau / 2.0)
-        assert np.array_equal(a.theta, b.theta)
 
     def test_step_pair_translates_soliton(self):
         # one (half, full) pair moves the exact soliton by ~ speed*tau
         grid = Grid(h_x=1.0 / 24, n_points=24 * 16)
         state, coeffs, orc = soliton_state(grid, c=1.0, g=6.0, d=1.0, A=2.0)
         tau = 5e-6
-        h = half_step(state, coeffs, grid, tau)
-        f = full_step(state, h, coeffs, grid, tau)
+        f = one_step(state, coeffs, grid, tau)
         exact = orc.state(grid, tau)
         err = discrete_l2_norm(f, exact, grid)
         norm = discrete_l2_norm(exact, ModeState(tau, 0 * exact.theta), grid)
@@ -100,8 +111,20 @@ class TestSingleSteps:
         grid = Grid(h_x=0.05, n_points=64)
         state, coeffs, _ = soliton_state(grid)
         state.theta[0, 10] = np.inf
-        with pytest.raises(NonFiniteError):
-            half_step(state, coeffs, grid, 1e-4)
+        with pytest.raises(NonFiniteError) as err:
+            one_step(state, coeffs, grid, 1e-4)
+        assert err.value.step == 1
+        assert "half step" in str(err.value.__cause__)
+
+    def test_time_is_not_accumulated(self):
+        grid = Grid(h_x=0.1, n_points=64)
+        state, coeffs, _ = soliton_state(grid)
+        t0, tau, n_steps = 0.1, 4e-5, 500
+        state.time = t0
+        final, report = advance(state, coeffs, grid, SchemeParams(tau=tau),
+                                t0 + n_steps * tau)
+        assert report.steps == n_steps
+        assert final.time == t0 + n_steps * tau
 
 
 class TestNorm:
@@ -133,30 +156,63 @@ class TestNorm:
 
 class TestTimestepPolicy:
     def test_two_stage_formula(self):
+        # lambda = 2.598 |d - c h^2/6| / h^3 + |c| / h, the corrected e
         grid = Grid(h_x=0.01, n_points=64)
         coeffs = single_mode_coefficients(1.0, 1.0, 1.0)
-        tau = suggest_timestep(grid, coeffs, SchemeParams(tau=1.0, b=1.0))
-        assert tau == pytest.approx(1e-8, rel=1e-12)
+        lam = 2.598 * (1.0 - 1e-4 / 6.0) / 1e-6 + 1.0 / 0.01
+        tau = stable_tau(coeffs, grid, TWO_STAGE, horizon=2.0)
+        assert tau == pytest.approx((80.0 / (2.0 * lam**4)) ** (1 / 3),
+                                    rel=1e-12)
+
+    def test_one_stage_formula(self):
+        # one-stage integrates the unmodified e = d
+        grid = Grid(h_x=0.1, n_points=64)
+        coeffs = single_mode_coefficients(1.0, 1.0, 1.0)
+        lam = 2.598 / 1e-3 + 1.0 / 0.1
+        tau = stable_tau(coeffs, grid, ONE_STAGE, horizon=2.0,
+                         growth_budget=8.0)
+        assert tau == pytest.approx(16.0 / (2.0 * lam**2), rel=1e-12)
 
     def test_halving_h(self):
-        coeffs = single_mode_coefficients(1.0, 1.0, 1.0)
-        p = SchemeParams(tau=1.0, b=2.5)
-        t1 = suggest_timestep(Grid(h_x=0.02, n_points=64), coeffs, p)
-        t2 = suggest_timestep(Grid(h_x=0.01, n_points=64), coeffs, p)
+        # with c = 0 the two-stage bound is the familiar tau ~ h^4 guard
+        coeffs = single_mode_coefficients(0.0, 1.0, 1.0)
+        t1 = stable_tau(coeffs, Grid(h_x=0.02, n_points=64), TWO_STAGE, 1.0)
+        t2 = stable_tau(coeffs, Grid(h_x=0.01, n_points=64), TWO_STAGE, 1.0)
         assert t1 / t2 == pytest.approx(16.0, rel=1e-12)
 
     def test_one_stage_power(self):
-        grid = Grid(h_x=0.1, n_points=64)
-        coeffs = single_mode_coefficients(1.0, 1.0, 1.0)
-        p = SchemeParams(tau=1.0, scheme=ONE_STAGE, b=1.0)
-        assert suggest_timestep(grid, coeffs, p) == pytest.approx(1e-6)
+        # ... and the one-stage bound the tau ~ h^6 guard
+        coeffs = single_mode_coefficients(0.0, 1.0, 1.0)
+        t1 = stable_tau(coeffs, Grid(h_x=0.2, n_points=64), ONE_STAGE, 1.0)
+        t2 = stable_tau(coeffs, Grid(h_x=0.1, n_points=64), ONE_STAGE, 1.0)
+        assert t1 / t2 == pytest.approx(64.0, rel=1e-12)
 
-    def test_advance_warns_beyond_margin(self):
+    def test_longer_horizon_smaller_tau(self):
+        grid = Grid(h_x=0.05, n_points=64)
+        coeffs = single_mode_coefficients(1.0, 6.0, 1.0)
+        ratio = (stable_tau(coeffs, grid, TWO_STAGE, 1.0)
+                 / stable_tau(coeffs, grid, TWO_STAGE, 8.0))
+        assert ratio == pytest.approx(2.0, rel=1e-12)
+
+    def test_zero_horizon_unbounded(self):
+        grid = Grid(h_x=0.05, n_points=64)
+        coeffs = single_mode_coefficients(1.0, 6.0, 1.0)
+        assert stable_tau(coeffs, grid, TWO_STAGE, 0.0) == math.inf
+
+    def test_scheme_params_has_two_fields(self):
+        assert [f.name for f in fields(SchemeParams)] == ["tau", "scheme"]
+
+    def test_advance_does_not_police_tau(self):
+        # tau far beyond stable_tau: advance runs without a warning; the
+        # warning belongs to the CLI, which takes tau from outside
         grid = Grid(h_x=0.1, n_points=64)
         state, coeffs, _ = soliton_state(grid, d=0.01)
-        params = SchemeParams(tau=1e-3, b=1.0)  # b h^4 = 1e-4 < tau
-        with pytest.warns(RuntimeWarning):
-            advance(state, coeffs, grid, params, state.time + 2e-3)
+        params = SchemeParams(tau=0.2)
+        assert params.tau > 3 * stable_tau(coeffs, grid, TWO_STAGE, 0.4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, report = advance(state, coeffs, grid, params, 0.4)
+        assert report.steps == 2
 
 
 class TestAdvance:
@@ -164,7 +220,7 @@ class TestAdvance:
         grid = Grid(h_x=0.05, n_points=64)
         state, coeffs, _ = soliton_state(grid)
         final, report = advance(state, coeffs, grid,
-                                SchemeParams(tau=1e-4, b=1e9), state.time)
+                                SchemeParams(tau=1e-4), state.time)
         assert report.steps == 0
         assert np.array_equal(final.theta, state.theta)
 
@@ -172,7 +228,7 @@ class TestAdvance:
         grid = Grid(h_x=0.05, n_points=64)
         state, coeffs, _ = soliton_state(grid)
         with pytest.raises(ValueError):
-            advance(state, coeffs, grid, SchemeParams(tau=1e-4, b=1e9), -1.0)
+            advance(state, coeffs, grid, SchemeParams(tau=1e-4), -1.0)
 
     def test_periodic_advection_full_period(self):
         # g = 0, d = 0: profile should come back to where it started
@@ -186,7 +242,7 @@ class TestAdvance:
         period = grid.length / c
         tau = period / 4096
         final, _ = advance(state, coeffs, grid,
-                           SchemeParams(tau=tau, b=1e12), period)
+                           SchemeParams(tau=tau), period)
         rel = (discrete_l2_norm(final, state, grid)
                / np.sqrt(h * np.sum(theta0**2)))
         assert rel < 1e-2
@@ -197,7 +253,7 @@ class TestAdvance:
         steps = 1000
         tau = 2e-4
         final, report = advance(state, coeffs, grid,
-                                SchemeParams(tau=tau, b=1e9),
+                                SchemeParams(tau=tau),
                                 steps * tau)
         drift = abs(np.sum(final.theta) - np.sum(state.theta)) * grid.h_x
         assert drift <= 1e-12 * steps * np.max(np.abs(state.theta))
@@ -205,7 +261,7 @@ class TestAdvance:
     def test_determinism_bitwise(self):
         grid = Grid(h_x=0.1, n_points=128)
         state, coeffs, _ = soliton_state(grid)
-        p = SchemeParams(tau=2e-4, b=1e9)
+        p = SchemeParams(tau=2e-4)
         a, _ = advance(state, coeffs, grid, p, 0.05)
         b, _ = advance(state, coeffs, grid, p, 0.05)
         assert np.array_equal(a.theta, b.theta)
@@ -215,7 +271,7 @@ class TestAdvance:
         state, coeffs, _ = soliton_state(grid)
         shift = 17
         rolled = ModeState(0.0, np.roll(state.theta, shift, axis=1))
-        p = SchemeParams(tau=2e-4, b=1e9)
+        p = SchemeParams(tau=2e-4)
         a, _ = advance(state, coeffs, grid, p, 0.02)
         b, _ = advance(rolled, coeffs, grid, p, 0.02)
         assert np.array_equal(np.roll(a.theta, shift, axis=1), b.theta)
@@ -225,7 +281,7 @@ class TestAdvance:
         theta0 = np.sin(2 * np.pi * grid.x / grid.length)
         coeffs = single_mode_coefficients(0.7, 0.0001, 0.002)
         coeffs.g[0, 0, 0] = 0.0
-        p = SchemeParams(tau=1e-4, b=1e9)
+        p = SchemeParams(tau=1e-4)
         one, _ = advance(ModeState(0.0, theta0[None, :]), coeffs, grid, p, 0.05)
         two, _ = advance(ModeState(0.0, 2.0 * theta0[None, :]), coeffs, grid,
                          p, 0.05)
@@ -234,7 +290,7 @@ class TestAdvance:
     def test_nonfinite_abort_carries_step(self):
         grid = Grid(h_x=0.05, n_points=128)
         state, coeffs, _ = soliton_state(grid)
-        bad = SchemeParams(tau=0.05, b=1e12)  # far beyond stability
+        bad = SchemeParams(tau=0.05)  # far beyond stability
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as err:
             advance(state, coeffs, grid, bad, 10.0)
         assert err.value.step is not None and err.value.step >= 1
@@ -245,7 +301,7 @@ class TestAdvance:
         grid = Grid(h_x=0.1, n_points=128)
         state, coeffs, _ = soliton_state(grid)
         seen = []
-        advance(state, coeffs, grid, SchemeParams(tau=1e-4, b=1e9),
+        advance(state, coeffs, grid, SchemeParams(tau=1e-4),
                 10 * 1e-4, observers=[lambda s, st: seen.append(s)],
                 observe_every=2)
         assert seen == [0, 2, 4, 6, 8, 10]
@@ -255,4 +311,4 @@ class TestAdvance:
         coeffs = single_mode_coefficients(1.0, 1.0, 1.0)
         state = ModeState(0.0, np.zeros((2, 128)))
         with pytest.raises(ValueError):
-            advance(state, coeffs, grid, SchemeParams(tau=1e-4, b=1e9), 1e-3)
+            advance(state, coeffs, grid, SchemeParams(tau=1e-4), 1e-3)

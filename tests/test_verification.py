@@ -135,7 +135,7 @@ class TestConservation:
         coeffs = single_mode_coefficients(1.0, 6.0, 1.0)
         state = ModeState(0.0, np.zeros((1, 64)))
         _, report = advance(state, coeffs, grid,
-                            SchemeParams(tau=1e-4, b=1e9), 0.01,
+                            SchemeParams(tau=1e-4), 0.01,
                             observe_every=10)
         audit = conservation_audit(report)
         assert audit.max_mass_drift == 0.0
@@ -148,7 +148,7 @@ class TestConservation:
         state = bench.oracle().state(grid, 0.0)
         steps = 2000
         _, report = advance(state, bench.coefficients(), grid,
-                            SchemeParams(tau=1e-4, b=1e9), steps * 1e-4,
+                            SchemeParams(tau=1e-4), steps * 1e-4,
                             observe_every=200)
         audit = conservation_audit(report)
         assert audit.max_mass_drift <= 1e-12 * steps * np.max(np.abs(state.theta))
@@ -163,8 +163,7 @@ class TestConservation:
         drifts = []
         for div in (1, 2):
             _, rep = advance(state, coeffs, grid,
-                             SchemeParams(tau=tau0 / div, scheme="one-stage",
-                                          b=1e9),
+                             SchemeParams(tau=tau0 / div, scheme="one-stage"),
                              steps * tau0, observe_every=steps)
             drifts.append(conservation_audit(rep).final_l2_drift)
         assert drifts[0] / drifts[1] == pytest.approx(2.0, abs=0.3)
@@ -300,7 +299,7 @@ class TestTravelingPair:
                                           orc2(grid.x, 0.0)]))
         t_end = 0.5
         final, _ = advance(state, coeffs, grid,
-                           SchemeParams(tau=2e-5, b=1e9), t_end)
+                           SchemeParams(tau=2e-5), t_end)
         for row, orc in ((0, orc1), (1, orc2)):
             exact = orc(grid.x, final.time)
             rel = (np.sqrt(np.sum((final.theta[row] - exact) ** 2))
