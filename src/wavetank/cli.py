@@ -2,7 +2,9 @@
 
 Subcommands: run | coeffs | converge | verify | fission.  Exit codes:
 0 success, 1 check failure (including a coefficient ConsistencyError),
-2 usage/config error, 3 numerical abort (non-finite state).  Data files
+2 usage/config error (including a `--dx` that does not divide the
+domain, and a snapshot name that would overwrite another snapshot of
+the same run), 3 numerical abort (non-finite state).  Data files
 are byte-reproducible; wall-clock information only ever lands in the
 metadata sidecar.
 """
@@ -32,6 +34,7 @@ from .solver import (
     TWO_STAGE,
     advance,
     stable_tau,
+    step_count,
 )
 
 F = "%.17g"
@@ -108,7 +111,17 @@ def _load_scenario(args):
     if getattr(args, "t_end", None) is not None:
         cfg = replace(cfg, t_end=args.t_end)
     if getattr(args, "dx", None) is not None:
-        n = max(8, int(round(cfg.grid.length / args.dx)))
+        # dx must tile the configured domain; rounding the cell count
+        # would silently run a different tank
+        if not args.dx > 0:
+            raise ValueError(f"--dx must be positive, got {args.dx:g}")
+        cells = cfg.grid.length / args.dx
+        n = int(round(cells))
+        if abs(cells - n) > 1e-9 * cells:
+            raise ValueError(
+                f"--dx {args.dx:g} does not divide the domain length "
+                f"{cfg.grid.length:.17g} m: {n} cells would give a length "
+                f"of {n * args.dx:.17g} m")
         cfg = replace(cfg, grid=Grid(h_x=args.dx, n_points=n, x0=cfg.grid.x0))
     if getattr(args, "dt", None) is not None:
         cfg = replace(cfg, scheme=replace(cfg.scheme, tau=args.dt))
@@ -146,9 +159,18 @@ def cmd_run(args):
             stacklevel=2,
         )
 
+    last_step = step_count(state.time, cfg.t_end, cfg.scheme.tau)
+    written = {}
+
     def snapshot(step, st):
-        path = os.path.join(out, f"{args.run_id}_t{st.time:.6f}_state.dat")
-        fields.write_state_file(path, st, cfg.grid, cfg.scheme.scheme, step)
+        name = fields.state_filename(args.run_id, step, last_step)
+        if name in written:  # would overwrite an earlier snapshot
+            raise FileExistsError(
+                f"snapshot {name} of step {step} would overwrite the one "
+                f"of step {written[name]}")
+        written[name] = step
+        fields.write_state_file(os.path.join(out, name), st, cfg.grid,
+                                cfg.scheme.scheme, step)
 
     try:
         final, report = advance(

@@ -86,6 +86,11 @@ def dispersion_coeffs(basis):
     return basis.speeds**3 / (2.0 * basis.strat.N**2)
 
 
+def _resonance_scale(strat):
+    """K = pi sqrt(2) / (4 N h^(3/2)), the scale of both resonance branches."""
+    return np.pi * np.sqrt(2.0) / (4.0 * strat.N * strat.depth**1.5)
+
+
 def nonlinear_coeff_closed_form(basis, n, m, k, sigma=1.0):
     """Single tensor entry from the resonance rule (exact).
 
@@ -93,8 +98,7 @@ def nonlinear_coeff_closed_form(basis, n, m, k, sigma=1.0):
     and the difference branch n = |m - k|, value K m (3k - m) / n, with
     K = pi sqrt(2) / (4 N h^(3/2)).
     """
-    strat = basis.strat
-    kappa = np.pi * np.sqrt(2.0) / (4.0 * strat.N * strat.depth**1.5)
+    kappa = _resonance_scale(basis.strat)
     val = 0.0
     if n == m + k:
         val += kappa * m * (3 * k + m) / n
@@ -104,13 +108,24 @@ def nonlinear_coeff_closed_form(basis, n, m, k, sigma=1.0):
 
 
 def _tensor_closed_form(basis, sigma):
-    L = basis.n_modes
+    """The whole tensor from the resonance rule, bit-identical to
+    `nonlinear_coeff_closed_form` entry by entry: each (m, k) pair is
+    placed on its sum branch n = m + k and its difference branch
+    n = |m - k| when that n is in the mode list (mode numbers are
+    distinct and >= 1, so the two branches never meet and n = 0 never
+    occurs)."""
+    idx = np.asarray(basis.indices)
+    L = idx.size
+    kappa = _resonance_scale(basis.strat)
+    order = np.argsort(idx)
+    b, c_ = np.indices((L, L))
+    m, k = idx[b], idx[c_]
     g = np.zeros((L, L, L))
-    for a, n in enumerate(basis.indices):
-        for b, m in enumerate(basis.indices):
-            for c_, k in enumerate(basis.indices):
-                g[a, b, c_] = nonlinear_coeff_closed_form(basis, n, m, k, sigma)
-    return g
+    for n, weight in ((m + k, 3 * k + m), (np.abs(m - k), 3 * k - m)):
+        a = order[np.searchsorted(idx, n, sorter=order).clip(max=L - 1)]
+        hit = idx[a] == n
+        g[a[hit], b[hit], c_[hit]] = kappa * m[hit] * weight[hit] / n[hit]
+    return sigma * g
 
 
 def _tensor_quadrature(basis, sigma, quad_points):
@@ -130,6 +145,7 @@ def _tensor_quadrature(basis, sigma, quad_points):
     c = basis.speeds
     L = basis.n_modes
     g = np.zeros((L, L, L))
+    size = np.zeros((L, L, L))
     for a in range(L):
         pref = sigma * strat.N**2 * c[a] ** 2 / 2.0
         for b in range(L):
@@ -138,8 +154,10 @@ def _tensor_quadrature(basis, sigma, quad_points):
                     (1.0 / c[b] ** 2 + 3.0 / c[c_] ** 2) * S[c_] * Sz[b]
                     + (4.0 / c[b] ** 2) * S[b] * Sz[c_]
                 ) * S[a]
-                g[a, b, c_] = pref * dz * np.sum(w * integrand)
-    return g
+                terms = w * integrand
+                g[a, b, c_] = pref * dz * np.sum(terms)
+                size[a, b, c_] = abs(pref) * dz * np.sum(np.abs(terms))
+    return g, size
 
 
 def nonlinear_coeffs(basis, method="closed_form", sigma=1.0,
@@ -150,13 +168,15 @@ def nonlinear_coeffs(basis, method="closed_form", sigma=1.0,
     "quadrature" (Simpson over [0, h]).  The quadrature path
     cross-checks itself against the closed form and raises
     ConsistencyError beyond 1e-8 relative, or when an off-resonance
-    entry exceeds 1e-12 of max|g|.
+    entry exceeds 1e-12 of the quadrature of its absolute integrand
+    (the size its round-off scales with; max|g| is no scale when no
+    triad of the mode list resonates).
     """
     if method == "closed_form":
         return _tensor_closed_form(basis, sigma)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    g_quad = _tensor_quadrature(basis, sigma, quad_points)
+    g_quad, size = _tensor_quadrature(basis, sigma, quad_points)
     g_closed = _tensor_closed_form(basis, sigma)
     scale = np.maximum(1.0, np.abs(g_closed))
     worst = float(np.max(np.abs(g_quad - g_closed) / scale))
@@ -168,12 +188,12 @@ def nonlinear_coeffs(basis, method="closed_form", sigma=1.0,
     # off-resonance entries vanish identically; confirm the quadrature
     # only carries round-off there, then return the exact zeros
     exact_zero = g_closed == 0.0
-    stray = float(np.max(np.abs(g_quad[exact_zero]), initial=0.0))
-    limit = 1e-12 * max(1.0, float(np.max(np.abs(g_closed))))
-    if stray > limit:
+    stray = np.abs(g_quad[exact_zero]) / np.maximum(size[exact_zero], 1e-300)
+    worst = float(np.max(stray, initial=0.0))
+    if worst > 1e-12:
         raise ConsistencyError(
-            f"off-resonance quadrature entries reach {stray:.3e} "
-            f"(> 1e-12 max|g| = {limit:.3e})"
+            f"off-resonance quadrature entries reach {worst:.3e} of the "
+            f"quadrature of their absolute integrand (limit 1e-12)"
         )
     g_quad[exact_zero] = 0.0
     return g_quad

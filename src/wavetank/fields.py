@@ -21,6 +21,7 @@ __all__ = [
     "read_state_file",
     "field_filename",
     "mode_filename",
+    "state_filename",
 ]
 
 FMT = "%.17g"
@@ -129,6 +130,12 @@ def field_filename(run_id, t):
 
 def mode_filename(run_id, t, n):
     return f"{run_id}_t{t:.6f}_mode{n}.dat"
+
+
+def state_filename(run_id, step, last_step):
+    """Snapshot name by step index, zero-padded to the width of
+    `last_step` so that names sort in step order."""
+    return f"{run_id}_step{step:0{len(str(last_step))}d}_state.dat"
 
 
 def write_state_file(path, state, grid, scheme, step):

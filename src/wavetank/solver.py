@@ -19,6 +19,16 @@ Both are weakly unstable on the dispersive spectrum, so one policy
 picks tau for both: `stable_tau` bounds the round-off growth of the
 grid-scale mode over the run's horizon by a fixed budget.
 
+The triad term sum_{m,k} g^n_{m,k} theta^m D0 theta^k is applied
+through the nonzeros of g, which lie only on the resonance branches
+n = m + k and n = |m - k| (4.5 % of the entries at L = 32, 1.8 % at
+L = 80).  `advance` builds g once per call as a CSR matrix of shape
+(L, L^2); each stage forms the all-pair product theta^m D0 theta^k as
+an (L^2, n) array and applies the matrix, at O(L^2 n) for the product
+plus O(nnz n) for the sum, instead of the dense O(L^3 n) contraction.
+L = 1 keeps its scalar product g theta D0 theta and builds no matrix:
+a sparse call would add 10-20 us to a 50-60 us step.
+
 Single-mode periodic runs conserve the discrete mass sum_i theta_i to
 round-off: D0, D3 and theta * D0 theta all telescope on a ring.
 """
@@ -39,6 +49,7 @@ __all__ = [
     "NonFiniteError",
     "advance",
     "stable_tau",
+    "step_count",
     "discrete_l2_norm",
     "mass_per_mode",
     "l2_per_mode",
@@ -153,27 +164,47 @@ def stable_tau(coeffs, grid, scheme, horizon,
     return 2.0 * growth_budget / (horizon * lam**2)
 
 
-def _rhs(theta, coeffs, grid, e):
-    """c D0 theta + sum g theta^m D0 theta^k + e D3 theta, per mode."""
+def step_count(t0, t_end, tau):
+    """Number of steps of size tau that `advance` takes from t0 to t_end."""
+    if t_end <= t0:
+        return 0
+    return int(np.ceil((t_end - t0) / tau - 1e-9))
+
+
+def _triad_operator(g):
+    """g^n_{m,k} as a CSR matrix of shape (L, L^2): row n, column m L + k,
+    holding only g's nonzero entries; None for a single mode."""
+    L = g.shape[0]
+    if L == 1:
+        return None
+    # imported here: scipy.sparse adds ~2 MB resident, which single-mode
+    # runs never need
+    from scipy import sparse
+    return sparse.csr_array(g.reshape(L, L * L))
+
+
+def _rhs(theta, coeffs, grid, e, triad):
+    """c D0 theta + sum g theta^m D0 theta^k + e D3 theta, per mode;
+    `triad` is `_triad_operator(coeffs.g)`."""
     h = grid.h_x
-    n = theta.shape[1]
+    L, n = theta.shape
     # one padded copy; shifted neighbours are views into it
     pad = np.concatenate((theta[:, -2:], theta, theta[:, :2]), axis=1)
     diff1 = pad[:, 3:n + 3] - pad[:, 1:n + 1]          # theta_{i+1} - theta_{i-1}
     d0 = diff1 * (0.5 / h)
     d3 = (pad[:, 4:n + 4] - pad[:, 0:n] - 2.0 * diff1) * (0.5 / h**3)
     out = coeffs.c[:, None] * d0 + e[:, None] * d3
-    if theta.shape[0] == 1:
+    if L == 1:
         out += coeffs.g[0, 0, 0] * theta * d0
     else:
-        out += np.einsum("nmk,mi,ki->ni", coeffs.g, theta, d0)
+        out += triad @ (theta[:, None, :] * d0[None, :, :]).reshape(L * L, n)
     return out
 
 
-def _stage(base, at, dt, coeffs, grid, e, what):
+def _stage(base, at, dt, coeffs, grid, e, triad, what):
     """base - dt * rhs(at): one explicit stage, checked for finiteness."""
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = base - dt * _rhs(at, coeffs, grid, e)
+        theta = base - dt * _rhs(at, coeffs, grid, e, triad)
     if not np.all(np.isfinite(theta)):
         raise NonFiniteError(f"{what} produced non-finite values")
     return theta
@@ -247,12 +278,11 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
         raise ValueError(f"t_end {t_end} lies before state.time {state.time}")
 
     tau, t0 = params.tau, state.time
-    n_steps = 0
-    if t_end > t0:
-        n_steps = int(np.ceil((t_end - t0) / tau - 1e-9))
+    n_steps = step_count(t0, t_end, tau)
 
     two_stage = params.scheme == TWO_STAGE
     e = _dispersion_coefficient(coeffs, grid, params.scheme)
+    triad = _triad_operator(coeffs.g)
     report = RunReport(scheme=params.scheme, tau=tau)
     current = state.copy()
 
@@ -270,10 +300,11 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
         try:
             if two_stage:
                 half = _stage(theta, theta, tau / 2.0, coeffs, grid, e,
-                              "half step")
-                theta = _stage(theta, half, tau, coeffs, grid, e, "full step")
+                              triad, "half step")
+                theta = _stage(theta, half, tau, coeffs, grid, e, triad,
+                               "full step")
             else:
-                theta = _stage(theta, theta, tau, coeffs, grid, e,
+                theta = _stage(theta, theta, tau, coeffs, grid, e, triad,
                                "one-stage step")
         except NonFiniteError as err:
             report.steps = step - 1

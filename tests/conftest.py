@@ -1,5 +1,14 @@
 import sys
 
+from hypothesis import settings
+
+# property tests run on a fixed example sequence (reproducible tier-1, so
+# no example database) and without a per-example deadline (timings vary
+# on small, shared hosts)
+settings.register_profile("wavetank", deadline=None, derandomize=True,
+                          database=None)
+settings.load_profile("wavetank")
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the per-criterion acceptance lines in the summary, so they

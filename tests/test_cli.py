@@ -162,6 +162,41 @@ class TestRun:
                            "--run-id", "boom")
         assert code == 3
 
+    def test_every_snapshot_has_its_own_file(self, outdir):
+        # 21 snapshots 1e-7 apart: names by time at 6 decimals collided
+        # and kept 3 files
+        assert run_cli("run", "--dt", "1e-7", "--t-end", "2e-6",
+                       "--snapshot-every", "1", "--out", str(outdir),
+                       "--run-id", "every") == 0
+        d = outdir / "every"
+        states = sorted(f for f in os.listdir(d) if f.endswith("_state.dat"))
+        assert states == [f"every_step{j:02d}_state.dat" for j in range(21)]
+        for j, name in enumerate(states):
+            t, _, _ = read_state_file(d / name)
+            assert t == j * 1e-7
+
+    def test_snapshot_name_collision_exits_2(self, outdir, capsys,
+                                             monkeypatch):
+        def observe_twice(state, coeffs, grid, params, t_end, observers=(),
+                          observe_every=0):
+            for obs in observers:
+                obs(0, state)
+                obs(0, state)
+        monkeypatch.setattr(cli, "advance", observe_twice)
+        assert run_cli("run", "--t-end", "0", "--out", str(outdir),
+                       "--run-id", "twice") == 2
+        err = capsys.readouterr().err
+        assert "twice_step0_state.dat" in err and "overwrite" in err
+        assert "Traceback" not in err
+
+    def test_dx_must_divide_the_domain(self, outdir, capsys):
+        # 0.5 m / 0.003 m is 166.67 cells; rounding ran a 0.501 m tank
+        assert run_cli("run", "--dx", "0.003", "--t-end", "0",
+                       "--out", str(outdir), "--run-id", "dx") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "0.501" in err
+        assert not (outdir / "dx").exists()
+
     def test_state_files_readable(self, outdir):
         assert run_cli("run", "--t-end", "0.001", "--out", str(outdir),
                        "--run-id", "rd") == 0
@@ -187,8 +222,8 @@ class TestCoeffs:
         assert len(rows) == 125
 
     def test_ten_modes_pass_the_quadrature_check(self, outdir):
-        # off-resonance quadrature strays scale with max|g| (2.3e-12 at
-        # max|g| = 1365 here); an absolute 1e-12 limit rejected this set
+        # off-resonance quadrature strays are round-off (2.3e-12 absolute
+        # at max|g| = 1365 here); an absolute 1e-12 limit rejected this set
         modes = ",".join(str(n) for n in range(1, 11))
         assert run_cli("coeffs", "--modes", modes, "--out", str(outdir),
                        "--run-id", "m10") == 0

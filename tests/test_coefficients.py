@@ -104,6 +104,32 @@ class TestNonlinearTensor:
         assert g[idx[3], idx[2], idx[1]] == pytest.approx(expected, rel=1e-10)
         assert expected != 0.0
 
+    @pytest.mark.parametrize("modes, sigma", [
+        (MODES, 1.0),
+        ((1, 3, 4, 9, 13, 14, 27), -0.7),     # odd, non-contiguous
+        ((27, 3, 1, 14, 4), 2.5),             # unsorted
+        ((7,), -1.0),
+        (tuple(range(1, 80, 2)), -1.3),       # odd modes only: no triads
+    ])
+    def test_tensor_is_the_scalar_rule_bitwise(self, modes, sigma):
+        # the vectorised build places exactly the floats the single-entry
+        # rule returns, zeros' signs included (-0.0 for sigma < 0)
+        b = build_constant_n_basis(MCEWAN, modes)
+        g = nonlinear_coeffs(b, sigma=sigma)
+        scalar = np.array([[[nonlinear_coeff_closed_form(b, n, m, k, sigma)
+                             for k in modes] for m in modes] for n in modes])
+        assert np.array_equal(g, scalar)
+        assert np.array_equal(np.signbit(g), np.signbit(scalar))
+        if sigma < 0:
+            assert np.all(np.signbit(g[g == 0.0]))
+
+    def test_mode_list_without_triads_passes_quadrature_check(self):
+        # no n = m +- k among (1, 9): every entry is off resonance and
+        # max|g| = 0, so the stray limit cannot be scaled by max|g|
+        b = build_constant_n_basis(MCEWAN, (1, 9))
+        g = nonlinear_coeffs(b, method="quadrature")
+        assert np.array_equal(g, np.zeros((2, 2, 2)))
+
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
     def test_scaling_in_buoyancy_frequency(self, basis, alpha):
         # c ~ alpha, d ~ alpha, g ~ 1/alpha

@@ -1,10 +1,13 @@
 import math
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from wavetank.coefficients import build_coefficients
+from wavetank.modes import Stratification, build_constant_n_basis
 from wavetank.solver import (
     Grid,
     ModeState,
@@ -13,7 +16,10 @@ from wavetank.solver import (
     SchemeParams,
     TWO_STAGE,
     advance,
+    _rhs,
+    _triad_operator,
     discrete_l2_norm,
+    mass_per_mode,
     stable_tau,
 )
 from wavetank.verification import kdv_soliton_oracle, single_mode_coefficients
@@ -312,3 +318,72 @@ class TestAdvance:
         state = ModeState(0.0, np.zeros((2, 128)))
         with pytest.raises(ValueError):
             advance(state, coeffs, grid, SchemeParams(tau=1e-4), 1e-3)
+
+
+def dense_triad(g, theta, grid):
+    """Reference triad term sum_{m,k} g^n_{m,k} theta^m D0 theta^k by the
+    dense O(L^3 n) contraction."""
+    d0 = (np.roll(theta, -1, axis=1) - np.roll(theta, 1, axis=1)) * (
+        0.5 / grid.h_x)
+    return np.einsum("nmk,mi,ki->ni", g, theta, d0)
+
+
+# distinct mode numbers 1..24, odd and non-contiguous sets included
+mode_sets = st.lists(st.integers(1, 24), min_size=2, max_size=12,
+                     unique=True).map(tuple)
+
+
+class TestTriadSum:
+    @given(modes=mode_sets,
+           method=st.sampled_from(["closed_form", "quadrature"]),
+           sigma=st.sampled_from([1.0, -0.6, 2.5]),
+           n_points=st.integers(8, 48),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sparse_matches_dense_einsum(self, modes, method, sigma,
+                                         n_points, seed):
+        basis = build_constant_n_basis(Stratification(N=1.23, depth=0.25),
+                                       modes)
+        coeffs = build_coefficients(basis, sigma=sigma, method=method)
+        L = len(modes)
+        triad = _triad_operator(coeffs.g)
+        # only the resonance entries are stored (a -0.0 is not a nonzero)
+        assert triad.shape == (L, L * L)
+        assert triad.nnz == np.count_nonzero(coeffs.g)
+        grid = Grid(h_x=0.5 / n_points, n_points=n_points)
+        theta = np.random.default_rng(seed).standard_normal((L, n_points))
+        # c = 0 and e = 0 leave the triad term alone in the right-hand side
+        bare = replace(coeffs, c=np.zeros(L))
+        got = _rhs(theta, bare, grid, np.zeros(L), triad)
+        ref = dense_triad(coeffs.g, theta, grid)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+class TestMassProperty:
+    @given(n_points=st.integers(16, 128),
+           h=st.floats(0.05, 0.5),
+           c=st.floats(-1.0, 1.0),
+           g=st.floats(-6.0, 6.0),
+           d=st.floats(0.01, 1.0),
+           steps=st.integers(1, 20),
+           scheme=st.sampled_from([TWO_STAGE, ONE_STAGE]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_periodic_state_conserves_mass(self, n_points, h, c, g, d,
+                                                  steps, scheme, seed):
+        grid = Grid(h_x=h, n_points=n_points)
+        coeffs = single_mode_coefficients(c, g, d)
+        theta = np.random.default_rng(seed).uniform(-1.0, 1.0, (1, n_points))
+        # stay inside the linear policy and an advective CFL of 0.1
+        tau = min(stable_tau(coeffs, grid, scheme, 1.0),
+                  0.1 * h / max(abs(c) + abs(g), 1.0))
+        peak = []
+        final, report = advance(
+            ModeState(0.0, theta), coeffs, grid, SchemeParams(tau, scheme),
+            steps * tau, observe_every=1,
+            observers=[lambda j, s: peak.append(np.max(np.abs(s.theta)))])
+        assert report.steps == steps
+        drift = abs(mass_per_mode(final, grid)[0]
+                    - mass_per_mode(ModeState(0.0, theta), grid)[0])
+        # each stage rounds every point once; the sums round once more
+        bound = (8 * np.finfo(float).eps * (steps + 1) * n_points * h
+                 * max(peak))
+        assert drift <= bound
