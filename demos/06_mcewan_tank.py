@@ -11,7 +11,8 @@ import os
 import numpy as np
 
 from wavetank import advance, build_coefficients, synthesize
-from wavetank.fields import cross_section, export, field_filename, mode_filename
+from wavetank.fields import (cross_section, export, field_filename,
+                             mode_filename, write_mode_file)
 from wavetank.scenario import build_initial_state, mcewan_default
 
 cfg = mcewan_default()
@@ -40,9 +41,8 @@ outdir = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(outdir, exist_ok=True)
 export(snap, os.path.join(outdir, field_filename("mcewan", final.time)))
 for pos, n in enumerate(cfg.modes):
-    path = os.path.join(outdir, mode_filename("mcewan", final.time, n))
-    np.savetxt(path, np.column_stack([cfg.grid.x, final.theta[pos]]),
-               header=f"mode {n}: x theta")
+    write_mode_file(os.path.join(outdir, mode_filename("mcewan", final.time, n)),
+                    final, cfg.grid, pos, n)
 xs = cross_section(snap, 0.0)
 print(f"mid-tank cross-section sampled at x = {xs.x_used:.4f} "
       f"({xs.rule}); files in {outdir}/")

@@ -3,10 +3,10 @@
 Subcommands: run | coeffs | converge | verify | fission.  Exit codes:
 0 success, 1 check failure (including a coefficient ConsistencyError),
 2 usage/config error (including a `--dx` that does not divide the
-domain, and a snapshot name that would overwrite another snapshot of
-the same run), 3 numerical abort (non-finite state).  Data files
-are byte-reproducible; wall-clock information only ever lands in the
-metadata sidecar.
+domain, a non-finite t_end or dt, and a snapshot name that would
+overwrite another snapshot of the same run), 3 numerical abort
+(non-finite state).  Data files are byte-reproducible; wall-clock
+information only ever lands in the metadata sidecar.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .coefficients import (
     build_coefficients,
     reconcile_with_reference,
 )
+from .fields import FMT
 from .solver import (
     Grid,
     NonFiniteError,
@@ -36,8 +37,6 @@ from .solver import (
     stable_tau,
     step_count,
 )
-
-F = "%.17g"
 
 
 class UsageError(Exception):
@@ -183,47 +182,44 @@ def cmd_run(args):
         return 3
 
     for pos, n in enumerate(cfg.modes):
-        path = os.path.join(out, fields.mode_filename(args.run_id, final.time, n))
-        lines = [f"# time = {F % final.time}", f"# mode = {n}", "# columns: x theta"]
-        lines += [f"{F % x} {F % v}" for x, v in zip(cfg.grid.x, final.theta[pos])]
-        _write(path, "\n".join(lines) + "\n")
+        fields.write_mode_file(
+            os.path.join(out, fields.mode_filename(args.run_id, final.time, n)),
+            final, cfg.grid, pos, n)
 
     snap = fields.synthesize(basis, final, cfg.grid)
     fields.export(snap, os.path.join(out, fields.field_filename(args.run_id, final.time)))
     xsec = fields.cross_section(snap, cfg.grid.x0 + cfg.grid.length / 2.0)
-    lines = [f"# time = {F % final.time}",
-             f"# x_requested = {F % xsec.x_requested} x_used = {F % xsec.x_used} "
-             f"rule = {xsec.rule}",
-             "# columns: z psi"]
-    lines += [f"{F % z} {F % v}" for z, v in zip(xsec.z, xsec.values)]
-    _write(os.path.join(out, f"{args.run_id}_t{final.time:.6f}_xsec.dat"),
-           "\n".join(lines) + "\n")
+    fields.write_table(
+        os.path.join(out, fields.xsec_filename(args.run_id, final.time)),
+        [f"# time = {FMT % final.time}",
+         f"# x_requested = {FMT % xsec.x_requested} "
+         f"x_used = {FMT % xsec.x_used} rule = {xsec.rule}",
+         "# columns: z psi"],
+        np.column_stack([xsec.z, xsec.values]))
 
     audit = verification.conservation_audit(report)
     meta = [
         f"run_id = {args.run_id}",
         f"scheme = {report.scheme}",
-        f"tau = {F % report.tau}",
-        f"stable_tau = {F % limit}",
-        f"tau_over_stable_tau = {F % (report.tau / limit)}",
+        f"tau = {FMT % report.tau}",
+        f"stable_tau = {FMT % limit}",
+        f"tau_over_stable_tau = {FMT % (report.tau / limit)}",
         f"steps = {report.steps}",
         f"wall_time_s = {report.wall_time:.3f}",
-        f"final_time = {F % final.time}",
-        f"max_mass_drift = {F % audit.max_mass_drift}",
-        f"max_l2_relative_drift = {F % audit.max_l2_drift}",
+        f"final_time = {FMT % final.time}",
+        f"max_mass_drift = {FMT % audit.max_mass_drift}",
+        f"max_l2_relative_drift = {FMT % audit.max_l2_drift}",
         "captured_energy_fraction = "
-        + (F % init_report.projection.captured_fraction),
+        + (FMT % init_report.projection.captured_fraction),
         "truncation_residual_fraction = "
-        + (F % init_report.projection.residual_fraction),
-        "conserved series (time, mass per mode, l2 per mode):",
+        + (FMT % init_report.projection.residual_fraction),
+        "resolved config:",
     ]
-    for i, t in enumerate(report.times):
-        row = [F % t] + [F % v for v in report.mass[i]] + [F % v for v in report.l2[i]]
-        meta.append("  " + " ".join(row))
-    meta.append("resolved config:")
     meta.extend("  " + line for line in
                 scenario.serialize_config(cfg).splitlines())
-    _write(os.path.join(out, f"{args.run_id}_meta.txt"), "\n".join(meta) + "\n")
+    meta.append("conserved series (time, mass per mode, l2 per mode):")
+    fields.write_table(os.path.join(out, f"{args.run_id}_meta.txt"), meta,
+                       np.column_stack([report.times, report.mass, report.l2]))
     print(f"run complete: {report.steps} steps to t = {final.time:.6g}, "
           f"outputs in {out}")
     return 0
@@ -236,18 +232,14 @@ def cmd_coeffs(args):
     coeffs = build_coefficients(basis, sigma=cfg.sigma, beta2=cfg.beta2,
                                 method="quadrature")
 
-    lines = ["# mode\tc [m/s]\td [m^3/s]\tB"]
-    for i, n in enumerate(basis.indices):
-        lines.append(f"{n}\t{F % coeffs.c[i]}\t{F % coeffs.d[i]}\t"
-                     f"{F % basis.amplitudes[i]}")
-    _write(os.path.join(out, "cd_table.dat"), "\n".join(lines) + "\n")
-
-    lines = ["# n\tm\tk\tg"]
-    for i, n in enumerate(basis.indices):
-        for j, m in enumerate(basis.indices):
-            for l, k in enumerate(basis.indices):
-                lines.append(f"{n}\t{m}\t{k}\t{F % coeffs.g[i, j, l]}")
-    _write(os.path.join(out, "g_tensor.dat"), "\n".join(lines) + "\n")
+    idx = np.asarray(basis.indices, dtype=float)
+    fields.write_table(os.path.join(out, "cd_table.dat"),
+                       ["# columns: mode c[m/s] d[m^3/s] B"],
+                       np.column_stack([idx, coeffs.c, coeffs.d, basis.amplitudes]))
+    n, m, k = (a.ravel() for a in np.meshgrid(idx, idx, idx, indexing="ij"))
+    fields.write_table(os.path.join(out, "g_tensor.dat"),
+                       ["# columns: n m k g"],
+                       np.column_stack([n, m, k, coeffs.g.ravel()]))
 
     summary = [f"coefficients for modes {basis.indices}: tables in {out}"]
     if tuple(basis.indices) == (2, 4, 6, 8, 10) and np.isclose(
@@ -380,9 +372,10 @@ def cmd_fission(args):
             f"(persistent={rep.persistent}, crests={[round(a, 3) for a in rep.crest_amplitudes]})"
         )
         rows.append(
-            f"{F % rep.amplitude}\t{F % rep.width}\t{F % rep.strength}\t"
+            f"{FMT % rep.amplitude}\t{FMT % rep.width}\t{FMT % rep.strength}\t"
             f"{rep.predicted_count}\t{rep.detected_count}\t{rep.persistent}\t"
-            + ",".join(F % a for a in rep.crest_amplitudes)
+            + ",".join([FMT] * len(rep.crest_amplitudes))
+            % tuple(rep.crest_amplitudes)
         )
     text = "\n".join(lines)
     print(text)

@@ -1,8 +1,11 @@
 """Stream-function reconstruction and plot-ready data emission.
 
 psi(z, x, t) = sum_n Z^n(z) theta^n(x, t).  Everything here is a pure
-function of immutable inputs; exports are plain text with 17
-significant digits so identical inputs give byte-identical files.
+function of immutable inputs.  Every data file of a run (field, state,
+mode and cross-section) goes through `write_table`: `#` header lines,
+then rows of FMT (17 significant digits) values separated by single
+spaces, so identical inputs give byte-identical files that
+`np.loadtxt` reads back exactly.
 """
 
 from __future__ import annotations
@@ -18,9 +21,12 @@ __all__ = [
     "cross_section",
     "export",
     "write_state_file",
+    "write_mode_file",
     "read_state_file",
+    "write_table",
     "field_filename",
     "mode_filename",
+    "xsec_filename",
     "state_filename",
 ]
 
@@ -90,38 +96,28 @@ def cross_section(snapshot, x_fixed):
     )
 
 
-def _write_lines(path, lines):
+def write_table(path, header, rows):
+    """Write the `header` lines verbatim, then one line per row of the
+    2-D array `rows`: FMT values separated by single spaces."""
     try:
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.writelines(line + "\n" for line in header)
+            np.savetxt(fh, rows, fmt=FMT)
     except OSError as err:
         raise OSError(f"cannot write {path}: {err}") from err
 
 
-def export(snapshot, path, format="grid_text"):
-    """Write a snapshot as plot-ready text.
-
-    grid_text: header comments, one row of x values, then one line per
-    z level: z followed by psi(z, x_i).  column_text: (x, z, psi)
-    triples, x-major.  Both are bit-reproducible.
-    """
-    header = [
+def export(snapshot, path):
+    """Write a snapshot as plot-ready text: header comments, a row
+    labelled z\\x listing the x values, then one line per z level: z
+    followed by psi(z, x_i)."""
+    x = snapshot.x
+    write_table(path, [
         f"# time = {FMT % snapshot.time}",
-        f"# nz = {len(snapshot.z)} nx = {len(snapshot.x)}",
-    ]
-    if format == "grid_text":
-        lines = header + ["# rows: z, columns: x; first row lists x, first column z"]
-        lines.append("z\\x " + " ".join(FMT % v for v in snapshot.x))
-        for q, zq in enumerate(snapshot.z):
-            lines.append(FMT % zq + " " + " ".join(FMT % v for v in snapshot.psi[q]))
-    elif format == "column_text":
-        lines = header + ["# columns: x z psi"]
-        for i, xi in enumerate(snapshot.x):
-            for q, zq in enumerate(snapshot.z):
-                lines.append(f"{FMT % xi} {FMT % zq} {FMT % snapshot.psi[q, i]}")
-    else:
-        raise ValueError(f"unknown export format {format!r}")
-    _write_lines(path, lines)
+        f"# nz = {len(snapshot.z)} nx = {len(x)}",
+        "# rows: z, columns: x; first row lists x, first column z",
+        "z\\x " + " ".join([FMT] * len(x)) % tuple(x),
+    ], np.column_stack([snapshot.z, snapshot.psi]))
 
 
 def field_filename(run_id, t):
@@ -130,6 +126,10 @@ def field_filename(run_id, t):
 
 def mode_filename(run_id, t, n):
     return f"{run_id}_t{t:.6f}_mode{n}.dat"
+
+
+def xsec_filename(run_id, t):
+    return f"{run_id}_t{t:.6f}_xsec.dat"
 
 
 def state_filename(run_id, step, last_step):
@@ -144,33 +144,30 @@ def write_state_file(path, state, grid, scheme, step):
     Header records time, step, scheme and grid metadata; no wall-clock
     content, so identical runs produce identical bytes.
     """
-    lines = [
+    write_table(path, [
         f"# time = {FMT % state.time}",
         f"# step = {step}",
         f"# scheme = {scheme}",
         f"# grid: h_x = {FMT % grid.h_x} n_points = {grid.n_points} "
         f"x0 = {FMT % grid.x0} periodic = {grid.periodic}",
         f"# columns: x theta^n for {state.n_modes} modes",
-    ]
-    x = grid.x
-    for i in range(grid.n_points):
-        row = [FMT % x[i]] + [FMT % state.theta[m, i] for m in range(state.n_modes)]
-        lines.append(" ".join(row))
-    _write_lines(path, lines)
+    ], np.column_stack([grid.x, state.theta.T]))
+
+
+def write_mode_file(path, state, grid, pos, n):
+    """Amplitude of mode n (row `pos` of state.theta): one row per grid
+    point, columns (x, theta)."""
+    write_table(path, [
+        f"# time = {FMT % state.time}",
+        f"# mode = {n}",
+        "# columns: x theta",
+    ], np.column_stack([grid.x, state.theta[pos]]))
 
 
 def read_state_file(path):
     """Inverse of write_state_file; returns (time, x, theta)."""
-    t = None
-    rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                if line.startswith("# time ="):
-                    t = float(line.split("=", 1)[1])
-                continue
-            if line:
-                rows.append([float(v) for v in line.split()])
-    data = np.asarray(rows)
+        t = next((float(line.split("=", 1)[1]) for line in fh
+                  if line.startswith("# time =")), None)
+    data = np.loadtxt(path, ndmin=2)
     return t, data[:, 0], data[:, 1:].T

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import FMT
 from .modes import Projection, Stratification, build_constant_n_basis, project_profile
 from .solver import Grid, ModeState, SchemeParams, TWO_STAGE
 
@@ -134,8 +136,8 @@ def validate(cfg):
             f"({MIN_DOMAIN_PULSE_RATIO * cfg.paddle.l}); wrap-around would "
             f"contaminate the run"
         )
-    if cfg.t_end < 0:
-        out.append(f"t_end: must be >= 0, got {cfg.t_end}")
+    if not 0 <= cfg.t_end < math.inf:
+        out.append(f"t_end: must be finite and >= 0, got {cfg.t_end}")
     if cfg.snapshot_every < 0:
         out.append(f"snapshot_every: must be >= 0, got {cfg.snapshot_every}")
     return out
@@ -174,34 +176,32 @@ def build_initial_state(cfg, basis=None):
 
 # -- flat key = value config files -----------------------------------------
 
-_F = "%.17g"
-
 
 def serialize_config(cfg):
     """Render a ScenarioConfig as the sectioned key = value text format."""
     cp = configparser.ConfigParser()
-    cp["stratification"] = {"N": _F % cfg.strat.N, "depth": _F % cfg.strat.depth}
+    cp["stratification"] = {"N": FMT % cfg.strat.N, "depth": FMT % cfg.strat.depth}
     cp["paddle"] = {
-        "a": _F % cfg.paddle.a,
-        "l": _F % cfg.paddle.l,
-        "b": _F % cfg.paddle.b,
-        "z0": _F % cfg.paddle.z0,
+        "a": FMT % cfg.paddle.a,
+        "l": FMT % cfg.paddle.l,
+        "b": FMT % cfg.paddle.b,
+        "z0": FMT % cfg.paddle.z0,
     }
     cp["grid"] = {
-        "dx": _F % cfg.grid.h_x,
+        "dx": FMT % cfg.grid.h_x,
         "n_points": str(cfg.grid.n_points),
-        "x0": _F % cfg.grid.x0,
+        "x0": FMT % cfg.grid.x0,
     }
     cp["scheme"] = {
         "scheme": cfg.scheme.scheme,
-        "dt": _F % cfg.scheme.tau,
+        "dt": FMT % cfg.scheme.tau,
     }
     cp["run"] = {
-        "t_end": _F % cfg.t_end,
+        "t_end": FMT % cfg.t_end,
         "snapshot_every": str(cfg.snapshot_every),
         "modes": ",".join(str(n) for n in cfg.modes),
-        "sigma": _F % cfg.sigma,
-        "beta2": _F % cfg.beta2,
+        "sigma": FMT % cfg.sigma,
+        "beta2": FMT % cfg.beta2,
     }
     buf = io.StringIO()
     cp.write(buf)

@@ -125,8 +125,8 @@ class SchemeParams:
     scheme: str = TWO_STAGE
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.scheme not in (TWO_STAGE, ONE_STAGE):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
@@ -242,17 +242,6 @@ class RunReport:
     times: list = field(default_factory=list)
     mass: list = field(default_factory=list)      # per observation, per mode
     l2: list = field(default_factory=list)
-
-    def mass_drift(self):
-        """Max |mass(t) - mass(0)| over the run, per mode."""
-        m = np.asarray(self.mass)
-        return np.max(np.abs(m - m[0]), axis=0)
-
-    def l2_drift(self):
-        """Max relative |l2(t)^2 - l2(0)^2| / l2(0)^2 per mode."""
-        e = np.asarray(self.l2) ** 2
-        denom = np.where(e[0] > 0, e[0], 1.0)
-        return np.max(np.abs(e - e[0]) / denom, axis=0)
 
 
 def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):

@@ -229,6 +229,13 @@ def single_mode_coefficients(c, g, d, sigma=1.0, beta2=1.0):
     )
 
 
+def _ring_grid(length, h):
+    """Periodic grid of `length` with the whole number of cells nearest
+    to spacing h."""
+    n = int(round(length / h))
+    return Grid(h_x=length / n, n_points=n)
+
+
 @dataclass(frozen=True)
 class SolitonBenchmark:
     """A single-mode soliton problem posed on a periodic domain."""
@@ -248,9 +255,7 @@ class SolitonBenchmark:
 
     def grid(self, points_per_width):
         width = math.sqrt(12.0 * self.d / (self.g * self.amplitude))
-        h = width / points_per_width
-        n = int(round(self.domain / h))
-        return Grid(h_x=self.domain / n, n_points=n)
+        return _ring_grid(self.domain, width / points_per_width)
 
 
 def spatial_benchmark():
@@ -588,9 +593,7 @@ def fission_census(coeffs, amplitude, width, t_end, grid=None,
     predicted = scattering_bound_states(strength)
 
     if grid is None:
-        h = width / points_per_width
-        n = int(round(domain_widths * width / h))
-        grid = Grid(h_x=domain_widths * width / n, n_points=n)
+        grid = _ring_grid(domain_widths * width, width / points_per_width)
     x = grid.x
     center = grid.x0 + grid.length / 2.0
     theta0 = amplitude / np.cosh((x - center) / width) ** 2
@@ -775,10 +778,6 @@ def integrable_pair_check(points_per_width=(8, 16, 32), horizon=2.0,
         return PairCheckReport(True, f"oracle construction failed: {err}",
                                None, None, None, None)
 
-    def pair_grid(ppw):
-        n = int(round(pair.domain / (pair.width / ppw)))
-        return Grid(h_x=pair.domain / n, n_points=n)
-
     def measure(grid, final):
         exact = pair.state(grid, horizon)
         norm = discrete_l2_norm(final, exact, grid)
@@ -786,7 +785,7 @@ def integrable_pair_check(points_per_width=(8, 16, 32), horizon=2.0,
 
     levels = []
     for ppw in points_per_width:
-        grid = pair_grid(ppw)
+        grid = _ring_grid(pair.domain, pair.width / ppw)
         levels.append((grid, stable_tau(pair.coeffs, grid, TWO_STAGE, horizon,
                                         growth_budget)))
     conv = _convergence_study("spatial", TWO_STAGE, pair.coeffs, levels,
@@ -795,7 +794,7 @@ def integrable_pair_check(points_per_width=(8, 16, 32), horizon=2.0,
 
     # time reversal on the middle grid over a shortened horizon
     rev_horizon = reversal_fraction * horizon
-    grid = pair_grid(points_per_width[len(points_per_width) // 2])
+    grid = levels[len(levels) // 2][0]
     tau, _ = _whole_steps(stable_tau(pair.coeffs, grid, TWO_STAGE, rev_horizon,
                                      growth_budget), rev_horizon)
     params = SchemeParams(tau=tau, scheme=TWO_STAGE)

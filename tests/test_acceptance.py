@@ -29,7 +29,7 @@ from scipy.linalg import eigh_tridiagonal
 import wavetank as wt
 from wavetank import verification as V
 from wavetank.coefficients import build_coefficients, reconcile_with_reference
-from wavetank.fields import cross_section, export, synthesize
+from wavetank.fields import cross_section, export, synthesize, write_mode_file
 from wavetank.modes import build_constant_n_basis, project_profile, weighted_inner_product
 from wavetank.reference_tables import (MCEWAN_DEPTH, MCEWAN_MODES, MCEWAN_N,
                                        REFERENCE_C, REFERENCE_D)
@@ -328,9 +328,9 @@ def test_criterion_7_fission_census():
 
 def test_criterion_8_mcewan_end_to_end(tmp_path):
     """Five-mode reference run to t = 0.02: finishes finite, emits the
-    mode/field files, walls exactly zero, and the t = 0 mid-tank
-    cross-section reproduces the truncated paddle profile within the
-    reported truncation residual."""
+    mode/field files (mode files read back bit-exactly), walls exactly
+    zero, and the t = 0 mid-tank cross-section reproduces the truncated
+    paddle profile within the reported truncation residual."""
     cfg = mcewan_default()
     basis = cfg.basis()
     coeffs = build_coefficients(basis, sigma=cfg.sigma, beta2=cfg.beta2)
@@ -362,10 +362,11 @@ def test_criterion_8_mcewan_end_to_end(tmp_path):
     mode_paths = []
     for pos, n in enumerate(cfg.modes):
         p = tmp_path / f"mcewan_mode{n}.dat"
-        np.savetxt(p, np.column_stack([cfg.grid.x, final.theta[pos]]))
+        write_mode_file(p, final, cfg.grid, pos, n)
         mode_paths.append(p)
     files_ok = field_path.stat().st_size > 0 and all(
-        p.stat().st_size > 0 for p in mode_paths)
+        np.array_equal(np.loadtxt(p)[:, 1], final.theta[pos])
+        for pos, p in enumerate(mode_paths))
 
     ok = (finite and files_ok and wall <= wall_tol
           and trunc_err <= 1e-12 * np.max(np.abs(truncated))
@@ -383,7 +384,9 @@ def test_criterion_8_mcewan_end_to_end(tmp_path):
 
 def test_criterion_9_determinism(tmp_path):
     """Repeated CLI runs produce byte-identical data files."""
-    env = dict(os.environ, PYTHONWARNINGS="ignore")
+    # the subprocess imports the same wavetank package as this test
+    src = os.path.dirname(os.path.dirname(wt.__file__))
+    env = dict(os.environ, PYTHONWARNINGS="ignore", PYTHONPATH=src)
     for rid in ("da", "db"):
         proc = subprocess.run(
             [sys.executable, "-m", "wavetank.cli", "run", "--t-end", "0.002",

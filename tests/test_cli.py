@@ -154,6 +154,33 @@ class TestRun:
         assert run_cli("run", "--config", str(cfgfile),
                        "--out", str(outdir)) == 2
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("flag, field", [("--t-end", "t_end"),
+                                             ("--dt", "tau")])
+    def test_non_finite_flag_exits_2(self, outdir, capsys, flag, field, value):
+        # --t-end inf overflowed step_count with a traceback, and --dt inf
+        # "completed" 0 steps with exit 0
+        assert run_cli("run", f"{flag}={value}", "--out", str(outdir),
+                       "--run-id", "nf") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: ") and field in err[0]
+        assert not (outdir / "nf").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("section, key, field", [("run", "t_end", "t_end"),
+                                                     ("scheme", "dt", "tau")])
+    def test_non_finite_config_value_exits_2(self, outdir, capsys, section,
+                                             key, field, value):
+        cfgfile = outdir / "nf.cfg"
+        cfgfile.write_text(f"[{section}]\n{key} = {value}\n")
+        assert run_cli("run", "--config", str(cfgfile), "--out", str(outdir),
+                       "--run-id", "nf") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: ") and field in err[0]
+        assert not (outdir / "nf").exists()
+
     def test_unstable_run_exits_3(self, outdir, capsys):
         # dt far beyond the dispersive limit of a fine grid
         with pytest.warns(RuntimeWarning):

@@ -7,6 +7,7 @@ from wavetank.fields import (
     read_state_file,
     synthesize,
     write_state_file,
+    write_table,
 )
 from wavetank.modes import Stratification, build_constant_n_basis, project_profile
 from wavetank.scenario import build_initial_state, mcewan_default
@@ -123,33 +124,29 @@ class TestCrossSection:
 
 
 class TestExport:
-    def test_column_text_round_trip(self, basis, grid, tmp_path):
+    def test_grid_text_round_trip(self, basis, grid, tmp_path):
         rng = np.random.default_rng(8)
         state = ModeState(0.125, rng.standard_normal((len(MODES), grid.n_points)))
         snap = synthesize(basis, state, grid, z_points=17)
         path = tmp_path / "snap.dat"
-        export(snap, path, format="column_text")
-        rows = [
-            [float(v) for v in line.split()]
-            for line in path.read_text().splitlines()
-            if line and not line.startswith("#")
-        ]
-        data = np.asarray(rows)
-        assert data.shape == (17 * grid.n_points, 3)
-        back = data[:, 2].reshape(grid.n_points, 17).T
-        np.testing.assert_array_equal(back, snap.psi)
+        export(snap, path)
+        label, xrow = path.read_text().splitlines()[3].split(" ", 1)
+        assert label == "z\\x"
+        np.testing.assert_array_equal(np.loadtxt([xrow]), snap.x)
+        data = np.loadtxt(path, comments=("#", "z\\x"))
+        assert data.shape == (17, grid.n_points + 1)
+        np.testing.assert_array_equal(data[:, 0], snap.z)
+        np.testing.assert_array_equal(data[:, 1:], snap.psi)
 
-    def test_zero_field_column_rows(self, tmp_path):
+    def test_zero_field_rows_print_0(self, tmp_path):
         from wavetank.fields import FieldSnapshot
 
         snap = FieldSnapshot(0.0, np.array([0.0, 1.0]), np.array([0.0, 1.0]),
                              np.zeros((2, 2)))
         path = tmp_path / "zero.dat"
-        export(snap, path, format="column_text")
-        rows = [l for l in path.read_text().splitlines()
-                if l and not l.startswith("#")]
-        assert len(rows) == 4
-        assert all(r.split()[2] == "0" for r in rows)
+        export(snap, path)
+        rows = path.read_text().splitlines()[4:]
+        assert rows == ["0 0 0", "1 0 0"]
 
     def test_grid_text_headers(self, basis, grid, tmp_path):
         snap = synthesize(basis, ModeState(0.5, np.ones((5, 64))), grid,
@@ -170,16 +167,29 @@ class TestExport:
         export(snap, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_bad_format(self, basis, grid, tmp_path):
-        snap = synthesize(basis, ModeState(0.0, np.zeros((5, 64))), grid)
-        with pytest.raises(ValueError):
-            export(snap, tmp_path / "x.dat", format="pickle")
-
     def test_io_error_names_path(self, basis, grid, tmp_path):
         snap = synthesize(basis, ModeState(0.0, np.zeros((5, 64))), grid)
         bad = tmp_path / "nodir" / "x.dat"
-        with pytest.raises(OSError, match="nodir"):
+        with pytest.raises(OSError, match="cannot write .*nodir"):
             export(snap, bad)
+
+
+class TestWriteTable:
+    def test_rows_match_per_value_reference(self, tmp_path):
+        rows = np.array([[-0.0, 5e-324, 1e300],
+                         [np.nan, np.inf, -np.inf],
+                         [2.0, -7.0, 1e16],
+                         [0.1, 1.0 / 3.0, -2.5e-17]])
+        path = tmp_path / "t.dat"
+        write_table(path, ["# a", "b"], rows)
+        reference = ["# a", "b"] + [" ".join("%.17g" % v for v in row)
+                                    for row in rows.tolist()]
+        assert path.read_text() == "\n".join(reference) + "\n"
+        assert reference[2:5] == ["-0 4.9406564584124654e-324 1.0000000000000001e+300",
+                                  "nan inf -inf", "2 -7 10000000000000000"]
+        back = np.loadtxt(path, skiprows=2)
+        np.testing.assert_array_equal(back, rows)
+        assert np.signbit(back[0, 0])
 
 
 class TestStateFiles:

@@ -1,14 +1,52 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from wavetank.modes import Stratification
 from wavetank.scenario import (
+    PaddleProfile,
+    ScenarioConfig,
     build_initial_state,
     mcewan_default,
     parse_config,
     serialize_config,
     validate,
 )
+from wavetank.solver import Grid, ONE_STAGE, SchemeParams, TWO_STAGE
 from dataclasses import replace
+
+# finite doubles from the subnormal range up to 1e300
+positive = st.one_of(st.floats(min_value=5e-324, max_value=2.2e-308),
+                     st.floats(min_value=5e-324, max_value=1e300),
+                     st.floats(min_value=1e299, max_value=1e300))
+signed = st.builds(lambda v, sign: sign * v, positive, st.sampled_from((1, -1)))
+finite = st.one_of(st.just(0.0), st.just(-0.0), signed)
+
+
+@st.composite
+def valid_configs(draw):
+    """ScenarioConfigs that `validate` accepts, with any finite magnitudes."""
+    depth = draw(positive)
+    z0 = depth * draw(st.floats(min_value=0.01, max_value=0.99))
+    l = draw(positive)
+    h_x = l / draw(st.floats(min_value=10.0, max_value=100.0))
+    assume(0 < z0 < depth and h_x > 0)
+    cfg = ScenarioConfig(
+        strat=Stratification(N=draw(positive), depth=depth),
+        modes=tuple(draw(st.lists(st.integers(1, 99), min_size=1, max_size=8,
+                                  unique=True))),
+        paddle=PaddleProfile(a=draw(signed), l=l, b=draw(positive), z0=z0),
+        grid=Grid(h_x=h_x, n_points=draw(st.integers(1000, 5000)),
+                  x0=draw(finite)),
+        scheme=SchemeParams(tau=draw(positive),
+                            scheme=draw(st.sampled_from((TWO_STAGE, ONE_STAGE)))),
+        t_end=draw(st.one_of(st.just(0.0), positive)),
+        snapshot_every=draw(st.integers(0, 10**6)),
+        sigma=draw(finite),
+        beta2=draw(finite),
+    )
+    assume(validate(cfg) == [])
+    return cfg
 
 
 class TestDefaults:
@@ -119,6 +157,14 @@ class TestConfigRoundTrip:
         cfg = replace(mcewan_default(), t_end=0.125,
                       modes=(2, 4), sigma=2.0)
         assert parse_config(serialize_config(cfg)) == cfg
+
+    @given(valid_configs())
+    def test_round_trip_any_valid_config(self, cfg):
+        text = serialize_config(cfg)
+        assert serialize_config(cfg) == text
+        back = parse_config(text)
+        assert back == cfg
+        assert serialize_config(back) == text
 
     def test_partial_file_uses_defaults(self):
         cfg = parse_config("[run]\nt_end = 0.5\n")
