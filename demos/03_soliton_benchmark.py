@@ -9,15 +9,15 @@ import numpy as np
 
 from wavetank import (SchemeParams, advance, conservation_audit,
                       discrete_l2_norm, stable_tau)
-from wavetank.verification import SolitonBenchmark
+from wavetank.verification import kdv_soliton_oracle
 
-bench = SolitonBenchmark(c=1.0, g=6.0, d=1.0, amplitude=2.0, domain=16.0)
-orc = bench.oracle()
+orc = kdv_soliton_oracle(c=1.0, g=6.0, d=1.0, amplitude=2.0, x0=8.0,
+                         domain=16.0)
 print(f"oracle: speed {orc.speed}, width {orc.width}, "
       f"FD residual {orc.residual_relative:.2e} (relative)")
 
-grid = bench.grid(16)
-coeffs = bench.coefficients()
+grid = orc.grid(16)
+coeffs = orc.coeffs
 state = orc.state(grid, 0.0)
 t_end = 1.0   # five transit times of the moving pulse
 tau = stable_tau(coeffs, grid, "two-stage", t_end)

@@ -47,7 +47,7 @@ from .fields import FieldSnapshot, cross_section, export, synthesize
 from .verification import (
     ConvergenceReport,
     FissionReport,
-    SolitonBenchmark,
+    TravelingWave,
     build_traveling_pair,
     conservation_audit,
     fission_census,

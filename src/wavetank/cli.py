@@ -103,7 +103,7 @@ def _load_scenario(args):
     cfg = scenario.load_config(args.config) if args.config else scenario.mcewan_default()
     if getattr(args, "modes", None):
         try:
-            modes = tuple(int(v) for v in args.modes.replace(" ", "").split(",") if v)
+            modes = scenario.parse_modes(args.modes)
         except ValueError:
             raise UsageError(f"cannot parse --modes {args.modes!r}")
         cfg = replace(cfg, modes=modes)
@@ -304,13 +304,12 @@ def cmd_verify(args):
                    orc.residual_relative <= 1e-9,
                    f"residual {orc.residual_relative:.3e}"))
 
-    bench = verification.SolitonBenchmark(c=1.0, g=1.2, d=0.1, amplitude=1.0,
-                                          domain=12.0)
-    grid = bench.grid(16)
-    coeffs = bench.coefficients()
+    wave = verification.kdv_soliton_oracle(c=1.0, g=1.2, d=0.1, amplitude=1.0,
+                                           x0=6.0, domain=12.0)
+    grid = wave.grid(16)
     tau = 1.2e-4
-    state = bench.oracle().state(grid, 0.0)
-    _, report = advance(state, coeffs, grid, SchemeParams(tau=tau),
+    state = wave.state(grid, 0.0)
+    _, report = advance(state, wave.coeffs, grid, SchemeParams(tau=tau),
                         20000 * tau, observe_every=2000)
     audit = verification.conservation_audit(report)
     tol = 1e-12 * report.steps * float(np.max(np.abs(state.theta)))
@@ -318,14 +317,13 @@ def cmd_verify(args):
                    audit.max_mass_drift <= tol,
                    f"drift {audit.max_mass_drift:.3e} tol {tol:.3e}"))
 
-    probe_state = verification.kdv_soliton_oracle(
+    probe_wave = verification.kdv_soliton_oracle(
         c=0.0, g=6.0, d=1.0, amplitude=2.0, x0=8.0, domain=16.0,
-        check_residual=False).state(Grid(h_x=0.125, n_points=128), 0.0)
+        check_residual=False)
+    probe_grid = probe_wave.grid(8)
     probe = verification.stability_probe(
-        Grid(h_x=0.125, n_points=128),
-        verification.single_mode_coefficients(0.0, 6.0, 1.0),
-        b_values=(0.5, 1.0, 2.0, 4.0, 8.0),
-        initial_state=probe_state)
+        probe_grid, probe_wave.coeffs, (0.5, 1.0, 2.0, 4.0, 8.0),
+        probe_wave.state(probe_grid, 0.0))
     checks.append(("stability verdicts monotone in b", probe.monotone,
                    f"verdicts {probe.verdicts} max stable b {probe.max_stable_b}"))
 

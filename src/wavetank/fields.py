@@ -149,7 +149,7 @@ def write_state_file(path, state, grid, scheme, step):
         f"# step = {step}",
         f"# scheme = {scheme}",
         f"# grid: h_x = {FMT % grid.h_x} n_points = {grid.n_points} "
-        f"x0 = {FMT % grid.x0} periodic = {grid.periodic}",
+        f"x0 = {FMT % grid.x0} periodic = True",
         f"# columns: x theta^n for {state.n_modes} modes",
     ], np.column_stack([grid.x, state.theta.T]))
 

@@ -34,11 +34,15 @@ __all__ = [
     "build_initial_state",
     "serialize_config",
     "parse_config",
+    "parse_modes",
     "load_config",
 ]
 
 MIN_POINTS_PER_PULSE = 10.0
 MIN_DOMAIN_PULSE_RATIO = 8.0
+# Above 2**53 steps neither the step index nor the clock t0 + j*dt is
+# exact in double precision.
+MAX_STEPS = 2**53
 
 
 @dataclass(frozen=True)
@@ -138,6 +142,13 @@ def validate(cfg):
         )
     if not 0 <= cfg.t_end < math.inf:
         out.append(f"t_end: must be finite and >= 0, got {cfg.t_end}")
+    elif not cfg.t_end / cfg.scheme.tau < MAX_STEPS:
+        # the ratio step_count rounds up; it is inf where step_count
+        # would overflow
+        out.append(
+            f"t_end: {cfg.t_end} at dt = {cfg.scheme.tau} needs "
+            f"{cfg.t_end / cfg.scheme.tau:.3e} steps; at most 2**53 - 1 "
+            f"can be counted exactly")
     if cfg.snapshot_every < 0:
         out.append(f"snapshot_every: must be >= 0, got {cfg.snapshot_every}")
     return out
@@ -208,6 +219,11 @@ def serialize_config(cfg):
     return buf.getvalue()
 
 
+def parse_modes(text):
+    """Mode list "2, 4,6" -> (2, 4, 6); ValueError on a non-integer entry."""
+    return tuple(int(v) for v in text.replace(" ", "").split(",") if v)
+
+
 def parse_config(text):
     """Parse the sectioned key = value format back into a ScenarioConfig.
 
@@ -255,14 +271,9 @@ def parse_config(text):
         tau=get("scheme", "dt", float, base.scheme.tau),
         scheme=get("scheme", "scheme", str, base.scheme.scheme),
     )
-    modes = get(
-        "run", "modes",
-        lambda s: tuple(int(v) for v in s.replace(" ", "").split(",") if v),
-        base.modes,
-    )
     return ScenarioConfig(
         strat=strat,
-        modes=modes,
+        modes=get("run", "modes", parse_modes, base.modes),
         paddle=paddle,
         grid=grid,
         scheme=scheme,

@@ -76,15 +76,12 @@ class Grid:
     h_x: float
     n_points: int
     x0: float = 0.0
-    periodic: bool = True
 
     def __post_init__(self):
         if not self.h_x > 0:
             raise ValueError(f"h_x must be positive, got {self.h_x}")
         if self.n_points < 8:
             raise ValueError(f"need at least 8 grid points, got {self.n_points}")
-        if not self.periodic:
-            raise ValueError("only periodic grids are supported")
 
     @property
     def length(self):

@@ -1,12 +1,20 @@
-"""Verification harness: exact-solution oracles, empirical convergence
-orders, conservation audits, stability probes and soliton-fission
-counting.
+"""Verification harness: the exact travelling-wave oracle, empirical
+convergence orders, conservation audits, a stability probe and
+soliton-fission counting.
 
-Every oracle is residual-verified by independent finite-difference
-substitution before it is allowed to judge the solver.  Convergence
-orders are fitted by log-log least squares over >= 3 refinement levels;
-a fit whose RMS residual exceeds 0.1 (in log2 units) is flagged
-non-asymptotic instead of being reported as an order.
+One oracle type, `TravelingWave`, carries every exact solution: the
+single-mode KdV soliton (`kdv_soliton_oracle`) and the coupled two-mode
+pair (`build_traveling_pair`).  Each is residual-verified by independent
+finite-difference substitution before it is allowed to judge the
+solver.  Convergence orders are fitted by log-log least squares over
+>= 3 refinement levels; a fit whose RMS residual exceeds 0.1 (in log2
+units) is flagged non-asymptotic instead of being reported as an order.
+
+Every study runs one fixed design.  Its time step comes from
+`stable_tau`, under the study's own growth budget or cap: the temporal
+study at `TEMPORAL_GROWTH_BUDGET`, the pair check at
+`PAIR_GROWTH_BUDGET`, and the spatial study at the default budget but
+capped by `SPATIAL_TAU_CAP_FRACTION`.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ from scipy.linalg import eigh_tridiagonal
 
 from .coefficients import CoefficientSet
 from .solver import (
-    DEFAULT_GROWTH_BUDGET,
     Grid,
     ModeState,
     NonFiniteError,
@@ -33,10 +40,10 @@ from .solver import (
 )
 
 __all__ = [
-    "SolitonOracle",
+    "TravelingWave",
     "kdv_soliton_oracle",
+    "build_traveling_pair",
     "single_mode_coefficients",
-    "SolitonBenchmark",
     "ConvergenceLevel",
     "ConvergenceReport",
     "measure_spatial_convergence",
@@ -49,8 +56,6 @@ __all__ = [
     "fission_census",
     "scattering_bound_states",
     "canonical_pulse_strength",
-    "TravelingPair",
-    "build_traveling_pair",
     "PairCheckReport",
     "integrable_pair_check",
     "fornberg_weights",
@@ -59,6 +64,14 @@ __all__ = [
 
 ORACLE_RTOL = 1e-9
 FIT_RESIDUAL_LIMIT = 0.1   # log2 units
+# The one-stage reference run at tau0/64 must stay clean of the weak
+# instability, so the temporal study budgets less growth than a run.
+TEMPORAL_GROWTH_BUDGET = 8.0
+# The reversal leg doubles the growth exponent (see integrable_pair_check).
+PAIR_GROWTH_BUDGET = 5.0
+# The spatial study caps tau so that its O(tau^2) error stays below this
+# share of the expected O(h^2) error, which the fit is meant to see.
+SPATIAL_TAU_CAP_FRACTION = 0.02
 
 
 # -- finite-difference machinery for oracle residuals -----------------------
@@ -94,127 +107,91 @@ def fornberg_weights(order, offsets, x0=0.0):
     return C[:, order]
 
 
-def _fd_derivative(values, step, order, acc_points):
-    """Centred FD derivative along axis 0 (interior points only)."""
-    half = acc_points // 2
-    offs = np.arange(-half, half + 1)
-    w = fornberg_weights(order, offs) / np.longdouble(step) ** order
-    core = sum(w[j] * values[j : len(values) - 2 * half + j]
-               for j in range(len(offs)))
-    return core, half
+def _fd_derivative(values, step, order):
+    """Centred 9-point FD derivative along the last axis, at all but the
+    4 points at each end (8th order for d/dx, 6th for d^3/dx^3)."""
+    w = fornberg_weights(order, np.arange(-4, 5)) / np.longdouble(step) ** order
+    n = values.shape[-1]
+    return sum(w[j] * values[..., j: n - 8 + j] for j in range(9))
 
 
-# -- single-mode soliton oracle ---------------------------------------------
+# -- the exact travelling wave -------------------------------------------------
 
 @dataclass(frozen=True)
-class SolitonOracle:
-    """Exact sech^2 travelling-wave solution of one KdV mode.
+class TravelingWave:
+    """Exact sech^2 travelling wave of a coupled-KdV coefficient set:
+    theta^n(x, t) = A_n sech^2((x - x0 - v t) / width).
 
-    theta(x, t) = A sech^2((x - x0 - v t) / width) with
-    v = c + g A / 3 and width = sqrt(12 d / (g A)).  If `domain` is set
-    the argument is wrapped periodically, which is the exact solution
-    on a ring up to exponentially small tail overlap.
+    The ansatz reduces mode n's equation to two algebraic constraints,
+      v = c_n + 4 d_n / width^2
+      sum_{m,k} g^n_{m,k} A_m A_k = 12 d_n A_n / width^2.
+    If `domain` is set the argument is wrapped periodically, which is
+    the exact solution on a ring up to exponentially small tail overlap.
     """
 
-    c: float
-    g: float
-    d: float
-    amplitude: float
+    coeffs: CoefficientSet
+    amplitudes: np.ndarray                  # (L,)
+    width: float
+    speed: float
     x0: float = 0.0
     domain: float | None = None
-    residual: float = float("nan")          # filled by the factory
+    residual: float = float("nan")          # filled by verified()
     residual_relative: float = float("nan")
 
-    @property
-    def speed(self):
-        return self.c + self.g * self.amplitude / 3.0
-
-    @property
-    def width(self):
-        return math.sqrt(12.0 * self.d / (self.g * self.amplitude))
-
     def __call__(self, x, t):
+        """theta at positions x and time t, shape (L, len(x))."""
         xi = np.asarray(x) - self.x0 - self.speed * t
         if self.domain is not None:
             xi = np.mod(xi + self.domain / 2.0, self.domain) - self.domain / 2.0
-        return self.amplitude / np.cosh(xi / self.width) ** 2
+        return self.amplitudes[:, None] * (1.0 / np.cosh(xi / self.width) ** 2)[None, :]
 
     def state(self, grid, t):
-        return ModeState(time=float(t), theta=self(grid.x, t)[None, :])
+        return ModeState(time=float(t), theta=self(grid.x, t))
 
+    def grid(self, points_per_width):
+        """Ring grid of the domain with about `points_per_width` cells
+        per width."""
+        return _ring_grid(self.domain, self.width / points_per_width)
 
-def _soliton_residual(orc, n_points=4097, halfwidths=8.0, dt_widths=1e-3):
-    """Max |theta_t + c theta_x + g theta theta_x + d theta_xxx| by
-    independent high-order finite differences (extended precision to
-    beat the third-difference round-off floor)."""
-    w = orc.width
-    x = np.linspace(orc.x0 - halfwidths * w, orc.x0 + halfwidths * w,
-                    n_points, dtype=np.longdouble)
-    h = x[1] - x[0]
-    dt = np.longdouble(dt_widths) * w / max(abs(orc.speed), 1.0)
-
-    def eval_at(t):
-        xi = x - orc.x0 - np.longdouble(orc.speed) * t
-        return np.longdouble(orc.amplitude) / np.cosh(xi / np.longdouble(w)) ** 2
-
-    # 4th-order centred time derivative from 5 time levels
-    toffs = np.arange(-2, 3)
-    wt = fornberg_weights(1, toffs) / dt
-    theta_t = sum(wt[j] * eval_at(toffs[j] * dt) for j in range(5))
-
-    theta = eval_at(np.longdouble(0.0))
-    theta_x, trim1 = _fd_derivative(theta, h, 1, 9)    # 8th order
-    theta_3, trim3 = _fd_derivative(theta, h, 3, 9)    # 6th order
-    trim = max(trim1, trim3)
-    sl = slice(trim, n_points - trim)
-
-    def cut(arr, tr):
-        extra = trim - tr
-        return arr[extra : len(arr) - extra] if extra else arr
-
-    res = (
-        theta_t[sl]
-        + np.longdouble(orc.c) * cut(theta_x, trim1)
-        + np.longdouble(orc.g) * theta[sl] * cut(theta_x, trim1)
-        + np.longdouble(orc.d) * cut(theta_3, trim3)
-    )
-    scale = max(
-        float(np.max(np.abs(theta_t))),
-        abs(orc.c) * float(np.max(np.abs(theta_x))),
-        1.0,
-    )
-    worst = float(np.max(np.abs(res)))
-    return worst, worst / scale
-
-
-def kdv_soliton_oracle(c, g, d, amplitude, x0=0.0, domain=None,
-                       check_residual=True):
-    """Build (and residual-verify) the exact single-mode soliton.
-
-    Requires g != 0, d > 0 and amplitude * g > 0 (width must be real).
-    The construction fails loudly if the finite-difference residual
-    exceeds 1e-9 relative to the size of the equation terms.
-    """
-    if g == 0:
-        raise ValueError("soliton oracle needs g != 0")
-    if not d > 0:
-        raise ValueError(f"soliton oracle needs d > 0, got {d}")
-    if not amplitude * g > 0:
-        raise ValueError(
-            f"amplitude * g must be positive (got A = {amplitude}, g = {g})"
-        )
-    orc = SolitonOracle(c=float(c), g=float(g), d=float(d),
-                        amplitude=float(amplitude), x0=float(x0),
-                        domain=domain)
-    if check_residual:
-        worst, rel = _soliton_residual(orc)
+    def verified(self):
+        """This wave with its residual filled in; raises RuntimeError
+        when the residual exceeds ORACLE_RTOL of the equation terms."""
+        worst, rel = _residual(self)
         if rel > ORACLE_RTOL:
             raise RuntimeError(
-                f"soliton oracle residual {rel:.3e} (relative) exceeds "
+                f"travelling-wave residual {rel:.3e} (relative) exceeds "
                 f"{ORACLE_RTOL:.0e}; refusing to use it as a yardstick"
             )
-        orc = replace(orc, residual=worst, residual_relative=rel)
-    return orc
+        return replace(self, residual=worst, residual_relative=rel)
+
+
+def _residual(wave):
+    """Max over modes of |(c_n - v) theta^n_x + sum g^n_{m,k} theta^m
+    theta^k_x + d_n theta^n_xxx|, i.e. the equation with theta_t =
+    -v theta_x, by 9-point finite differences over +-8 widths, in
+    extended precision to beat the third-difference round-off floor.
+    Returns it and its ratio to max(1, max |v theta^n_x|)."""
+    n_points, w = 4097, wave.width
+    x = np.linspace(-8.0 * w, 8.0 * w, n_points, dtype=np.longdouble)
+    h = x[1] - x[0]
+    core = 1.0 / np.cosh(x / np.longdouble(w)) ** 2
+    theta = np.array([np.longdouble(a) * core for a in wave.amplitudes])
+    v = np.longdouble(wave.speed)
+    first = _fd_derivative(theta, h, 1)
+    third = _fd_derivative(theta, h, 3)
+    inner = theta[:, 4: n_points - 4]
+    c, d, g = wave.coeffs.c, wave.coeffs.d, wave.coeffs.g
+
+    worst = 0.0
+    scale = 1.0
+    for n in range(len(theta)):
+        res = (np.longdouble(c[n]) - v) * first[n]
+        for m, k in zip(*np.nonzero(g[n])):
+            res = res + np.longdouble(g[n, m, k]) * inner[m] * first[k]
+        res = res + np.longdouble(d[n]) * third[n]
+        worst = max(worst, float(np.max(np.abs(res))))
+        scale = max(scale, float(abs(v) * np.max(np.abs(first[n]))))
+    return worst, worst / scale
 
 
 def single_mode_coefficients(c, g, d, sigma=1.0, beta2=1.0):
@@ -229,6 +206,70 @@ def single_mode_coefficients(c, g, d, sigma=1.0, beta2=1.0):
     )
 
 
+def kdv_soliton_oracle(c, g, d, amplitude, x0=0.0, domain=None,
+                       check_residual=True):
+    """The exact single-mode soliton, residual-verified unless
+    `check_residual` is false: speed c + g A / 3, width
+    sqrt(12 d / (g A)).
+
+    Requires g != 0, d > 0 and amplitude * g > 0 (width must be real).
+    """
+    if g == 0:
+        raise ValueError("soliton oracle needs g != 0")
+    if not d > 0:
+        raise ValueError(f"soliton oracle needs d > 0, got {d}")
+    if not amplitude * g > 0:
+        raise ValueError(
+            f"amplitude * g must be positive (got A = {amplitude}, g = {g})"
+        )
+    c, g, d, amplitude = float(c), float(g), float(d), float(amplitude)
+    wave = TravelingWave(coeffs=single_mode_coefficients(c, g, d),
+                         amplitudes=np.array([amplitude]),
+                         width=math.sqrt(12.0 * d / (g * amplitude)),
+                         speed=c + g * amplitude / 3.0,
+                         x0=float(x0), domain=domain)
+    return wave.verified() if check_residual else wave
+
+
+def build_traveling_pair(check_residual=True):
+    """A genuinely coupled two-mode set carrying an exact travelling
+    pair of amplitudes (1, 0.8) and unit width on a ring of 12 widths,
+    residual-verified unless `check_residual` is false.
+
+    d = (0.1, 0.05) and c_1 = 1 are fixed; c_2 follows from the common
+    speed.  The cross couplings are fixed and the diagonal entry
+    g^n_{22} of each mode is solved from the amplitude constraint."""
+    d1, d2 = 0.1, 0.05
+    a1, a2 = 1.0, 0.8
+    c1, width, domain = 1.0, 1.0, 12.0
+    w2 = width**2
+    speed = c1 + 4.0 * d1 / w2
+    c2 = speed - 4.0 * d2 / w2
+
+    # sum g^n_{m,k} A_m A_k = 12 d_n A_n / w^2 is linear in g^n_{22}
+    g = np.zeros((2, 2, 2))
+    g[0, 0, 1] = g[0, 1, 0] = 0.30
+    g[1, 0, 1] = g[1, 1, 0] = 0.15
+    g[0, 0, 0] = 0.50
+    g[1, 0, 0] = 0.20
+    for n, (dn, an) in enumerate(((d1, a1), (d2, a2))):
+        target = 12.0 * dn * an / w2
+        partial = (g[n, 0, 0] * a1 * a1 + g[n, 0, 1] * a1 * a2
+                   + g[n, 1, 0] * a2 * a1)
+        g[n, 1, 1] = (target - partial) / (a2 * a2)
+
+    coeffs = CoefficientSet(
+        mode_indices=(1, 2),
+        c=np.array([c1, c2]),
+        d=np.array([d1, d2]),
+        g=g,
+    )
+    wave = TravelingWave(coeffs=coeffs, amplitudes=np.array([a1, a2]),
+                         width=width, speed=speed, x0=domain / 2.0,
+                         domain=domain)
+    return wave.verified() if check_residual else wave
+
+
 def _ring_grid(length, h):
     """Periodic grid of `length` with the whole number of cells nearest
     to spacing h."""
@@ -236,51 +277,12 @@ def _ring_grid(length, h):
     return Grid(h_x=length / n, n_points=n)
 
 
-@dataclass(frozen=True)
-class SolitonBenchmark:
-    """A single-mode soliton problem posed on a periodic domain."""
-
-    c: float
-    g: float
-    d: float
-    amplitude: float
-    domain: float
-
-    def oracle(self):
-        return kdv_soliton_oracle(self.c, self.g, self.d, self.amplitude,
-                                  x0=self.domain / 2.0, domain=self.domain)
-
-    def coefficients(self):
-        return single_mode_coefficients(self.c, self.g, self.d)
-
-    def grid(self, points_per_width):
-        width = math.sqrt(12.0 * self.d / (self.g * self.amplitude))
-        return _ring_grid(self.domain, width / points_per_width)
-
-
-def spatial_benchmark():
-    """Default two-stage spatial-order benchmark: unit-width soliton,
-    advection-dominated speed so that 100 transit times stay cheap."""
-    amplitude, g, v = 2.0, 0.37, 20.0
-    return SolitonBenchmark(
-        c=v - g * amplitude / 3.0,
-        g=g,
-        d=g * amplitude / 12.0,   # unit width
-        amplitude=amplitude,
-        domain=12.0,
-    )
-
-
-def temporal_benchmark():
-    """Default one-stage temporal-order benchmark (short horizon)."""
-    amplitude, g, v = 1.0, 1.2, 30.0
-    return SolitonBenchmark(
-        c=v - g * amplitude / 3.0,
-        g=g,
-        d=g * amplitude / 12.0,
-        amplitude=amplitude,
-        domain=12.0,
-    )
+def _unit_width_soliton(amplitude, g, speed):
+    """Verified unit-width soliton of the given speed, centred on a ring
+    of 12 widths."""
+    return kdv_soliton_oracle(c=speed - g * amplitude / 3.0, g=g,
+                              d=g * amplitude / 12.0, amplitude=amplitude,
+                              x0=6.0, domain=12.0)
 
 
 # -- convergence measurement -------------------------------------------------
@@ -367,69 +369,55 @@ def _convergence_study(kind, scheme, coeffs, levels, horizon, initial, measure):
                              resid <= FIT_RESIDUAL_LIMIT)
 
 
-def measure_spatial_convergence(bench=None, scheme=TWO_STAGE,
-                                points_per_width=(12, 24, 48),
-                                n_transits=100,
-                                growth_budget=DEFAULT_GROWTH_BUDGET,
-                                tau_cap_fraction=0.02,
-                                error_constant_guess=0.5):
-    """Error against the exact soliton under grid refinement at fixed
-    final time (halving h_x per level, tau held at `stable_tau` but
-    capped so its O(tau^2) share stays below `tau_cap_fraction` of the
-    expected O(h^2) error)."""
-    if bench is None:
-        bench = spatial_benchmark()
-    if len(points_per_width) < 3:
-        raise ValueError("need at least 3 refinement levels")
-    orc = bench.oracle()   # residual-verified once
-    coeffs = bench.coefficients()
+def measure_spatial_convergence(n_transits=100):
+    """Two-stage error against the exact soliton at 12, 24 and 48 points
+    per width, after `n_transits` transit times.
+
+    The soliton has unit width and an advection-dominated speed, so that
+    100 transit times stay cheap.  tau is `stable_tau`, capped so that
+    its O(tau^2) error stays below SPATIAL_TAU_CAP_FRACTION of an
+    expected O(h^2) error of 0.5 h^2 (the measured one is 0.5-0.6 h^2)."""
+    orc = _unit_width_soliton(amplitude=2.0, g=0.37, speed=20.0)
     horizon = n_transits * orc.width / abs(orc.speed)
     levels = []
-    for ppw in points_per_width:
-        grid = bench.grid(ppw)
-        expected_h2 = error_constant_guess * grid.h_x**2
+    for ppw in (12, 24, 48):
+        grid = orc.grid(ppw)
+        expected_h2 = 0.5 * grid.h_x**2
         tau_cap = math.sqrt(
-            tau_cap_fraction * expected_h2 * 6.0
+            SPATIAL_TAU_CAP_FRACTION * expected_h2 * 6.0
             / (horizon * abs(orc.speed / orc.width) ** 3)
         )
-        levels.append((grid, min(stable_tau(coeffs, grid, scheme, horizon,
-                                            growth_budget), tau_cap)))
+        levels.append((grid, min(stable_tau(orc.coeffs, grid, TWO_STAGE,
+                                            horizon), tau_cap)))
 
     def measure(grid, final):
         exact = orc.state(grid, final.time)
         norm = discrete_l2_norm(final, exact, grid)
         return norm, _relative(norm, exact, grid), norm
 
-    return _convergence_study("spatial", scheme, coeffs, levels, horizon,
+    return _convergence_study("spatial", TWO_STAGE, orc.coeffs, levels, horizon,
                               lambda grid: orc.state(grid, 0.0), measure)
 
 
-def measure_temporal_convergence(bench=None, scheme=ONE_STAGE,
-                                 points_per_width=10,
-                                 tau_divisors=(1, 2, 4),
-                                 reference_divisor=64,
-                                 n_transits=5,
-                                 growth_budget=8.0):
-    """Temporal order at fixed fine h_x.
+def measure_temporal_convergence():
+    """One-stage temporal order at 10 points per width over 5 transit
+    times of a unit-width soliton, at tau0, tau0/2 and tau0/4 with tau0
+    = `stable_tau` under TEMPORAL_GROWTH_BUDGET.
 
     The O(h^2) spatial bias does not refine with tau, so the pure
     time-stepping error is isolated against a tau -> 0 reference run of
-    the same scheme on the same grid (tau0 / reference_divisor); the
-    norms against the exact oracle are reported alongside."""
-    if bench is None:
-        bench = temporal_benchmark()
-    if len(tau_divisors) < 3:
-        raise ValueError("need at least 3 tau levels")
-    grid = bench.grid(points_per_width)
-    orc = bench.oracle()
-    coeffs = bench.coefficients()
-    horizon = n_transits * orc.width / abs(orc.speed)
-    tau0 = stable_tau(coeffs, grid, scheme, horizon, growth_budget)
+    the same scheme on the same grid (tau0 / 64); the norms against the
+    exact oracle are reported alongside."""
+    orc = _unit_width_soliton(amplitude=1.0, g=1.2, speed=30.0)
+    grid = orc.grid(10)
+    horizon = 5 * orc.width / abs(orc.speed)
+    tau0 = stable_tau(orc.coeffs, grid, ONE_STAGE, horizon,
+                      TEMPORAL_GROWTH_BUDGET)
 
     start = orc.state(grid, 0.0)
-    ref_tau, _ = _whole_steps(tau0 / reference_divisor, horizon)
-    reference, _ = advance(start, coeffs, grid,
-                           SchemeParams(tau=ref_tau, scheme=scheme), horizon)
+    ref_tau, _ = _whole_steps(tau0 / 64, horizon)
+    reference, _ = advance(start, orc.coeffs, grid,
+                           SchemeParams(tau=ref_tau, scheme=ONE_STAGE), horizon)
     exact = orc.state(grid, horizon)
 
     def measure(grid, final):
@@ -437,8 +425,8 @@ def measure_temporal_convergence(bench=None, scheme=ONE_STAGE,
         return (norm, _relative(norm, exact, grid),
                 discrete_l2_norm(final, exact, grid))
 
-    return _convergence_study("temporal", scheme, coeffs,
-                              [(grid, tau0 / div) for div in tau_divisors],
+    return _convergence_study("temporal", ONE_STAGE, orc.coeffs,
+                              [(grid, tau0 / div) for div in (1, 2, 4)],
                               horizon, lambda grid: start, measure)
 
 
@@ -478,33 +466,27 @@ def conservation_audit(report):
 
 @dataclass(frozen=True)
 class StabilityProbeResult:
-    scheme: str
     b_values: tuple
     verdicts: tuple           # True = stable
     max_stable_b: float | None
     monotone: bool
 
 
-def stability_probe(grid, coeffs, b_values, scheme=TWO_STAGE, steps=10000,
-                    initial_state=None, blowup_factor=10.0):
-    """Run `steps` steps at tau = b h^4 (two-stage) or b h^6
-    (one-stage) for each multiplier b, the dispersion-dominated scaling
-    of `stable_tau`; a run is unstable on NonFinite or when the total L2
-    grows past `blowup_factor` times its start."""
-    if initial_state is None:
-        raise ValueError("stability probe needs an initial state")
-    power = 4 if scheme == TWO_STAGE else 6
+def stability_probe(grid, coeffs, b_values, initial_state, steps=10000):
+    """Run `steps` two-stage steps at tau = b h^4 for each multiplier b,
+    the dispersion-dominated scaling of `stable_tau`; a run is unstable
+    on NonFinite or when the total L2 grows past 10 times its start."""
+    start_l2 = float(np.sqrt(np.sum(l2_per_mode(initial_state, grid) ** 2)))
     verdicts = []
     for b in b_values:
-        tau = b * grid.h_x**power
-        params = SchemeParams(tau=tau, scheme=scheme)
-        start_l2 = float(np.sqrt(np.sum(l2_per_mode(initial_state, grid) ** 2)))
+        tau = b * grid.h_x**4
         try:
             with np.errstate(all="ignore"):
-                final, _ = advance(initial_state.copy(), coeffs, grid, params,
+                final, _ = advance(initial_state.copy(), coeffs, grid,
+                                   SchemeParams(tau=tau),
                                    initial_state.time + steps * tau)
             end_l2 = float(np.sqrt(np.sum(l2_per_mode(final, grid) ** 2)))
-            verdicts.append(bool(end_l2 <= blowup_factor * start_l2))
+            verdicts.append(bool(end_l2 <= 10.0 * start_l2))
         except NonFiniteError:
             verdicts.append(False)
     stable_bs = [b for b, ok in zip(b_values, verdicts) if ok]
@@ -515,7 +497,6 @@ def stability_probe(grid, coeffs, b_values, scheme=TWO_STAGE, steps=10000,
     monotone = flips <= 1 and (not sorted_verdicts or sorted_verdicts[0]
                                or not any(sorted_verdicts))
     return StabilityProbeResult(
-        scheme=scheme,
         b_values=tuple(b_values),
         verdicts=tuple(verdicts),
         max_stable_b=max(stable_bs) if stable_bs else None,
@@ -531,34 +512,37 @@ def canonical_pulse_strength(amplitude, width, g, d):
     return amplitude * g * width**2 / (6.0 * d)
 
 
-def scattering_bound_states(strength, n_grid=4096, half_width=20.0,
-                            threshold=1e-2):
+def scattering_bound_states(strength):
     """Number of discrete eigenvalues of -psi'' - strength sech^2(x) psi
-    on a clamped (Dirichlet) fine grid.
+    on a clamped (Dirichlet) grid of 4096 points over |x| <= 20, where
+    sech^2 has decayed to 2e-17.
 
     This is the soliton count of the canonical KdV pulse
     strength*sech^2.  The operator is symmetric tridiagonal; eigenvalues
-    below -threshold count as bound (the threshold rejects the
-    zero-energy edge state of integer-nu potentials)."""
+    below -1e-2 count as bound (the threshold rejects the zero-energy
+    edge state of integer-nu potentials)."""
     if strength <= 0:
         return 0
-    x = np.linspace(-half_width, half_width, n_grid)
+    n_grid = 4096
+    x = np.linspace(-20.0, 20.0, n_grid)
     h = x[1] - x[0]
     diag = 2.0 / h**2 - strength / np.cosh(x) ** 2
     off = np.full(n_grid - 1, -1.0 / h**2)
     vals = eigh_tridiagonal(diag, off, select="v",
-                            select_range=(-10.0 * strength - 1.0, -threshold),
+                            select_range=(-10.0 * strength - 1.0, -1e-2),
                             eigvals_only=True)
     return int(len(vals))
 
 
-def _count_crests(row, rel_threshold):
+def _count_crests(row):
+    """Local maxima at or above 5 % of the row's maximum, and their
+    amplitudes in descending order."""
     peak = float(np.max(row))
     if peak <= 0:
         return 0, ()
     left = np.roll(row, 1)
     right = np.roll(row, -1)
-    is_max = (row > left) & (row > right) & (row >= rel_threshold * peak)
+    is_max = (row > left) & (row > right) & (row >= 0.05 * peak)
     amps = tuple(sorted((float(v) for v in row[is_max]), reverse=True))
     return int(np.count_nonzero(is_max)), amps
 
@@ -575,43 +559,35 @@ class FissionReport:
     snapshot_counts: tuple
 
 
-def fission_census(coeffs, amplitude, width, t_end, grid=None,
-                   points_per_width=10.0, domain_widths=30.0,
-                   rel_threshold=0.05, persistent_snapshots=3,
-                   n_snapshots=12, growth_budget=DEFAULT_GROWTH_BUDGET):
+def fission_census(coeffs, amplitude, width, t_end):
     """Evolve a single-mode sech^2 pulse and count the solitons it
     sheds, against the independent scattering-eigenvalue prediction.
 
-    A crest is a local maximum at or above `rel_threshold` of the
-    snapshot's global maximum; the census is persistent when the crest
-    count agrees across the last `persistent_snapshots` snapshots.
-    Detection is deterministic for a given trajectory."""
+    The pulse sits mid-ring on 30 widths at 10 points per width, and
+    the two-stage run is observed at 12 snapshots.  A crest is a local
+    maximum at or above 5 % of the snapshot's global maximum; the
+    census is persistent when the crest count agrees across the last 3
+    snapshots.  Detection is deterministic for a given trajectory."""
     if coeffs.n_modes != 1:
         raise ValueError("fission census is a single-mode diagnostic")
-    c, g, d = float(coeffs.c[0]), float(coeffs.g[0, 0, 0]), float(coeffs.d[0])
+    g, d = float(coeffs.g[0, 0, 0]), float(coeffs.d[0])
     strength = canonical_pulse_strength(amplitude, width, g, d)
     predicted = scattering_bound_states(strength)
 
-    if grid is None:
-        grid = _ring_grid(domain_widths * width, width / points_per_width)
-    x = grid.x
+    grid = _ring_grid(30.0 * width, width / 10.0)
     center = grid.x0 + grid.length / 2.0
-    theta0 = amplitude / np.cosh((x - center) / width) ** 2
+    theta0 = amplitude / np.cosh((grid.x - center) / width) ** 2
     state = ModeState(time=0.0, theta=theta0[None, :])
 
-    tau, n_steps = _whole_steps(
-        stable_tau(coeffs, grid, TWO_STAGE, t_end, growth_budget), t_end)
-    params = SchemeParams(tau=tau, scheme=TWO_STAGE)
+    tau, n_steps = _whole_steps(stable_tau(coeffs, grid, TWO_STAGE, t_end),
+                                t_end)
     snaps = []
-    observe_every = max(1, n_steps // n_snapshots)
-    final, _ = advance(state, coeffs, grid, params, t_end,
-                       observers=[lambda s, st: snaps.append(st.theta[0].copy())],
-                       observe_every=observe_every)
-    counts_amps = [_count_crests(row, rel_threshold) for row in snaps]
-    last = counts_amps[-persistent_snapshots:]
+    advance(state, coeffs, grid, SchemeParams(tau=tau), t_end,
+            observers=[lambda s, st: snaps.append(st.theta[0].copy())],
+            observe_every=max(1, n_steps // 12))
+    counts_amps = [_count_crests(row) for row in snaps]
     counts = tuple(ca[0] for ca in counts_amps)
     detected, amps = counts_amps[-1]
-    persistent = len({ca[0] for ca in last}) == 1
     return FissionReport(
         amplitude=float(amplitude),
         width=float(width),
@@ -619,119 +595,12 @@ def fission_census(coeffs, amplitude, width, t_end, grid=None,
         predicted_count=predicted,
         detected_count=detected,
         crest_amplitudes=amps,
-        persistent=persistent,
+        persistent=len(set(counts[-3:])) == 1,
         snapshot_counts=counts,
     )
 
 
 # -- two-mode travelling pair -------------------------------------------------
-
-@dataclass(frozen=True)
-class TravelingPair:
-    """Coupled two-mode coefficient set with an exact co-propagating
-    sech^2 pair: theta^n = A_n sech^2((x - x0 - v t)/width).
-
-    The ansatz reduces each equation to two algebraic constraints,
-      v = c_n + 4 d_n / width^2
-      sum_{m,k} g^n_{m,k} A_m A_k = 12 d_n A_n / width^2,
-    whose remaining unknowns are solved numerically at construction.
-    """
-
-    coeffs: CoefficientSet
-    amplitudes: np.ndarray
-    width: float
-    speed: float
-    domain: float
-    residual: float
-
-    def theta(self, x, t):
-        xi = np.asarray(x) - self.domain / 2.0 - self.speed * t
-        xi = np.mod(xi + self.domain / 2.0, self.domain) - self.domain / 2.0
-        core = 1.0 / np.cosh(xi / self.width) ** 2
-        return self.amplitudes[:, None] * core[None, :]
-
-    def state(self, grid, t):
-        return ModeState(time=float(t), theta=self.theta(grid.x, t))
-
-
-def _pair_residual(pair, n_points=4097, halfwidths=8.0):
-    """FD residual of the two-mode system on the travelling ansatz."""
-    w = pair.width
-    L2 = pair.coeffs.n_modes
-    x = np.linspace(-halfwidths * w, halfwidths * w, n_points,
-                    dtype=np.longdouble)
-    h = x[1] - x[0]
-    core = 1.0 / np.cosh(x / np.longdouble(w)) ** 2
-    theta = np.array([np.longdouble(a) * core for a in pair.amplitudes])
-    v = np.longdouble(pair.speed)
-
-    first = [_fd_derivative(theta[n], h, 1, 9) for n in range(L2)]
-    third = [_fd_derivative(theta[n], h, 3, 9) for n in range(L2)]
-    trim = max(first[0][1], third[0][1])
-    sl = slice(trim, n_points - trim)
-
-    def cut(pairarr):
-        arr, tr = pairarr
-        extra = trim - tr
-        return arr[extra: len(arr) - extra] if extra else arr
-
-    worst = 0.0
-    scale = 1.0
-    for n in range(L2):
-        # theta_t = -v theta_x for the travelling ansatz
-        res = (np.longdouble(pair.coeffs.c[n]) - v) * cut(first[n])
-        for m in range(L2):
-            for k in range(L2):
-                gn = np.longdouble(pair.coeffs.g[n, m, k])
-                if gn != 0:
-                    res = res + gn * theta[m][sl] * cut(first[k])
-        res = res + np.longdouble(pair.coeffs.d[n]) * cut(third[n])
-        worst = max(worst, float(np.max(np.abs(res))))
-        scale = max(scale, float(abs(v) * np.max(np.abs(first[n][0]))))
-    return worst, worst / scale
-
-
-def build_traveling_pair(d=(0.1, 0.05), c1=1.0, amplitudes=(1.0, 0.8),
-                         width=1.0, domain=12.0, check_residual=True):
-    """Construct a genuinely coupled two-mode set carrying an exact
-    travelling pair; raises RuntimeError when the residual check fails."""
-    d1, d2 = float(d[0]), float(d[1])
-    a1, a2 = float(amplitudes[0]), float(amplitudes[1])
-    w2 = width**2
-    speed = c1 + 4.0 * d1 / w2
-    c2 = speed - 4.0 * d2 / w2
-
-    # fix the cross couplings, solve the diagonal entries of each g^n
-    # from  sum g^n_{m,k} A_m A_k = 12 d_n A_n / w^2  (linear in g^n_{22})
-    g = np.zeros((2, 2, 2))
-    g[0, 0, 1] = g[0, 1, 0] = 0.30
-    g[1, 0, 1] = g[1, 1, 0] = 0.15
-    g[0, 0, 0] = 0.50
-    g[1, 0, 0] = 0.20
-    for n, (dn, an) in enumerate(((d1, a1), (d2, a2))):
-        target = 12.0 * dn * an / w2
-        partial = (g[n, 0, 0] * a1 * a1 + g[n, 0, 1] * a1 * a2
-                   + g[n, 1, 0] * a2 * a1)
-        g[n, 1, 1] = (target - partial) / (a2 * a2)
-
-    coeffs = CoefficientSet(
-        mode_indices=(1, 2),
-        c=np.array([c1, c2]),
-        d=np.array([d1, d2]),
-        g=g,
-    )
-    pair = TravelingPair(coeffs=coeffs, amplitudes=np.array([a1, a2]),
-                         width=float(width), speed=float(speed),
-                         domain=float(domain), residual=float("nan"))
-    if check_residual:
-        worst, rel = _pair_residual(pair)
-        if rel > ORACLE_RTOL:
-            raise RuntimeError(
-                f"travelling-pair residual {rel:.3e} exceeds {ORACLE_RTOL:.0e}"
-            )
-        pair = replace(pair, residual=worst)
-    return pair
-
 
 @dataclass(frozen=True)
 class PairCheckReport:
@@ -760,23 +629,25 @@ def _reflect(state):
     return ModeState(time=state.time, theta=theta)
 
 
-def integrable_pair_check(points_per_width=(8, 16, 32), horizon=2.0,
-                          growth_budget=5.0, reversal_fraction=0.25):
+def integrable_pair_check():
     """Propagate the exact coupled travelling pair with the two-stage
-    scheme: fitted order must be second, and reflecting the state,
-    integrating forward again and reflecting back must return the
-    initial data within twice the forward error (discrete
-    time-reversal).  Construction failure skips the check with notice.
+    scheme to t = 2 at 8, 16 and 32 points per width: the fitted order
+    must be second.  Reflecting the state, integrating forward again and
+    reflecting back must return the initial data within twice the
+    forward error (discrete time-reversal).  Construction failure skips
+    the check with notice.
 
-    The growth budget is tighter than elsewhere, and the reversal leg
-    is kept short: the round trip doubles the weak-instability
-    exponent of the explicit stages and the seed is truncation-level,
-    so long reversed runs drown in amplified grid-scale noise."""
+    Both legs run under PAIR_GROWTH_BUDGET, tighter than elsewhere, and
+    the reversal leg, on the middle grid, lasts a quarter of the
+    horizon: the round trip doubles the weak-instability exponent of
+    the explicit stages and the seed is truncation-level, so long
+    reversed runs drown in amplified grid-scale noise."""
     try:
         pair = build_traveling_pair()
     except (RuntimeError, np.linalg.LinAlgError) as err:
         return PairCheckReport(True, f"oracle construction failed: {err}",
                                None, None, None, None)
+    horizon = 2.0
 
     def measure(grid, final):
         exact = pair.state(grid, horizon)
@@ -784,20 +655,19 @@ def integrable_pair_check(points_per_width=(8, 16, 32), horizon=2.0,
         return norm, _relative(norm, exact, grid), norm
 
     levels = []
-    for ppw in points_per_width:
-        grid = _ring_grid(pair.domain, pair.width / ppw)
+    for ppw in (8, 16, 32):
+        grid = pair.grid(ppw)
         levels.append((grid, stable_tau(pair.coeffs, grid, TWO_STAGE, horizon,
-                                        growth_budget)))
+                                        PAIR_GROWTH_BUDGET)))
     conv = _convergence_study("spatial", TWO_STAGE, pair.coeffs, levels,
                               horizon, lambda grid: pair.state(grid, 0.0),
                               measure)
 
-    # time reversal on the middle grid over a shortened horizon
-    rev_horizon = reversal_fraction * horizon
-    grid = levels[len(levels) // 2][0]
+    rev_horizon = 0.25 * horizon
+    grid = levels[1][0]
     tau, _ = _whole_steps(stable_tau(pair.coeffs, grid, TWO_STAGE, rev_horizon,
-                                     growth_budget), rev_horizon)
-    params = SchemeParams(tau=tau, scheme=TWO_STAGE)
+                                     PAIR_GROWTH_BUDGET), rev_horizon)
+    params = SchemeParams(tau=tau)
     start = pair.state(grid, 0.0)
     fwd, _ = advance(start, pair.coeffs, grid, params, rev_horizon)
     forward_err = discrete_l2_norm(fwd, pair.state(grid, rev_horizon), grid)

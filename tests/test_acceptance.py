@@ -277,11 +277,11 @@ def test_criterion_6_conservation():
     and the L2 energy drift halves when tau halves (one-stage time
     error is first order; the two-stage pair's energy error is
     higher-order and would vanish into the spatial term)."""
-    bench = V.SolitonBenchmark(c=1.0, g=1.2, d=0.1, amplitude=1.0,
-                               domain=12.0)
-    grid = bench.grid(16)
-    coeffs = bench.coefficients()
-    state = bench.oracle().state(grid, 0.0)
+    orc = V.kdv_soliton_oracle(c=1.0, g=1.2, d=0.1, amplitude=1.0,
+                               x0=6.0, domain=12.0)
+    grid = orc.grid(16)
+    coeffs = orc.coeffs
+    state = orc.state(grid, 0.0)
     tau0, steps = 1.2e-5, 100_000
     horizon = steps * tau0
 

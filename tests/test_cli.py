@@ -35,6 +35,8 @@ class TestParsing:
 
     def test_bad_modes_list(self, capsys, outdir):
         assert run_cli("run", "--modes", "2,q", "--out", str(outdir)) == 2
+        assert capsys.readouterr().err.startswith(
+            "usage error: cannot parse --modes '2,q'")
 
     @pytest.mark.parametrize("key", ["stability_margin",
                                      "dispersion_correction"])
@@ -180,6 +182,30 @@ class TestRun:
         assert len(err) == 1
         assert err[0].startswith("config error: ") and field in err[0]
         assert not (outdir / "nf").exists()
+
+    @pytest.mark.parametrize("flags", [("--t-end", "1e300"),
+                                       ("--dt", "1e-300"),
+                                       ("--t-end", "1e12"),
+                                       ("--t-end", "1e300", "--dt", "1e-300")])
+    def test_uncountable_step_count_exits_2(self, outdir, capsys, flags):
+        # --t-end 1e300 wrote config.cfg, then failed at the first snapshot
+        # on a 305-digit step index; --t-end 1e12 ran 1936 steps first
+        assert run_cli("run", *flags, "--out", str(outdir),
+                       "--run-id", "big") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: t_end") and "2**53" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (outdir / "big").exists()
+
+    def test_uncountable_step_count_in_config_exits_2(self, outdir, capsys):
+        cfgfile = outdir / "big.cfg"
+        cfgfile.write_text("[run]\nt_end = 1e300\n")
+        assert run_cli("run", "--config", str(cfgfile), "--out", str(outdir),
+                       "--run-id", "big") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: t_end") and "2**53" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (outdir / "big").exists()
 
     def test_unstable_run_exits_3(self, outdir, capsys):
         # dt far beyond the dispersive limit of a fine grid

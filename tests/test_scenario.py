@@ -9,6 +9,7 @@ from wavetank.scenario import (
     build_initial_state,
     mcewan_default,
     parse_config,
+    parse_modes,
     serialize_config,
     validate,
 )
@@ -86,6 +87,13 @@ class TestValidate:
     def test_empty_modes(self):
         bad = replace(mcewan_default(), modes=())
         assert any("modes" in v for v in validate(bad))
+
+    def test_step_count_below_2_pow_53(self):
+        # step_count(0, t_end, dt) is 2**53 - 1 and 2**53 here
+        cfg = replace(mcewan_default(), scheme=SchemeParams(tau=1.0))
+        assert validate(replace(cfg, t_end=2.0**53 - 1)) == []
+        violations = validate(replace(cfg, t_end=2.0**53))
+        assert len(violations) == 1 and violations[0].startswith("t_end")
 
     def test_build_rejects_invalid(self):
         cfg = mcewan_default()
@@ -184,3 +192,10 @@ class TestConfigRoundTrip:
         section = text.split("[scheme]")[1].split("[run]")[0]
         keys = [l.split(" = ")[0] for l in section.splitlines() if " = " in l]
         assert keys == ["scheme", "dt"]
+
+
+def test_parse_modes():
+    assert parse_modes("2, 4,6,") == (2, 4, 6)
+    assert parse_config("[run]\nmodes = 3, 1\n").modes == (3, 1)
+    with pytest.raises(ValueError):
+        parse_modes("2,q")

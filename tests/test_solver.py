@@ -35,7 +35,7 @@ def one_step(state, coeffs, grid, tau, scheme=TWO_STAGE):
 def soliton_state(grid, c=1.0, g=6.0, d=1.0, A=2.0):
     orc = kdv_soliton_oracle(c, g, d, A, x0=grid.length / 2.0,
                              domain=grid.length, check_residual=False)
-    return orc.state(grid, 0.0), single_mode_coefficients(c, g, d), orc
+    return orc.state(grid, 0.0), orc.coeffs, orc
 
 
 class TestGrid:
