@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from wavetank.coefficients import build_coefficients
 from wavetank.modes import Stratification, build_constant_n_basis
+from wavetank.scenario import build_initial_state, mcewan_default
 from wavetank.solver import (
     Grid,
     ModeState,
@@ -16,6 +17,8 @@ from wavetank.solver import (
     SchemeParams,
     TWO_STAGE,
     advance,
+    _FINITE_CHECK_EVERY,
+    _dispersion_coefficient,
     _rhs,
     _triad_operator,
     discrete_l2_norm,
@@ -312,6 +315,13 @@ class TestAdvance:
                 observe_every=2)
         assert seen == [0, 2, 4, 6, 8, 10]
 
+    def test_rejects_negative_observe_every(self):
+        grid = Grid(h_x=0.05, n_points=64)
+        state, coeffs, _ = soliton_state(grid)
+        with pytest.raises(ValueError, match="observe_every"):
+            advance(state, coeffs, grid, SchemeParams(tau=1e-4), 1e-3,
+                    observe_every=-2)
+
     def test_mode_count_mismatch(self):
         grid = Grid(h_x=0.1, n_points=128)
         coeffs = single_mode_coefficients(1.0, 1.0, 1.0)
@@ -387,3 +397,164 @@ class TestMassProperty:
         bound = (8 * np.finfo(float).eps * (steps + 1) * n_points * h
                  * max(peak))
         assert drift <= bound
+
+
+def reference_rhs(theta, coeffs, grid, e, triad):
+    """The right-hand side with fresh arrays for every intermediate: a
+    padded copy, shifted views and the same float expressions, in the same
+    order, as the in-place kernel."""
+    h = grid.h_x
+    L, n = theta.shape
+    pad = np.concatenate((theta[:, -2:], theta, theta[:, :2]), axis=1)
+    diff1 = pad[:, 3:n + 3] - pad[:, 1:n + 1]
+    d0 = diff1 * (0.5 / h)
+    d3 = (pad[:, 4:n + 4] - pad[:, 0:n] - 2.0 * diff1) * (0.5 / h**3)
+    out = coeffs.c[:, None] * d0 + e[:, None] * d3
+    if L == 1:
+        out += coeffs.g[0, 0, 0] * theta * d0
+    else:
+        out += triad @ (theta[:, None, :] * d0[None, :, :]).reshape(L * L, n)
+    return out
+
+
+def reference_trajectory(theta, coeffs, grid, tau, scheme, steps):
+    """theta after 0..steps steps, one stage at a time:
+    theta <- theta - tau rhs(theta - (tau/2) rhs(theta)) (two-stage) or
+    theta <- theta - tau rhs(theta) (one-stage)."""
+    e = _dispersion_coefficient(coeffs, grid, scheme)
+    triad = _triad_operator(coeffs.g)
+    out = [theta]
+    for _ in range(steps):
+        if scheme == TWO_STAGE:
+            half = theta - (tau / 2.0) * reference_rhs(theta, coeffs, grid,
+                                                       e, triad)
+            theta = theta - tau * reference_rhs(half, coeffs, grid, e, triad)
+        else:
+            theta = theta - tau * reference_rhs(theta, coeffs, grid, e, triad)
+        out.append(theta)
+    return out
+
+
+def finite_tau(coeffs, grid, scheme, theta):
+    """A tau inside the linear policy and an advective CFL of 0.1."""
+    speed = (np.max(np.abs(coeffs.c)) + np.max(np.abs(theta))
+             * np.abs(coeffs.g).sum(axis=(1, 2)).max())
+    return min(stable_tau(coeffs, grid, scheme, horizon=1.0),
+               0.1 * grid.h_x / speed)
+
+
+def tank_coefficients(modes):
+    basis = build_constant_n_basis(Stratification(N=1.23, depth=0.25), modes)
+    return build_coefficients(basis, method="closed_form")
+
+
+class TestInPlaceKernel:
+    @given(modes=st.sampled_from([(1,), (2,), (1, 2, 3), (1, 3, 4)]),
+           scheme=st.sampled_from([TWO_STAGE, ONE_STAGE]),
+           n_points=st.integers(8, 64),
+           steps=st.integers(1, 30),
+           observe_every=st.integers(0, 7),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_per_stage_reference(self, modes, scheme,
+                                                  n_points, steps,
+                                                  observe_every, seed):
+        coeffs = tank_coefficients(modes)
+        grid = Grid(h_x=0.5 / n_points, n_points=n_points)
+        theta = np.random.default_rng(seed).standard_normal(
+            (len(modes), n_points))
+        tau = finite_tau(coeffs, grid, scheme, theta)
+        seen = {}
+        final, report = advance(
+            ModeState(0.0, theta), coeffs, grid, SchemeParams(tau, scheme),
+            steps * tau, observe_every=observe_every,
+            observers=[lambda j, s: seen.setdefault(j, s.theta)])
+        ref = reference_trajectory(theta, coeffs, grid, tau, scheme, steps)
+        assert report.steps == steps
+        assert np.array_equal(final.theta, ref[steps])
+        for j, snap in seen.items():
+            assert np.array_equal(snap, ref[j])
+        # the wrapper the triad test uses is the same arithmetic
+        e = _dispersion_coefficient(coeffs, grid, scheme)
+        triad = _triad_operator(coeffs.g)
+        assert np.array_equal(_rhs(theta, coeffs, grid, e, triad),
+                              reference_rhs(theta, coeffs, grid, e, triad))
+
+    def test_no_buffer_aliasing(self):
+        # snapshots and the returned state are copies, never views of the
+        # buffers the kernel goes on writing
+        coeffs = tank_coefficients((1, 2, 3))
+        grid = Grid(h_x=0.5 / 32, n_points=32)
+        x = 2.0 * np.pi * np.arange(32) / 32
+        theta = np.array([np.sin(x), 0.5 * np.cos(2 * x), 0.2 * np.sin(3 * x)])
+        state = ModeState(0.0, theta.copy())
+        params = SchemeParams(finite_tau(coeffs, grid, TWO_STAGE, theta))
+        kept = []
+        final, _ = advance(state, coeffs, grid, params, 250 * params.tau,
+                           observers=[lambda j, s: kept.append((j, s))],
+                           observe_every=60)
+        assert [j for j, _ in kept] == [0, 60, 120, 180, 240, 250]
+        assert np.array_equal(state.theta, theta)
+        for j, snap in kept:
+            alone, _ = advance(state, coeffs, grid, params, j * params.tau)
+            assert np.array_equal(snap.theta, alone.theta)
+            assert snap.time == alone.time
+            assert not np.shares_memory(snap.theta, final.theta)
+        for (_, a), (_, b) in zip(kept, kept[1:]):
+            assert not np.shares_memory(a.theta, b.theta)
+            assert not np.array_equal(a.theta, b.theta)
+        assert np.array_equal(final.theta, kept[-1][1].theta)
+
+
+@pytest.fixture(scope="module")
+def mcewan_tank():
+    cfg = mcewan_default()
+    basis = cfg.basis()
+    coeffs = build_coefficients(basis, sigma=cfg.sigma, beta2=cfg.beta2)
+    state, _ = build_initial_state(cfg, basis)
+    return cfg, coeffs, state
+
+
+class TestExactAbort:
+    """Finiteness is checked only every `_FINITE_CHECK_EVERY` steps; a
+    failed check replays from the last checkpoint to the exact stage."""
+
+    def test_mcewan_abort_between_checks(self, mcewan_tank):
+        # the default tank goes non-finite in the full stage of step 1936
+        cfg, coeffs, state = mcewan_tank
+        tau = cfg.scheme.tau
+        assert 1936 % _FINITE_CHECK_EVERY != 0
+        with pytest.raises(NonFiniteError) as err:
+            advance(state, coeffs, cfg.grid, cfg.scheme, 0.08)
+        assert err.value.step == 1936
+        assert "full step" in str(err.value.__cause__)
+        last = err.value.last_state
+        assert last.time == state.time + 1935 * tau
+        before, report = advance(state, coeffs, cfg.grid, cfg.scheme,
+                                 state.time + 1935 * tau)
+        assert report.steps == 1935
+        assert np.array_equal(last.theta, before.theta)
+
+    def test_half_stage_abort_off_the_check_grid(self):
+        # a linear (g = 0) grid-scale wave at tau far beyond stable_tau
+        # overflows first in the half stage of step 589
+        grid = Grid(h_x=1.0, n_points=16)
+        coeffs = single_mode_coefficients(1.0, 6.0, 1.0)
+        coeffs.g[0, 0, 0] = 0.0
+        state = ModeState(0.0, np.cos(np.pi * np.arange(16) / 2)[None, :])
+        params = SchemeParams(tau=2.0)
+        seen = []
+        # the L2 series of the states near overflow overflows in the square
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as err:
+            advance(state, coeffs, grid, params, 1000 * params.tau,
+                    observers=[lambda j, s: seen.append(
+                        (j, bool(np.isfinite(s.theta).all())))],
+                    observe_every=7)
+        assert err.value.step == 589
+        assert 589 % _FINITE_CHECK_EVERY != 0
+        assert "half step" in str(err.value.__cause__)
+        # observers saw only finite states, up to the last one (588 = 84 * 7)
+        assert seen == [(j, True) for j in range(0, 589, 7)]
+        with np.errstate(over="ignore"):
+            before, _ = advance(state, coeffs, grid, params, 588 * params.tau)
+        assert np.array_equal(err.value.last_state.theta, before.theta)
+        assert err.value.last_state.time == before.time
