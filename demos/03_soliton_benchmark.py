@@ -14,7 +14,7 @@ from wavetank.verification import kdv_soliton_oracle
 orc = kdv_soliton_oracle(c=1.0, g=6.0, d=1.0, amplitude=2.0, x0=8.0,
                          domain=16.0)
 print(f"oracle: speed {orc.speed}, width {orc.width}, "
-      f"FD residual {orc.residual_relative:.2e} (relative)")
+      f"residual {orc.residual_relative:.2e} (relative)")
 
 grid = orc.grid(16)
 coeffs = orc.coeffs

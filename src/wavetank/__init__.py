@@ -16,7 +16,6 @@ from .coefficients import (
     ConsistencyError,
     build_coefficients,
     dispersion_coeffs,
-    mcewan_coefficients,
     nonlinear_coeff_closed_form,
     nonlinear_coeffs,
     reconcile_with_reference,

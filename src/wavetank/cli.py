@@ -318,8 +318,7 @@ def cmd_verify(args):
                    f"drift {audit.max_mass_drift:.3e} tol {tol:.3e}"))
 
     probe_wave = verification.kdv_soliton_oracle(
-        c=0.0, g=6.0, d=1.0, amplitude=2.0, x0=8.0, domain=16.0,
-        check_residual=False)
+        c=0.0, g=6.0, d=1.0, amplitude=2.0, x0=8.0, domain=16.0)
     probe_grid = probe_wave.grid(8)
     probe = verification.stability_probe(
         probe_grid, probe_wave.coeffs, (0.5, 1.0, 2.0, 4.0, 8.0),

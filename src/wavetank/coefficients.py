@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import reference_tables as ref
-from .modes import build_constant_n_basis, simpson_weights, Stratification
+from .modes import simpson_weights
 
 __all__ = [
     "CoefficientSet",
@@ -294,10 +294,3 @@ def reconcile_with_reference(coeffs, rtol=CONFIRM_RTOL):
         mask_matches=mask_ok,
         mask_mismatches=tuple(mismatches),
     )
-
-
-def mcewan_coefficients(sigma=1.0, beta2=1.0):
-    """Convenience: coefficients for the reference five-mode configuration."""
-    strat = Stratification(N=ref.MCEWAN_N, depth=ref.MCEWAN_DEPTH)
-    basis = build_constant_n_basis(strat, ref.MCEWAN_MODES)
-    return basis, build_coefficients(basis, sigma=sigma, beta2=beta2)

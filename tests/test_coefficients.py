@@ -5,7 +5,6 @@ from wavetank.coefficients import (
     ConsistencyError,
     build_coefficients,
     dispersion_coeffs,
-    mcewan_coefficients,
     nonlinear_coeff_closed_form,
     nonlinear_coeffs,
     reconcile_with_reference,
@@ -193,6 +192,7 @@ class TestReconciliation:
 
 
 def test_mcewan_convenience():
-    basis, coeffs = mcewan_coefficients()
+    strat = Stratification(N=ref.MCEWAN_N, depth=ref.MCEWAN_DEPTH)
+    coeffs = build_coefficients(build_constant_n_basis(strat, ref.MCEWAN_MODES))
     assert coeffs.mode_indices == MODES
     assert coeffs.sigma == 1.0 and coeffs.beta2 == 1.0

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from wavetank.solver import Grid, ModeState, SchemeParams, advance
 from wavetank.verification import (
@@ -10,35 +11,14 @@ from wavetank.verification import (
     conservation_audit,
     fission_census,
     fit_order,
-    fornberg_weights,
     kdv_soliton_oracle,
     measure_spatial_convergence,
     measure_temporal_convergence,
     scattering_bound_states,
     single_mode_coefficients,
     stability_probe,
+    _unit_width_soliton,
 )
-
-
-class TestFornberg:
-    def test_first_derivative_second_order(self):
-        w = fornberg_weights(1, (-1, 0, 1))
-        np.testing.assert_allclose(np.asarray(w, dtype=float),
-                                   [-0.5, 0.0, 0.5], atol=1e-15)
-
-    def test_third_derivative_stencil(self):
-        w = np.asarray(fornberg_weights(3, (-2, -1, 0, 1, 2)), dtype=float)
-        np.testing.assert_allclose(w, [-0.5, 1.0, 0.0, -1.0, 0.5], atol=1e-13)
-
-    def test_exactness_on_polynomials(self):
-        offs = np.arange(-4, 5)
-        w = np.asarray(fornberg_weights(3, offs), dtype=float)
-        # exact for x^k up to the stencil's design order
-        for k in range(8):
-            deriv = sum(w[i] * (offs[i] ** k if k or offs[i] else 1.0)
-                        for i in range(len(offs)))
-            expected = 6.0 if k == 3 else 0.0
-            assert deriv == pytest.approx(expected, abs=1e-10)
 
 
 class TestSolitonOracle:
@@ -48,22 +28,21 @@ class TestSolitonOracle:
         assert np.isfinite(orc.residual)
 
     def test_speed_and_width(self):
-        orc = kdv_soliton_oracle(c=1.0, g=6.0, d=1.0, amplitude=2.0,
-                                 check_residual=False)
+        orc = kdv_soliton_oracle(c=1.0, g=6.0, d=1.0, amplitude=2.0)
         assert orc.speed == pytest.approx(1.0 + 4.0)
         assert orc.width == pytest.approx(1.0)
 
     def test_speed_tends_to_c_with_amplitude(self):
         speeds = [
-            kdv_soliton_oracle(0.7, 6.0, 1.0, a, check_residual=False).speed
+            kdv_soliton_oracle(0.7, 6.0, 1.0, a).speed
             for a in (1.0, 0.1, 0.001)
         ]
         assert abs(speeds[-1] - 0.7) < abs(speeds[0] - 0.7)
         assert speeds[-1] == pytest.approx(0.7, abs=1e-2)
 
     def test_quadrupled_amplitude_halves_width(self):
-        w1 = kdv_soliton_oracle(0.0, 6.0, 1.0, 1.0, check_residual=False).width
-        w4 = kdv_soliton_oracle(0.0, 6.0, 1.0, 4.0, check_residual=False).width
+        w1 = kdv_soliton_oracle(0.0, 6.0, 1.0, 1.0).width
+        w4 = kdv_soliton_oracle(0.0, 6.0, 1.0, 4.0).width
         assert w4 == pytest.approx(w1 / 2.0, rel=1e-12)
 
     @pytest.mark.parametrize("c,g,d,a", [
@@ -76,8 +55,7 @@ class TestSolitonOracle:
             kdv_soliton_oracle(c, g, d, a)
 
     def test_periodic_wrap(self):
-        orc = kdv_soliton_oracle(1.0, 6.0, 1.0, 2.0, x0=5.0, domain=10.0,
-                                 check_residual=False)
+        orc = kdv_soliton_oracle(1.0, 6.0, 1.0, 2.0, x0=5.0, domain=10.0)
         x = np.linspace(0, 10, 101)
         np.testing.assert_allclose(orc(x, 0.0), orc(x + 10.0, 0.0), rtol=1e-12)
 
@@ -85,8 +63,7 @@ class TestSolitonOracle:
         # the studies pin their bytes to A / cosh^2, which A * (1 / cosh^2)
         # equals exactly for the power-of-two amplitudes they use
         for a in (1.0, 2.0):
-            orc = kdv_soliton_oracle(1.0, 6.0, 1.0, a, x0=5.0, domain=10.0,
-                                     check_residual=False)
+            orc = kdv_soliton_oracle(1.0, 6.0, 1.0, a, x0=5.0, domain=10.0)
             x = np.linspace(0, 10, 101)
             theta = orc(x, 0.3)
             assert theta.shape == (1, 101)
@@ -104,13 +81,22 @@ def _scaled(wave, field):
 
 
 WAVES = {
-    "soliton": lambda: kdv_soliton_oracle(1.0, 6.0, 1.0, 2.0,
-                                          check_residual=False),
-    "pair": lambda: build_traveling_pair(check_residual=False),
+    "soliton": lambda: kdv_soliton_oracle(1.0, 6.0, 1.0, 2.0),
+    "pair": build_traveling_pair,
 }
 
 
+# the spatial and temporal studies' solitons, by (amplitude, g, speed)
+STUDY_SOLITONS = {"spatial": (2.0, 0.37, 20.0), "temporal": (1.0, 1.2, 30.0)}
+
+
 class TestResidualCheck:
+    @pytest.mark.parametrize("name", sorted(WAVES) + sorted(STUDY_SOLITONS))
+    def test_exact_wave_residual_is_round_off(self, name):
+        wave = (WAVES[name]() if name in WAVES
+                else _unit_width_soliton(*STUDY_SOLITONS[name]))
+        assert wave.residual_relative <= 1e-13
+
     @pytest.mark.parametrize("field", ["speed", "width", "amplitude"])
     @pytest.mark.parametrize("name", sorted(WAVES))
     def test_wrong_wave_is_refused(self, name, field):
@@ -207,8 +193,8 @@ class TestConservation:
 def probe_setup():
     grid = Grid(h_x=0.125, n_points=128)
     coeffs = single_mode_coefficients(0.0, 6.0, 1.0)
-    state = kdv_soliton_oracle(0.0, 6.0, 1.0, 2.0, x0=8.0, domain=16.0,
-                               check_residual=False).state(grid, 0.0)
+    orc = kdv_soliton_oracle(0.0, 6.0, 1.0, 2.0, x0=8.0, domain=16.0)
+    state = orc.state(grid, 0.0)
     return grid, coeffs, state
 
 
@@ -245,12 +231,54 @@ class TestStabilityProbe:
         assert b_equiv > 50.0               # dispersion drives the h^4 law
 
 
+def reference_bound_states(strength):
+    """Eigenvalues below -1e-2 of -psi'' - strength sech^2(x) psi on a
+    clamped (Dirichlet) grid of 4096 points over |x| <= 20, where sech^2
+    has decayed to 2e-17: the numerical reference for the closed form."""
+    if strength <= 0:
+        return 0
+    n_grid = 4096
+    x = np.linspace(-20.0, 20.0, n_grid)
+    h = x[1] - x[0]
+    diag = 2.0 / h**2 - strength / np.cosh(x) ** 2
+    off = np.full(n_grid - 1, -1.0 / h**2)
+    vals = eigh_tridiagonal(diag, off, select="v",
+                            select_range=(-10.0 * strength - 1.0, -1e-2),
+                            eigvals_only=True)
+    return int(len(vals))
+
+
+def _near_threshold(strength):
+    """True when some nu - j lies in [0.1, 0.106), where the box's
+    clamped ends lift the eigenvalue just below -1e-2 above it."""
+    nu = (np.sqrt(1.0 + 4.0 * strength) - 1.0) / 2.0
+    return nu >= 0.1 and (nu - 0.1) % 1.0 < 0.006
+
+
 class TestScattering:
-    @pytest.mark.parametrize("strength,count", [
-        (2.0, 1), (6.0, 2), (12.0, 3), (0.5, 1), (0.0, 0), (1e-9, 0),
-    ])
+    PINNED = [(2.0, 1), (6.0, 2), (12.0, 3), (0.5, 1), (0.0, 0), (1e-9, 0)]
+
+    @pytest.mark.parametrize("strength,count", PINNED)
     def test_sech2_bound_state_counts(self, strength, count):
         assert scattering_bound_states(strength) == count
+        assert reference_bound_states(strength) == count
+
+    @pytest.mark.parametrize("strengths", [
+        np.linspace(0.0, 60.0, 241),     # sweep
+        (0.5, 2.0, 6.0, 12.0),           # demo 05
+        np.linspace(1.96, 2.04, 17),     # single-mode benchmark pulses
+        np.linspace(5.88, 6.12, 17),
+    ])
+    def test_closed_form_matches_eigen_solve(self, strengths):
+        checked = [s for s in strengths if not _near_threshold(s)]
+        assert len(checked) >= len(strengths) - 1    # the band is narrow
+        assert ([scattering_bound_states(s) for s in checked]
+                == [reference_bound_states(s) for s in checked])
+
+    def test_integer_nu_rejects_its_edge_state(self):
+        # strength nu (nu + 1) has a zero-energy state at j = nu
+        for nu in range(1, 6):
+            assert scattering_bound_states(nu * (nu + 1.0)) == nu
 
     def test_strength_rescaling(self):
         assert canonical_pulse_strength(2.0, 1.0, 6.0, 1.0) == pytest.approx(2.0)
@@ -288,7 +316,7 @@ class TestFission:
         assert a == b
 
     def test_rejects_multimode(self):
-        pair = build_traveling_pair(check_residual=False)
+        pair = build_traveling_pair()
         with pytest.raises(ValueError):
             fission_census(pair.coeffs, 1.0, 1.0, 0.1)
 
@@ -323,10 +351,8 @@ class TestTravelingPair:
         coeffs = CoefficientSet(mode_indices=(1, 2),
                                 c=np.array([1.0, 0.8]),
                                 d=np.array([0.1, 0.05]), g=g)
-        orc1 = kdv_soliton_oracle(1.0, 3.0, 0.1, 0.9, x0=6.0, domain=12.0,
-                                  check_residual=False)
-        orc2 = kdv_soliton_oracle(0.8, 2.0, 0.05, 0.7, x0=6.0, domain=12.0,
-                                  check_residual=False)
+        orc1 = kdv_soliton_oracle(1.0, 3.0, 0.1, 0.9, x0=6.0, domain=12.0)
+        orc2 = kdv_soliton_oracle(0.8, 2.0, 0.05, 0.7, x0=6.0, domain=12.0)
         grid = Grid(h_x=12.0 / 240, n_points=240)
         state = ModeState(0.0, np.vstack([orc1(grid.x, 0.0),
                                           orc2(grid.x, 0.0)]))
