@@ -38,7 +38,7 @@ class Stratification:
 
     def __post_init__(self):
         if not self.N > 0:
-            raise ValueError(f"buoyancy frequency must be positive, got {self.N}")
+            raise ValueError(f"buoyancy frequency N must be positive, got {self.N}")
         if not self.depth > 0:
             raise ValueError(f"depth must be positive, got {self.depth}")
 

@@ -107,12 +107,28 @@ def mcewan_default():
 
 def validate(cfg):
     """Check all scenario invariants; returns a list of violations,
-    one human-readable string naming the field and the rule each."""
-    out = []
-    if not cfg.strat.N > 0:
-        out.append(f"stratification.N: must be > 0, got {cfg.strat.N}")
-    if not cfg.strat.depth > 0:
-        out.append(f"stratification.depth: must be > 0, got {cfg.strat.depth}")
+    one human-readable string naming the field and the rule each.
+
+    Non-finite values are reported alone: the range rules assume finite
+    numbers, and an infinite one would pass some of them and only fail
+    once the run has started."""
+    floats = {
+        "stratification.N": cfg.strat.N,
+        "stratification.depth": cfg.strat.depth,
+        "paddle.a": cfg.paddle.a,
+        "paddle.l": cfg.paddle.l,
+        "paddle.b": cfg.paddle.b,
+        "paddle.z0": cfg.paddle.z0,
+        "grid.h_x": cfg.grid.h_x,
+        "grid.x0": cfg.grid.x0,
+        "t_end": cfg.t_end,
+        "sigma": cfg.sigma,
+        "beta2": cfg.beta2,
+    }
+    out = [f"{name}: must be finite, got {value}"
+           for name, value in floats.items() if not math.isfinite(value)]
+    if out:
+        return out
     if cfg.paddle.a == 0:
         out.append("paddle.a: must be nonzero")
     if not cfg.paddle.l > 0:
@@ -140,8 +156,8 @@ def validate(cfg):
             f"({MIN_DOMAIN_PULSE_RATIO * cfg.paddle.l}); wrap-around would "
             f"contaminate the run"
         )
-    if not 0 <= cfg.t_end < math.inf:
-        out.append(f"t_end: must be finite and >= 0, got {cfg.t_end}")
+    if cfg.t_end < 0:
+        out.append(f"t_end: must be >= 0, got {cfg.t_end}")
     elif not cfg.t_end / cfg.scheme.tau < MAX_STEPS:
         # the ratio step_count rounds up; it is inf where step_count
         # would overflow
@@ -228,9 +244,18 @@ def parse_config(text):
     """Parse the sectioned key = value format back into a ScenarioConfig.
 
     Missing keys fall back to the reference defaults, so partial files
-    are usable; unknown sections or keys are rejected."""
+    are usable; unknown sections or keys are rejected.  A file the
+    parser cannot read (duplicate keys or sections, no section header, a
+    line without `=`, a bad `%(name)s` reference) raises ValueError."""
     cp = configparser.ConfigParser()
-    cp.read_string(text)
+    try:
+        cp.read_string(text)
+        values = {(section, key): cp.get(section, key)
+                  for section in cp.sections() for key in cp[section]}
+    except configparser.Error as err:
+        # on one line: some of the parser's messages span several
+        raise ValueError("malformed config file: "
+                         + " ".join(str(err).split())) from None
     base = mcewan_default()
 
     known = {
@@ -248,8 +273,8 @@ def parse_config(text):
                 raise ValueError(f"unknown key {key!r} in section [{section}]")
 
     def get(section, key, conv, default):
-        if cp.has_option(section, key):
-            return conv(cp.get(section, key))
+        if (section, key) in values:
+            return conv(values[section, key])
         return default
 
     strat = Stratification(

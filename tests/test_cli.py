@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import wavetank.cli as cli
+from wavetank import verification
 from wavetank.cli import main
 from wavetank.coefficients import ConsistencyError
 from wavetank.fields import read_state_file
@@ -47,6 +48,26 @@ class TestParsing:
                        "--out", str(outdir)) == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "[run]\nt_end = 0\nt_end = 0.01\n",        # duplicate key
+        "[run]\nt_end = 0\n[run]\nsigma = 1\n",   # duplicate section
+        "t_end = 0\n",                              # no section header
+        "[run]\nt_end\n",                           # no '='
+        "[run]\nt_end = %(x)s\n",                   # unknown reference
+    ], ids=["duplicate-key", "duplicate-section", "no-section",
+            "no-equals", "interpolation"])
+    def test_malformed_config_file_exits_2(self, capsys, outdir, text):
+        # each raised an uncaught configparser error: a traceback and
+        # exit 1, the code of a failed check
+        cfgfile = outdir / "bad.cfg"
+        cfgfile.write_text(text)
+        assert run_cli("run", "--config", str(cfgfile), "--out", str(outdir),
+                       "--run-id", "bad") == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not (outdir / "bad").exists()
 
     def test_consistency_error_exits_1(self, capsys, outdir, monkeypatch):
         def failing_build(*args, **kwargs):
@@ -170,10 +191,22 @@ class TestRun:
         assert not (outdir / "nf").exists()
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
-    @pytest.mark.parametrize("section, key, field", [("run", "t_end", "t_end"),
-                                                     ("scheme", "dt", "tau")])
+    @pytest.mark.parametrize("section, key, field", [
+        ("run", "t_end", "t_end"),
+        ("scheme", "dt", "tau"),
+        ("stratification", "N", "N"),
+        ("stratification", "depth", "depth"),
+        ("paddle", "a", "paddle.a"),
+        ("paddle", "b", "paddle.b"),
+        ("grid", "x0", "grid.x0"),
+        ("run", "sigma", "sigma"),
+        ("run", "beta2", "beta2"),
+    ])
     def test_non_finite_config_value_exits_2(self, outdir, capsys, section,
                                              key, field, value):
+        # an infinite N, depth or b, or any non-finite a, x0, sigma or
+        # beta2, wrote config.cfg and the first snapshot, then aborted
+        # with exit 3 at step 1
         cfgfile = outdir / "nf.cfg"
         cfgfile.write_text(f"[{section}]\n{key} = {value}\n")
         assert run_cli("run", "--config", str(cfgfile), "--out", str(outdir),
@@ -296,3 +329,23 @@ class TestFissionCommand:
         text = (outdir / "fi" / "fission_report.txt").read_text()
         assert "predicted 1, detected 1" in text
         assert "predicted 2, detected 2" in text
+
+
+class TestConvergeCommand:
+    def test_one_stage_writes_the_temporal_study(self, outdir):
+        assert run_cli("converge", "--scheme", "one-stage",
+                       "--out", str(outdir), "--run-id", "cv") == 0
+        text = (outdir / "cv" / "convergence_temporal_one-stage.dat").read_text()
+        assert text == verification.measure_temporal_convergence().to_text()
+
+
+class TestVerifyCommand:
+    @pytest.mark.slow
+    def test_every_check_passes(self, outdir):
+        assert run_cli("verify", "--out", str(outdir), "--run-id", "ve") == 0
+        summary = (outdir / "ve" / "verify_summary.txt").read_text().splitlines()
+        assert len(summary) == 5
+        assert all(line.startswith("PASS  ") for line in summary)
+        rows = (outdir / "ve" / "verify_checks.dat").read_text().splitlines()
+        assert rows[0] == "check\tstatus\tdetail"
+        assert [row.split("\t")[1] for row in rows[1:]] == ["PASS"] * 5
