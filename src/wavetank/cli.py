@@ -137,12 +137,16 @@ def _write(path, text):
         fh.write(text)
 
 
+def _rejected(violations):
+    """Print each violation as a `config error:` line; True if any."""
+    for v in violations:
+        print(f"config error: {v}", file=sys.stderr)
+    return bool(violations)
+
+
 def cmd_run(args):
     cfg = _load_scenario(args)
-    violations = scenario.validate(cfg)
-    if violations:
-        for v in violations:
-            print(f"config error: {v}", file=sys.stderr)
+    if _rejected(scenario.validate(cfg)):
         return 2
     out = _out_dir(args)
     _write(os.path.join(out, "config.cfg"), scenario.serialize_config(cfg))
@@ -228,6 +232,8 @@ def cmd_run(args):
 
 def cmd_coeffs(args):
     cfg = _load_scenario(args)
+    if _rejected(scenario.validate_coefficients(cfg)):
+        return 2
     out = _out_dir(args)
     basis = cfg.basis()
     coeffs = build_coefficients(basis, sigma=cfg.sigma, beta2=cfg.beta2,

@@ -31,6 +31,7 @@ __all__ = [
     "InitialStateReport",
     "mcewan_default",
     "validate",
+    "validate_coefficients",
     "build_initial_state",
     "serialize_config",
     "parse_config",
@@ -105,6 +106,32 @@ def mcewan_default():
     )
 
 
+def _non_finite(values):
+    """A violation for each non-finite entry of {name: value}."""
+    return [f"{name}: must be finite, got {value}"
+            for name, value in values.items() if not math.isfinite(value)]
+
+
+def _mode_rules(cfg):
+    if len(cfg.modes) == 0:
+        return ["modes: list must not be empty"]
+    if any(n < 1 for n in cfg.modes) or len(set(cfg.modes)) != len(cfg.modes):
+        return [f"modes: indices must be distinct and >= 1, got {cfg.modes}"]
+    return []
+
+
+def validate_coefficients(cfg):
+    """The rules of `validate` that the coefficient tables depend on:
+    finite stratification, sigma and beta2, and a valid mode list.  The
+    paddle, grid and run-length rules do not enter the tables."""
+    return _non_finite({
+        "stratification.N": cfg.strat.N,
+        "stratification.depth": cfg.strat.depth,
+        "sigma": cfg.sigma,
+        "beta2": cfg.beta2,
+    }) or _mode_rules(cfg)
+
+
 def validate(cfg):
     """Check all scenario invariants; returns a list of violations,
     one human-readable string naming the field and the rule each.
@@ -112,7 +139,7 @@ def validate(cfg):
     Non-finite values are reported alone: the range rules assume finite
     numbers, and an infinite one would pass some of them and only fail
     once the run has started."""
-    floats = {
+    out = _non_finite({
         "stratification.N": cfg.strat.N,
         "stratification.depth": cfg.strat.depth,
         "paddle.a": cfg.paddle.a,
@@ -124,9 +151,7 @@ def validate(cfg):
         "t_end": cfg.t_end,
         "sigma": cfg.sigma,
         "beta2": cfg.beta2,
-    }
-    out = [f"{name}: must be finite, got {value}"
-           for name, value in floats.items() if not math.isfinite(value)]
+    })
     if out:
         return out
     if cfg.paddle.a == 0:
@@ -139,10 +164,7 @@ def validate(cfg):
         out.append(
             f"paddle.z0: must lie inside (0, {cfg.strat.depth}), got {cfg.paddle.z0}"
         )
-    if len(cfg.modes) == 0:
-        out.append("modes: list must not be empty")
-    elif any(n < 1 for n in cfg.modes) or len(set(cfg.modes)) != len(cfg.modes):
-        out.append(f"modes: indices must be distinct and >= 1, got {cfg.modes}")
+    out.extend(_mode_rules(cfg))
     if cfg.paddle.l < MIN_POINTS_PER_PULSE * cfg.grid.h_x:
         out.append(
             f"grid.h_x: pulse width l = {cfg.paddle.l} under-resolved; "

@@ -26,10 +26,10 @@ L = 80).  `advance` builds g once per call as a CSR matrix of shape
 (L, L^2); each stage forms the all-pair product theta^m D0 theta^k as
 an (L^2, n) array and applies the matrix, at O(L^2 n) for the product
 plus O(nnz n) for the sum, instead of the dense O(L^3 n) contraction.
-L = 1 keeps its scalar product g theta D0 theta and builds no matrix:
-a sparse call costs about 3 us per stage, and the whole two-stage step
-about 12 us at n = 300 (6 us one-stage at n = 120; 2-core Xeon, numpy
-2.4.6, scipy 1.17.1).
+L = 1 keeps its scalar product g theta D0 theta, with c, e and g as
+Python floats, and builds no matrix: a sparse call costs about 3 us per
+stage, and the whole two-stage step about 18 us at n = 300 (12 us
+one-stage at n = 120; 2-core Xeon, numpy 2.4.6, scipy 1.17.1).
 
 `advance` steps in place.  Per call it allocates the padded state
 (L, n + 4), with the state in columns 2..n+1, a padded half-stage
@@ -43,6 +43,11 @@ failed check means the first bad stage lies after the checkpoint: the
 same kernel replays from it with a check after every stage and raises
 NonFiniteError at the exact step, with the last finite state and the
 stage named in its cause.
+
+`semi_discrete_limit` gives the tau -> 0 limit of either scheme: the
+same D0, D3 and e_n, integrated by ETDRK4 with the linear part exact in
+rfft space, and returned only once step doubling has settled to
+LIMIT_RTOL.  It is the yardstick of the temporal order study.
 
 Single-mode periodic runs conserve the discrete mass sum_i theta_i to
 round-off: D0, D3 and theta * D0 theta all telescope on a ring.
@@ -63,6 +68,7 @@ __all__ = [
     "RunReport",
     "NonFiniteError",
     "advance",
+    "semi_discrete_limit",
     "stable_tau",
     "step_count",
     "discrete_l2_norm",
@@ -75,6 +81,13 @@ ONE_STAGE = "one-stage"
 DEFAULT_GROWTH_BUDGET = 10.0
 # steps between finiteness checks of the state in `advance`
 _FINITE_CHECK_EVERY = 100
+# semi_discrete_limit accepts a step-doubled result once it agrees with
+# the one before to this share of max|theta|
+LIMIT_RTOL = 1e-8
+# the step counts semi_discrete_limit tries: 32, 64, ..., 2**13
+_LIMIT_MIN_STEPS, _LIMIT_MAX_STEPS = 32, 2**13
+# points on each contour circle of the phi-function means
+_CONTOUR_POINTS = 64
 
 
 class NonFiniteError(ArithmeticError):
@@ -213,11 +226,13 @@ def _rhs_kernel(coeffs, grid, e, triad):
     arrays are allocated here once and reused by every call."""
     L, n = coeffs.n_modes, grid.n_points
     s0, s3 = 0.5 / grid.h_x, 0.5 / grid.h_x**3
-    c, e = coeffs.c[:, None], e[:, None]
     diff1, d0, d3, tmp = (np.empty((L, n)) for _ in range(4))
     if L == 1:
-        g = coeffs.g[0, 0, 0]
+        # Python floats: a (1, 1) array would send every multiply down
+        # numpy's broadcast path
+        c, e, g = float(coeffs.c[0]), float(e[0]), float(coeffs.g[0, 0, 0])
     else:
+        c, e = coeffs.c[:, None], e[:, None]
         prod = np.empty((L, L, n))
         pairs = prod.reshape(L * L, n)
     subtract, multiply, add, copyto = (np.subtract, np.multiply, np.add,
@@ -300,6 +315,21 @@ class RunReport:
     l2: list = field(default_factory=list)
 
 
+def _check_span(state, coeffs, grid, t_end):
+    """ValueError unless `state` fits `coeffs` and `grid` and t_end does
+    not lie before it."""
+    if state.n_modes != coeffs.n_modes:
+        raise ValueError(
+            f"state has {state.n_modes} modes, coefficients {coeffs.n_modes}"
+        )
+    if state.n_points != grid.n_points:
+        raise ValueError(
+            f"state has {state.n_points} points, grid {grid.n_points}"
+        )
+    if t_end < state.time:
+        raise ValueError(f"t_end {t_end} lies before state.time {state.time}")
+
+
 def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
     """March `state` to t >= t_end with the selected scheme.
 
@@ -313,16 +343,7 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
     t0 + j * tau, never a running sum.  tau is taken as given; callers
     pick it with `stable_tau`.
     """
-    if state.n_modes != coeffs.n_modes:
-        raise ValueError(
-            f"state has {state.n_modes} modes, coefficients {coeffs.n_modes}"
-        )
-    if state.n_points != grid.n_points:
-        raise ValueError(
-            f"state has {state.n_points} points, grid {grid.n_points}"
-        )
-    if t_end < state.time:
-        raise ValueError(f"t_end {t_end} lies before state.time {state.time}")
+    _check_span(state, coeffs, grid, t_end)
     if observe_every < 0:
         raise ValueError(f"observe_every must be >= 0, got {observe_every}")
 
@@ -401,3 +422,99 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
     report.steps = n_steps
     report.wall_time = time.perf_counter() - started
     return at_step(n_steps, theta), report
+
+
+def _phi_weights(z):
+    """ETDRK4 weights of Cox & Matthews for the step symbols z = tau L,
+    as means over a unit circle around each z (Kassam & Trefethen):
+    the direct formulas cancel catastrophically for small |z|.  The
+    symbols are imaginary, so the whole circle is needed; a half circle
+    plus real part holds only for real z.  Returns (E, E2, Q, f1, f2,
+    f3), each shaped like z and missing the factor tau of Q and f."""
+    r = np.exp(2j * np.pi * (np.arange(_CONTOUR_POINTS) + 0.5)
+               / _CONTOUR_POINTS)
+    zr = z[..., None] + r
+    ez = np.exp(zr)
+    zr3 = zr**3
+    q = np.mean((np.exp(zr / 2.0) - 1.0) / zr, axis=-1)
+    f1 = np.mean((-4.0 - zr + ez * (4.0 - 3.0 * zr + zr**2)) / zr3, axis=-1)
+    f2 = np.mean((2.0 + zr + ez * (zr - 2.0)) / zr3, axis=-1)
+    f3 = np.mean((-4.0 - 3.0 * zr - zr**2 + ez * (4.0 - zr)) / zr3, axis=-1)
+    return np.exp(z), np.exp(z / 2.0), q, f1, f2, f3
+
+
+def semi_discrete_limit(state, coeffs, grid, scheme, t_end):
+    """The tau -> 0 solution at exactly t_end of the finite-difference
+    system that `scheme` integrates: theta_t = -(c D0 theta + e D3 theta
+    + sum g theta^m D0 theta^k) with that scheme's e_n.
+
+    D0 and D3 are circulant, so in rfft space they are the diagonal
+    symbols i sin(kh)/h and i (sin 2kh - 2 sin kh)/h^3 and the linear
+    part is integrated exactly; the triad term is explicit.  The
+    integrator is ETDRK4 (Cox & Matthews, J. Comput. Phys. 176, 2002).
+    The result verifies itself by step doubling: from
+    `_LIMIT_MIN_STEPS` steps the count doubles until two successive
+    results agree within LIMIT_RTOL of max|theta|, and the finer one is
+    returned.  A non-finite result raises NonFiniteError, and no
+    agreement by `_LIMIT_MAX_STEPS` steps raises RuntimeError: an
+    unverified limit is never returned as a yardstick.
+    """
+    _check_span(state, coeffs, grid, t_end)
+    # imported here: `import wavetank` stays free of numpy.fft
+    from numpy import fft
+
+    L, n = state.theta.shape
+    h = grid.h_x
+    kh = 2.0 * np.pi * np.arange(n // 2 + 1) / n
+    sym0 = 1j * np.sin(kh) / h
+    sym3 = 1j * (np.sin(2.0 * kh) - 2.0 * np.sin(kh)) / h**3
+    e = _dispersion_coefficient(coeffs, grid, scheme)
+    lin = -(coeffs.c[:, None] * sym0 + e[:, None] * sym3)
+    triad = _triad_operator(coeffs.g)
+    # the step weights carry the sign of the triad term, and g at L = 1
+    sign = -1.0 if triad is not None else -float(coeffs.g[0, 0, 0])
+    stack = np.empty((2, L, n // 2 + 1), dtype=complex)
+
+    def triad_term(v):
+        """sum g theta^m D0 theta^k of the spectrum v, as a spectrum,
+        without g at L = 1."""
+        stack[0] = v
+        np.multiply(sym0, v, out=stack[1])
+        theta, d0 = fft.irfft(stack, n)
+        if triad is None:
+            return fft.rfft(theta * d0)
+        return fft.rfft(triad @ (theta[:, None, :] * d0[None, :, :])
+                        .reshape(L * L, n))
+
+    def solve(n_steps):
+        tau = (t_end - state.time) / n_steps
+        E, E2, q, f1, f2, f3 = _phi_weights(tau * lin)
+        w = sign * tau
+        q, f1, f2, f3 = w * q, w * f1, 2.0 * w * f2, w * f3
+        v = fft.rfft(state.theta)
+        for _ in range(n_steps):
+            nv = triad_term(v)
+            e2v = E2 * v
+            a = e2v + q * nv
+            na = triad_term(a)
+            nb = triad_term(e2v + q * na)
+            nc = triad_term(E2 * a + q * (2.0 * nb - nv))
+            v = E * v + f1 * nv + f2 * (na + nb) + f3 * nc
+        return fft.irfft(v, n)
+
+    n_steps, coarse = _LIMIT_MIN_STEPS, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n_steps <= _LIMIT_MAX_STEPS:
+            fine = solve(n_steps)
+            if not np.isfinite(fine).all():
+                raise NonFiniteError(
+                    f"semi-discrete limit at t = {t_end:.6g} went non-finite "
+                    f"at {n_steps} steps", step=n_steps)
+            if (coarse is not None and np.max(np.abs(fine - coarse))
+                    <= LIMIT_RTOL * np.max(np.abs(fine))):
+                return ModeState(time=t_end, theta=fine)
+            coarse, n_steps = fine, 2 * n_steps
+    raise RuntimeError(
+        f"semi-discrete limit at t = {t_end:.6g} did not settle to "
+        f"{LIMIT_RTOL:.0e} by {_LIMIT_MAX_STEPS} steps; refusing to use it "
+        f"as a yardstick")

@@ -13,10 +13,11 @@ reported as an order.  The fission census predicts its soliton count
 from the closed-form bound states of the Poeschl-Teller well.
 
 Every study runs one fixed design.  Its time step comes from
-`stable_tau`, under the study's own growth budget or cap: the temporal
-study at `TEMPORAL_GROWTH_BUDGET`, the pair check at
-`PAIR_GROWTH_BUDGET`, and the spatial study at the default budget but
-capped by `SPATIAL_TAU_CAP_FRACTION`.
+`stable_tau`: the temporal study at the default growth budget, the pair
+check at `PAIR_GROWTH_BUDGET`, and the spatial study at the default
+budget but capped by `SPATIAL_TAU_CAP_FRACTION`.  The temporal study
+measures against `solver.semi_discrete_limit`, the step-doubling
+verified tau -> 0 limit of the scheme's own finite-difference system.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .solver import (
     advance,
     discrete_l2_norm,
     l2_per_mode,
+    semi_discrete_limit,
     stable_tau,
 )
 
@@ -64,9 +66,6 @@ __all__ = [
 
 ORACLE_RTOL = 1e-9
 FIT_RESIDUAL_LIMIT = 0.1   # log2 units
-# The one-stage reference run at tau0/64 must stay clean of the weak
-# instability, so the temporal study budgets less growth than a run.
-TEMPORAL_GROWTH_BUDGET = 8.0
 # The reversal leg doubles the growth exponent (see integrable_pair_check).
 PAIR_GROWTH_BUDGET = 5.0
 # The spatial study caps tau so that its O(tau^2) error stays below this
@@ -357,21 +356,18 @@ def measure_spatial_convergence(n_transits=100):
 def measure_temporal_convergence():
     """One-stage temporal order at 10 points per width over 5 transit
     times of a unit-width soliton, at tau0, tau0/2 and tau0/4 with tau0
-    = `stable_tau` under TEMPORAL_GROWTH_BUDGET.
+    = `stable_tau`.
 
     The O(h^2) spatial bias does not refine with tau, so the pure
-    time-stepping error is isolated against a tau -> 0 reference run of
-    the same scheme on the same grid (tau0 / 64); the norms against the
-    exact oracle are reported alongside."""
+    time-stepping error is isolated against the tau -> 0 limit of the
+    same one-stage system on the same grid (`semi_discrete_limit`); the
+    norms against the exact oracle are reported alongside."""
     orc = _unit_width_soliton(amplitude=1.0, g=1.2, speed=30.0)
     grid = orc.grid(10)
     horizon = 5 * orc.width / abs(orc.speed)
-    tau0 = stable_tau(orc.coeffs, grid, ONE_STAGE, horizon,
-                      TEMPORAL_GROWTH_BUDGET)
-
-    ref_tau, _ = _whole_steps(tau0 / 64, horizon)
-    reference, _ = advance(orc.state(grid, 0.0), orc.coeffs, grid,
-                           SchemeParams(tau=ref_tau, scheme=ONE_STAGE), horizon)
+    tau0 = stable_tau(orc.coeffs, grid, ONE_STAGE, horizon)
+    reference = semi_discrete_limit(orc.state(grid, 0.0), orc.coeffs, grid,
+                                    ONE_STAGE, horizon)
     return _convergence_study("temporal", ONE_STAGE, orc,
                               [(grid, tau0 / div) for div in (1, 2, 4)],
                               horizon, reference)

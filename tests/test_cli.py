@@ -322,6 +322,35 @@ class TestCoeffs:
                        "--run-id", "m3") == 0
         assert not (outdir / "m3" / "reconciliation.dat").exists()
 
+    @pytest.mark.parametrize("section, key, value, field", [
+        ("stratification", "N", "inf", "stratification.N"),
+        ("stratification", "depth", "inf", "stratification.depth"),
+        ("run", "sigma", "inf", "sigma"),
+        ("run", "beta2", "-inf", "beta2"),
+        ("run", "modes", "2,2", "modes"),
+    ])
+    def test_invalid_config_exits_2_before_any_output(
+            self, outdir, capsys, section, key, value, field):
+        # N = inf exited 0 with cd_table.dat rows of "inf nan"
+        cfgfile = outdir / "bad.cfg"
+        cfgfile.write_text(f"[{section}]\n{key} = {value}\n")
+        assert run_cli("coeffs", "--config", str(cfgfile),
+                       "--out", str(outdir), "--run-id", "bad") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: {field}")
+        assert not (outdir / "bad").exists()
+
+    def test_paddle_and_grid_rules_do_not_apply(self, outdir):
+        # a pulse far below the grid spacing stops `run`, not the tables
+        cfgfile = outdir / "pulse.cfg"
+        cfgfile.write_text("[paddle]\nl = 1e-6\n[grid]\nx0 = 1e300\n")
+        assert run_cli("run", "--config", str(cfgfile),
+                       "--out", str(outdir), "--run-id", "r") == 2
+        assert run_cli("coeffs", "--config", str(cfgfile),
+                       "--out", str(outdir), "--run-id", "c") == 0
+        assert (outdir / "c" / "cd_table.dat").exists()
+
 
 class TestFissionCommand:
     def test_fission_report(self, outdir):

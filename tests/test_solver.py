@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import wavetank
+import wavetank.solver as solver
 from wavetank.coefficients import build_coefficients
 from wavetank.modes import Stratification, build_constant_n_basis
 from wavetank.scenario import build_initial_state, mcewan_default
@@ -28,9 +29,14 @@ from wavetank.solver import (
     discrete_l2_norm,
     l2_per_mode,
     mass_per_mode,
+    semi_discrete_limit,
     stable_tau,
 )
-from wavetank.verification import kdv_soliton_oracle, single_mode_coefficients
+from wavetank.verification import (
+    build_traveling_pair,
+    kdv_soliton_oracle,
+    single_mode_coefficients,
+)
 
 
 def one_step(state, coeffs, grid, tau, scheme=TWO_STAGE):
@@ -180,7 +186,8 @@ class TestNorm:
 
 
 def test_import_and_single_mode_run_load_no_scipy():
-    # scipy.sparse is imported only for L > 1 and nothing else needs scipy
+    # scipy.sparse is imported only for L > 1 and nothing else needs
+    # scipy; numpy.fft only by semi_discrete_limit
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -190,12 +197,13 @@ def test_import_and_single_mode_run_load_no_scipy():
         "wt.advance(wt.ModeState(0.0, np.ones((1, 32))), coeffs, grid,\n"
         "           wt.SchemeParams(tau=1e-5), 1e-4)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print('numpy.fft' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(wavetank.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "False"]
 
 
 class TestTimestepPolicy:
@@ -591,3 +599,77 @@ class TestExactAbort:
         before, _ = advance(state, coeffs, grid, params, 588 * params.tau)
         assert np.array_equal(err.value.last_state.theta, before.theta)
         assert err.value.last_state.time == before.time
+
+
+def whole_step_run(wave, grid, tau, scheme, horizon):
+    """`wave` advanced to `horizon` in whole steps near tau; the state and
+    the step count."""
+    n_steps = max(1, round(horizon / tau))
+    final, _ = advance(wave.state(grid, 0.0), wave.coeffs, grid,
+                       SchemeParams(horizon / n_steps, scheme), horizon)
+    return final, n_steps
+
+
+class TestSemiDiscreteLimit:
+    """The verified tau -> 0 limit of each scheme's finite-difference
+    system, on the coupled travelling pair (L = 2, n = 96)."""
+
+    HORIZON = 0.5
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        wave = build_traveling_pair()
+        return wave, wave.grid(8)
+
+    def test_two_stage_converges_to_it_at_second_order(self, pair):
+        wave, grid = pair
+        limit = semi_discrete_limit(wave.state(grid, 0.0), wave.coeffs, grid,
+                                    TWO_STAGE, self.HORIZON)
+        assert limit.time == self.HORIZON
+        tau = stable_tau(wave.coeffs, grid, TWO_STAGE, self.HORIZON)
+        runs = [whole_step_run(wave, grid, tau / div, TWO_STAGE, self.HORIZON)
+                for div in (4, 16)]
+        (coarse, n1), (fine, n2) = runs
+        e1 = discrete_l2_norm(coarse, limit, grid)
+        e2 = discrete_l2_norm(fine, limit, grid)
+        assert e2 < 1e-6
+        assert 1.9 <= math.log(e1 / e2) / math.log(n2 / n1) <= 2.1
+
+    def test_one_stage_converges_to_it_at_first_order(self, pair):
+        # a quarter of stable_tau keeps the growth the policy budgets at
+        # stable_tau out of the first-order error
+        wave, grid = pair
+        limit = semi_discrete_limit(wave.state(grid, 0.0), wave.coeffs, grid,
+                                    ONE_STAGE, self.HORIZON)
+        tau = stable_tau(wave.coeffs, grid, ONE_STAGE, self.HORIZON) / 4
+        (coarse, n1), (fine, n2) = [
+            whole_step_run(wave, grid, t, ONE_STAGE, self.HORIZON)
+            for t in (tau, tau / 2)]
+        e1 = discrete_l2_norm(coarse, limit, grid)
+        e2 = discrete_l2_norm(fine, limit, grid)
+        assert 0.95 <= math.log(e1 / e2) / math.log(n2 / n1) <= 1.05
+
+    def test_conserves_mass(self, pair):
+        wave, grid = pair
+        start = wave.state(grid, 0.0)
+        limit = semi_discrete_limit(start, wave.coeffs, grid, TWO_STAGE,
+                                    self.HORIZON)
+        drift = mass_per_mode(limit, grid) - mass_per_mode(start, grid)
+        assert np.max(np.abs(drift)) <= 1e-12
+
+    def test_refuses_a_limit_that_does_not_settle(self, monkeypatch):
+        grid = Grid(h_x=0.5, n_points=16)
+        coeffs = single_mode_coefficients(1.0, 6.0, 1.0)
+        state = ModeState(0.0, np.cos(2 * np.pi * np.arange(16) / 16)[None, :])
+        monkeypatch.setattr(solver, "LIMIT_RTOL", 0.0)
+        with pytest.raises(RuntimeError, match="did not settle"):
+            semi_discrete_limit(state, coeffs, grid, TWO_STAGE, 0.1)
+
+    def test_refuses_a_non_finite_limit(self):
+        grid = Grid(h_x=0.5, n_points=16)
+        coeffs = single_mode_coefficients(1.0, 6.0, 1.0)
+        theta = np.zeros((1, 16))
+        theta[0, 3] = np.nan
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            semi_discrete_limit(ModeState(0.0, theta), coeffs, grid,
+                                TWO_STAGE, 0.1)
