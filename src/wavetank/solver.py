@@ -19,25 +19,41 @@ Both are weakly unstable on the dispersive spectrum, so one policy
 picks tau for both: `stable_tau` bounds the round-off growth of the
 grid-scale mode over the run's horizon by a fixed budget.
 
-The triad term sum_{m,k} g^n_{m,k} theta^m D0 theta^k is applied
-through the nonzeros of g, which lie only on the resonance branches
-n = m + k and n = |m - k| (4.5 % of the entries at L = 32, 1.8 % at
-L = 80).  `advance` builds g once per call as a CSR matrix of shape
-(L, L^2); each stage forms the all-pair product theta^m D0 theta^k as
-an (L^2, n) array and applies the matrix, at O(L^2 n) for the product
-plus O(nnz n) for the sum, instead of the dense O(L^3 n) contraction.
-L = 1 keeps its scalar product g theta D0 theta, with c, e and g as
-Python floats, and builds no matrix: a sparse call costs about 3 us per
-stage, and the whole two-stage step about 18 us at n = 300 (12 us
-one-stage at n = 120; 2-core Xeon, numpy 2.4.6, scipy 1.17.1).
+Each stage computes its increment dt * rhs in one kernel.  With
+D1 = theta_{i+1} - theta_{i-1}, D4 = theta_{i+2} - theta_{i-2},
+s0 = 1/(2h) and s3 = 1/(2h^3),
+
+    dt (c D0 theta + e D3 theta + sum_{m,k} g^n_{m,k} theta^m D0 theta^k)
+        = A D1 + F D4 + T_dt(theta^m D1^k),
+    A = dt (c s0 - 2 e s3),  F = dt e s3,  T_dt = dt s0 g,
+
+so tau, the stencil scales and the coefficients meet once per `advance`
+call, in per-mode factors, and a stage is the two differences, their
+products and one subtract(theta, increment, out=dest).
+
+The triad operator T_dt is applied through the nonzeros of g, which lie
+only on the resonance branches n = m + k and n = |m - k| (4.5 % of the
+entries at L = 32, 1.8 % at L = 80).  `advance` builds g once per call
+as a CSR matrix of shape (L, L^2) and scales a copy by dt s0 for each
+stage; each stage forms the all-pair product theta^m D1 theta^k as an
+(L^2, n) array and applies the matrix, at O(L^2 n) for the product plus
+O(nnz n) for the sum, instead of the dense O(L^3 n) contraction.  L = 1
+computes (A + B theta) D1 + F D4 with B = dt g s0 and A, B, F as Python
+floats, and builds no matrix: a (1, 1) sparse call alone costs about
+4 us.  An L = 1 stage is 10 numpy calls and an L > 1 stage 11.  The
+two-stage step at L = 1 takes about 18 us at n = 120 and at n = 300,
+one-stage about 9 us, and at L = 5, n = 256, about 87 us (medians of 5
+rounds of 10,000 steps; 2-core Xeon, numpy 2.4.6, scipy 1.17.1).
 
 `advance` steps in place.  Per call it allocates the padded state
 (L, n + 4), with the state in columns 2..n+1, a padded half-stage
-buffer (two-stage) and the work arrays of the right-hand side; each
-stage refreshes the four ghost columns and evaluates the stencil
-through `out=` ufuncs into those arrays.  Finiteness is checked every
-`_FINITE_CHECK_EVERY` steps, before every observation and after the
-last step, and each passing check copies the state into a checkpoint.
+buffer (two-stage), the increment and one set of work arrays (D1, a
+temporary and, for L > 1, the (L, L, n) pair product) shared by every
+stage; each stage refreshes the four ghost columns and evaluates the
+stencil through `out=` ufuncs into those arrays.  Finiteness is checked
+every `_FINITE_CHECK_EVERY` steps, before every observation and after
+the last step, and each passing check copies the state into a
+checkpoint.
 A non-finite value stays non-finite through every later stage, so a
 failed check means the first bad stage lies after the checkpoint: the
 same kernel replays from it with a check after every stage and raises
@@ -219,58 +235,68 @@ def _stencil_views(pad):
             + tuple(pad[:, s:s + n] for s in range(5)))
 
 
-def _rhs_kernel(coeffs, grid, e, triad):
-    """rhs(views, out): c D0 theta + sum g theta^m D0 theta^k + e D3 theta,
-    per mode, written into `out` for the padded state behind `views`
-    (`_stencil_views`); `triad` is `_triad_operator(coeffs.g)`.  The work
-    arrays are allocated here once and reused by every call."""
+def _increment_kernel(coeffs, grid, e, triad):
+    """increment(dt) -> inc(views, out): dt (c D0 theta + e D3 theta
+    + sum g theta^m D0 theta^k), per mode, written into `out` for the
+    padded state behind `views` (`_stencil_views`); `triad` is
+    `_triad_operator(coeffs.g)`.  With D1 = theta_{i+1} - theta_{i-1} and
+    D4 = theta_{i+2} - theta_{i-2}, this is A D1 + F D4 + T(theta^m D1^k)
+    for A = dt (c s0 - 2 e s3), F = dt e s3 and T the triad matrix times
+    dt s0 (s0 = 1/2h, s3 = 1/2h^3).  Every `inc` shares the work arrays,
+    allocated here once."""
     L, n = coeffs.n_modes, grid.n_points
     s0, s3 = 0.5 / grid.h_x, 0.5 / grid.h_x**3
-    diff1, d0, d3, tmp = (np.empty((L, n)) for _ in range(4))
-    if L == 1:
-        # Python floats: a (1, 1) array would send every multiply down
-        # numpy's broadcast path
-        c, e, g = float(coeffs.c[0]), float(e[0]), float(coeffs.g[0, 0, 0])
-    else:
-        c, e = coeffs.c[:, None], e[:, None]
+    diff1, tmp = np.empty((L, n)), np.empty((L, n))
+    if L > 1:
         prod = np.empty((L, L, n))
         pairs = prod.reshape(L * L, n)
     subtract, multiply, add, copyto = (np.subtract, np.multiply, np.add,
                                        np.copyto)
 
-    def rhs(views, out):
-        ghost_lo, wrap_lo, ghost_hi, wrap_hi, p0, p1, theta, p3, p4 = views
-        copyto(ghost_lo, wrap_lo)
-        copyto(ghost_hi, wrap_hi)
-        subtract(p3, p1, out=diff1)                  # theta_{i+1} - theta_{i-1}
-        multiply(diff1, s0, out=d0)
-        subtract(p4, p0, out=d3)
-        multiply(diff1, 2.0, out=tmp)
-        subtract(d3, tmp, out=d3)
-        multiply(d3, s3, out=d3)
-        multiply(c, d0, out=out)
-        multiply(e, d3, out=tmp)
-        add(out, tmp, out=out)
+    def increment(dt):
+        a = dt * (coeffs.c * s0 - 2.0 * e * s3)
+        f = dt * e * s3
         if L == 1:
-            multiply(g, theta, out=tmp)
-            multiply(tmp, d0, out=tmp)
-            add(out, tmp, out=out)
+            # Python floats: a (1, 1) array would send every multiply down
+            # numpy's broadcast path
+            a, f = float(a[0]), float(f[0])
+            b = dt * float(coeffs.g[0, 0, 0]) * s0
         else:
-            multiply(theta[:, None, :], d0[None, :, :], out=prod)
-            add(out, triad @ pairs, out=out)
-        return out
+            a, f = a[:, None], f[:, None]
+            scaled = triad * (dt * s0)
 
-    return rhs
+        def inc(views, out):
+            ghost_lo, wrap_lo, ghost_hi, wrap_hi, p0, p1, theta, p3, p4 = views
+            copyto(ghost_lo, wrap_lo)
+            copyto(ghost_hi, wrap_hi)
+            subtract(p3, p1, out=diff1)          # theta_{i+1} - theta_{i-1}
+            subtract(p4, p0, out=out)            # theta_{i+2} - theta_{i-2}
+            multiply(out, f, out=out)
+            if L == 1:
+                multiply(theta, b, out=tmp)      # (A + B theta) D1
+                add(tmp, a, out=tmp)
+                multiply(tmp, diff1, out=tmp)
+                add(out, tmp, out=out)
+            else:
+                multiply(diff1, a, out=tmp)
+                add(out, tmp, out=out)
+                multiply(theta[:, None, :], diff1[None, :, :], out=prod)
+                add(out, scaled @ pairs, out=out)
+            return out
+
+        return inc
+
+    return increment
 
 
 def _rhs(theta, coeffs, grid, e, triad):
     """c D0 theta + sum g theta^m D0 theta^k + e D3 theta, per mode, as a
-    new array; the arithmetic of `_rhs_kernel`."""
+    new array: the dt = 1 increment of `_increment_kernel`."""
     L, n = theta.shape
     pad = np.empty((L, n + 4))
     pad[:, 2:n + 2] = theta
-    return _rhs_kernel(coeffs, grid, e, triad)(_stencil_views(pad),
-                                               np.empty((L, n)))
+    inc = _increment_kernel(coeffs, grid, e, triad)(1.0)
+    return inc(_stencil_views(pad), np.empty((L, n)))
 
 
 def mass_per_mode(state, grid):
@@ -350,27 +376,28 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
     tau, t0 = params.tau, state.time
     n_steps = step_count(t0, t_end, tau)
     L, n = state.theta.shape
-    rhs = _rhs_kernel(coeffs, grid,
-                      _dispersion_coefficient(coeffs, grid, params.scheme),
-                      _triad_operator(coeffs.g))
+    increment = _increment_kernel(
+        coeffs, grid, _dispersion_coefficient(coeffs, grid, params.scheme),
+        _triad_operator(coeffs.g))
     views = _stencil_views(np.empty((L, n + 4)))
     theta = views[6]               # the state, advanced in place
     theta[...] = state.theta
     out = np.empty((L, n))
-    # (stage input, dt, destination, name): every stage is based on theta
+    # (stage input, increment, destination, name): every stage is based
+    # on theta
     if params.scheme == TWO_STAGE:
         half_views = _stencil_views(np.empty((L, n + 4)))
-        stages = ((views, tau / 2.0, half_views[6], "half step"),
-                  (half_views, tau, theta, "full step"))
+        stages = ((views, increment(tau / 2.0), half_views[6], "half step"),
+                  (half_views, increment(tau), theta, "full step"))
     else:
-        stages = ((views, tau, theta, "one-stage step"),)
-    multiply, subtract = np.multiply, np.subtract
+        stages = ((views, increment(tau), theta, "one-stage step"),)
+    subtract = np.subtract
 
     def step(check=False):
         """One step in place; with `check`, the name of the first stage
         that produced non-finite values, else None."""
-        for at, dt, dest, what in stages:
-            subtract(theta, multiply(rhs(at, out), dt, out=out), out=dest)
+        for at, inc, dest, what in stages:
+            subtract(theta, inc(at, out), out=dest)
             if check and not np.isfinite(dest).all():
                 return what
         return None

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -442,40 +443,67 @@ class TestMassProperty:
         assert drift <= bound
 
 
-def reference_rhs(theta, coeffs, grid, e, triad):
-    """The right-hand side with fresh arrays for every intermediate: a
-    padded copy, shifted views and the same float expressions, in the same
-    order, as the in-place kernel."""
-    h = grid.h_x
+def reference_increment(theta, coeffs, grid, e, triad, dt):
+    """dt times the right-hand side with fresh arrays for every
+    intermediate: a padded copy, shifted views and the same fused float
+    expressions, in the same order, as the in-place kernel."""
+    s0, s3 = 0.5 / grid.h_x, 0.5 / grid.h_x**3
     L, n = theta.shape
     pad = np.concatenate((theta[:, -2:], theta, theta[:, :2]), axis=1)
     diff1 = pad[:, 3:n + 3] - pad[:, 1:n + 1]
-    d0 = diff1 * (0.5 / h)
-    d3 = (pad[:, 4:n + 4] - pad[:, 0:n] - 2.0 * diff1) * (0.5 / h**3)
-    out = coeffs.c[:, None] * d0 + e[:, None] * d3
+    a = dt * (coeffs.c * s0 - 2.0 * e * s3)
+    out = (pad[:, 4:n + 4] - pad[:, 0:n]) * (dt * e * s3)[:, None]
     if L == 1:
-        out += coeffs.g[0, 0, 0] * theta * d0
-    else:
-        out += triad @ (theta[:, None, :] * d0[None, :, :]).reshape(L * L, n)
-    return out
+        b = dt * coeffs.g[0, 0, 0] * s0
+        return out + (theta * b + a[0]) * diff1
+    out = out + diff1 * a[:, None]
+    pairs = (theta[:, None, :] * diff1[None, :, :]).reshape(L * L, n)
+    return out + (triad * (dt * s0)) @ pairs
 
 
 def reference_trajectory(theta, coeffs, grid, tau, scheme, steps):
     """theta after 0..steps steps, one stage at a time:
-    theta <- theta - tau rhs(theta - (tau/2) rhs(theta)) (two-stage) or
-    theta <- theta - tau rhs(theta) (one-stage)."""
+    theta <- theta - inc_tau(theta - inc_tau/2(theta)) (two-stage) or
+    theta <- theta - inc_tau(theta) (one-stage), inc_dt the fused
+    increment dt rhs."""
     e = _dispersion_coefficient(coeffs, grid, scheme)
     triad = _triad_operator(coeffs.g)
     out = [theta]
     for _ in range(steps):
         if scheme == TWO_STAGE:
-            half = theta - (tau / 2.0) * reference_rhs(theta, coeffs, grid,
-                                                       e, triad)
-            theta = theta - tau * reference_rhs(half, coeffs, grid, e, triad)
+            half = theta - reference_increment(theta, coeffs, grid, e, triad,
+                                               tau / 2.0)
+            theta = theta - reference_increment(half, coeffs, grid, e, triad,
+                                                tau)
         else:
-            theta = theta - tau * reference_rhs(theta, coeffs, grid, e, triad)
+            theta = theta - reference_increment(theta, coeffs, grid, e,
+                                                triad, tau)
         out.append(theta)
     return out
+
+
+def textbook_trajectory(theta, coeffs, grid, tau, scheme, steps):
+    """theta after `steps` unfused steps theta - tau (c D0 theta
+    + e D3 theta + sum g theta^m D0 theta^k), each difference quotient
+    formed on its own and the triad term by the dense contraction."""
+    h = grid.h_x
+    e = _dispersion_coefficient(coeffs, grid, scheme)[:, None]
+    c = coeffs.c[:, None]
+
+    def rhs(u):
+        def shift(s):
+            return np.roll(u, -s, axis=1)
+        d0 = (shift(1) - shift(-1)) / (2.0 * h)
+        d3 = (shift(2) - 2.0 * shift(1) + 2.0 * shift(-1) - shift(-2)) / (
+            2.0 * h**3)
+        return c * d0 + e * d3 + dense_triad(coeffs.g, u, grid)
+
+    for _ in range(steps):
+        if scheme == TWO_STAGE:
+            theta = theta - tau * rhs(theta - 0.5 * tau * rhs(theta))
+        else:
+            theta = theta - tau * rhs(theta)
+    return theta
 
 
 def finite_tau(coeffs, grid, scheme, theta):
@@ -516,11 +544,50 @@ class TestInPlaceKernel:
         assert np.array_equal(final.theta, ref[steps])
         for j, snap in seen.items():
             assert np.array_equal(snap, ref[j])
-        # the wrapper the triad test uses is the same arithmetic
+        # the wrapper the triad test uses is the same arithmetic at dt = 1
         e = _dispersion_coefficient(coeffs, grid, scheme)
         triad = _triad_operator(coeffs.g)
-        assert np.array_equal(_rhs(theta, coeffs, grid, e, triad),
-                              reference_rhs(theta, coeffs, grid, e, triad))
+        assert np.array_equal(
+            _rhs(theta, coeffs, grid, e, triad),
+            reference_increment(theta, coeffs, grid, e, triad, 1.0))
+
+    @given(modes=st.sampled_from([(1,), (2,), (1, 2, 3), (1, 3, 4)]),
+           scheme=st.sampled_from([TWO_STAGE, ONE_STAGE]),
+           n_points=st.integers(8, 64),
+           steps=st.integers(1, 30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_unfused_textbook_step_to_roundoff(self, modes, scheme,
+                                                       n_points, steps, seed):
+        # folding tau and the stencil scales into per-mode coefficients
+        # reorders the float arithmetic but not the scheme
+        coeffs = tank_coefficients(modes)
+        grid = Grid(h_x=0.5 / n_points, n_points=n_points)
+        theta = np.random.default_rng(seed).standard_normal(
+            (len(modes), n_points))
+        tau = finite_tau(coeffs, grid, scheme, theta)
+        final, _ = advance(ModeState(0.0, theta), coeffs, grid,
+                           SchemeParams(tau, scheme), steps * tau)
+        ref = textbook_trajectory(theta, coeffs, grid, tau, scheme, steps)
+        assert (np.max(np.abs(final.theta - ref))
+                <= 1e-12 * np.max(np.abs(ref)))
+
+    def test_two_stage_work_buffers_are_shared(self):
+        # both stages share one (L, L, n) pair product: a second one would
+        # take the peak past 1.5 L^2 n doubles
+        L, n = 32, 256
+        coeffs = tank_coefficients(tuple(range(2, 2 * L + 1, 2)))
+        grid = Grid(h_x=0.5 / n, n_points=n)
+        x = 2.0 * np.pi * np.arange(n) / n
+        state = ModeState(0.0, 1e-3 * np.sin(np.arange(1, L + 1)[:, None] * x))
+        params = SchemeParams(1e-9)
+        advance(state, coeffs, grid, params, 2 * params.tau)   # warm imports
+        tracemalloc.start()
+        try:
+            advance(state, coeffs, grid, params, 2 * params.tau)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * L * L * n * 8
 
     def test_no_buffer_aliasing(self):
         # snapshots and the returned state are copies, never views of the
@@ -578,12 +645,13 @@ class TestExactAbort:
         assert np.array_equal(last.theta, before.theta)
 
     def test_half_stage_abort_off_the_check_grid(self):
-        # a linear (g = 0) grid-scale wave at tau far beyond stable_tau
-        # overflows first in the half stage of step 589
+        # a linear (g = 0) grid-scale wave of amplitude 3 at tau far beyond
+        # stable_tau overflows first in the half stage of step 589
         grid = Grid(h_x=1.0, n_points=16)
         coeffs = single_mode_coefficients(1.0, 6.0, 1.0)
         coeffs.g[0, 0, 0] = 0.0
-        state = ModeState(0.0, np.cos(np.pi * np.arange(16) / 2)[None, :])
+        state = ModeState(0.0,
+                          3.0 * np.cos(np.pi * np.arange(16) / 2)[None, :])
         params = SchemeParams(tau=2.0)
         seen = []
         with pytest.raises(NonFiniteError) as err:
