@@ -8,6 +8,7 @@ profile onto the first five even modes.
 import numpy as np
 
 from wavetank import Stratification, build_constant_n_basis, project_profile, weighted_inner_product
+from wavetank.modes import simpson_grid
 from wavetank.scenario import mcewan_default
 
 strat = Stratification(N=1.23, depth=0.25)
@@ -17,8 +18,7 @@ print("mode   c_n [m/s]     B_n")
 for n, c, b in zip(basis.indices, basis.speeds, basis.amplitudes):
     print(f"{n:4d}   {c:.6f}   {b:.6f}")
 
-z = np.linspace(0.0, strat.depth, 1025)
-zmat = basis.evaluate(z)
+zmat = basis.evaluate(simpson_grid(strat.depth)[0])
 worst = max(
     abs(weighted_inner_product(zmat[i], zmat[j], strat) - (i == j))
     for i in range(5) for j in range(5)

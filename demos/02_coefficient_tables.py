@@ -1,8 +1,8 @@
 """Coupled-KdV coefficients for the five-mode reference configuration.
 
 Computes the dispersion vector and the nonlinear interaction tensor by
-both quadrature and the closed-form resonance rule, then reconciles
-them against the embedded reference tables entry by entry.
+the closed-form resonance rule, then reconciles them against the
+embedded reference tables entry by entry.
 """
 
 import numpy as np

@@ -288,7 +288,8 @@ def cmd_converge(args):
 
 
 def cmd_verify(args):
-    from .modes import build_constant_n_basis, weighted_inner_product, Stratification
+    from .modes import (Stratification, build_constant_n_basis, simpson_grid,
+                        weighted_inner_product)
 
     out = _out_dir(args)
     checks = []
@@ -296,7 +297,7 @@ def cmd_verify(args):
     strat = Stratification(N=1.23, depth=0.25)
     basis = build_constant_n_basis(strat, (2, 4, 6, 8, 10))
     worst = 0.0
-    zmat = basis.evaluate(np.linspace(0, strat.depth, 1025))
+    zmat = basis.evaluate(simpson_grid(strat.depth)[0])
     for i in range(basis.n_modes):
         for j in range(basis.n_modes):
             val = weighted_inner_product(zmat[i], zmat[j], strat)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import reference_tables as ref
-from .modes import simpson_weights
+from .modes import simpson_grid
 
 __all__ = [
     "CoefficientSet",
@@ -45,7 +45,6 @@ __all__ = [
     "reconcile_with_reference",
 ]
 
-QUAD_POINTS_TENSOR = 1025
 CONSISTENCY_RTOL = 1e-8
 CONFIRM_RTOL = 0.05
 
@@ -128,13 +127,9 @@ def _tensor_closed_form(basis, sigma):
     return sigma * g
 
 
-def _tensor_quadrature(basis, sigma, quad_points):
+def _tensor_quadrature(basis, sigma):
     strat = basis.strat
-    if quad_points % 2 == 0:
-        quad_points += 1
-    z = np.linspace(0.0, strat.depth, quad_points)
-    dz = strat.depth / (quad_points - 1)
-    w = simpson_weights(quad_points)
+    z, w, dz = simpson_grid(strat.depth)
     zeta = np.pi * z / strat.depth
 
     nidx = np.asarray(basis.indices, dtype=float)
@@ -160,12 +155,11 @@ def _tensor_quadrature(basis, sigma, quad_points):
     return g, size
 
 
-def nonlinear_coeffs(basis, method="closed_form", sigma=1.0,
-                     quad_points=QUAD_POINTS_TENSOR):
+def nonlinear_coeffs(basis, method="closed_form", sigma=1.0):
     """Interaction tensor g^n_{m,k}, shape (L, L, L) indexed [n, m, k].
 
     method is "closed_form" (resonance rule, the production path) or
-    "quadrature" (Simpson over [0, h]).  The quadrature path
+    "quadrature" (`simpson_grid` over [0, h]).  The quadrature path
     cross-checks itself against the closed form and raises
     ConsistencyError beyond 1e-8 relative, or when an off-resonance
     entry exceeds 1e-12 of the quadrature of its absolute integrand
@@ -176,7 +170,7 @@ def nonlinear_coeffs(basis, method="closed_form", sigma=1.0,
         return _tensor_closed_form(basis, sigma)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    g_quad, size = _tensor_quadrature(basis, sigma, quad_points)
+    g_quad, size = _tensor_quadrature(basis, sigma)
     g_closed = _tensor_closed_form(basis, sigma)
     scale = np.maximum(1.0, np.abs(g_closed))
     worst = float(np.max(np.abs(g_quad - g_closed) / scale))

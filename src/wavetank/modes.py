@@ -23,10 +23,12 @@ __all__ = [
     "build_constant_n_basis",
     "weighted_inner_product",
     "project_profile",
-    "simpson_weights",
+    "simpson_grid",
 ]
 
-DEFAULT_QUAD_POINTS = 1025
+# nodes of the one composite-Simpson grid on [0, h] that every vertical
+# integral uses; must be odd
+QUAD_POINTS = 1025
 
 
 @dataclass(frozen=True)
@@ -43,14 +45,15 @@ class Stratification:
             raise ValueError(f"depth must be positive, got {self.depth}")
 
 
-def simpson_weights(n_points):
-    """Composite-Simpson weights on a uniform grid of n_points (odd, >= 3)."""
-    if n_points < 3 or n_points % 2 == 0:
-        raise ValueError(f"Simpson rule needs an odd point count >= 3, got {n_points}")
-    w = np.ones(n_points)
+def simpson_grid(depth):
+    """The vertical quadrature on [0, depth]: QUAD_POINTS uniform nodes
+    z, their composite-Simpson weights w and the spacing dz, so that
+    dz * sum(w * f(z)) approximates int_0^depth f dz."""
+    z = np.linspace(0.0, depth, QUAD_POINTS)
+    w = np.ones(QUAD_POINTS)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w / 3.0
+    return z, w / 3.0, depth / (QUAD_POINTS - 1)
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,7 @@ def build_constant_n_basis(strat, mode_indices):
     )
 
 
-def weighted_inner_product(f, g, strat, quad_points=DEFAULT_QUAD_POINTS):
+def weighted_inner_product(f, g, strat):
     """N^2-weighted inner product int_0^h N^2 f(z) g(z) dz.
 
     Composite Simpson on a uniform grid (O(dz^4); for the smooth
@@ -146,20 +149,14 @@ def weighted_inner_product(f, g, strat, quad_points=DEFAULT_QUAD_POINTS):
     Euler-Maclaurin expansion cancel and the rule is far more accurate
     than its formal order).
 
-    `f` and `g` may be callables of z or arrays already sampled on the
-    uniform quadrature grid.
+    `f` and `g` may be callables of z or arrays already sampled on
+    `simpson_grid(strat.depth)[0]`.
     """
-    if quad_points < 16:
-        raise ValueError(f"quad_points must be >= 16, got {quad_points}")
-    if quad_points % 2 == 0:
-        quad_points += 1
-    z = np.linspace(0.0, strat.depth, quad_points)
+    z, w, dz = simpson_grid(strat.depth)
     fv = f(z) if callable(f) else np.asarray(f, dtype=float)
     gv = g(z) if callable(g) else np.asarray(g, dtype=float)
     if fv.shape != z.shape or gv.shape != z.shape:
         raise ValueError("sampled profiles must match the quadrature grid")
-    dz = strat.depth / (quad_points - 1)
-    w = simpson_weights(quad_points)
     return float(dz * np.sum(w * strat.N**2 * fv * gv))
 
 
@@ -173,7 +170,7 @@ class Projection:
     residual_fraction: float    # 1 - captured_fraction
 
 
-def project_profile(phi, basis, quad_points=DEFAULT_QUAD_POINTS):
+def project_profile(phi, basis):
     """Project a z-profile onto the basis: coeff_j = (Z^j, phi).
 
     Returns a `Projection`; by orthonormality the re-synthesised profile
@@ -181,14 +178,10 @@ def project_profile(phi, basis, quad_points=DEFAULT_QUAD_POINTS):
     truncated basis misses (Bessel: captured_fraction <= 1 up to
     quadrature error).
     """
-    if quad_points % 2 == 0:
-        quad_points += 1
     strat = basis.strat
-    z = np.linspace(0.0, strat.depth, quad_points)
+    z, w, dz = simpson_grid(strat.depth)
     phiv = phi(z) if callable(phi) else np.asarray(phi, dtype=float)
     zv = basis.evaluate(z)
-    dz = strat.depth / (quad_points - 1)
-    w = simpson_weights(quad_points)
     coeffs = dz * (zv * (w * strat.N**2 * phiv)[None, :]).sum(axis=1)
     norm2 = float(dz * np.sum(w * strat.N**2 * phiv**2))
     captured = float(np.sum(coeffs**2))

@@ -88,7 +88,8 @@ def mcewan_default():
     a, l, b are qualitative defaults (pulse one tenth of the tank,
     vertical structure confined to the paddle region, stream-function
     amplitude of order 1e-4 m^2/s).  tau = 4e-5 s lies below the
-    solver's `stable_tau` for this horizon (4.9e-5 s).
+    solver's `stable_tau` for this horizon (4.9e-5 s); a run continued
+    at it goes non-finite at step 1936 (t = 0.0774 s).
     """
     strat = Stratification(N=1.23, depth=0.25)
     paddle = PaddleProfile(a=4e-4, l=0.05, b=40.0, z0=strat.depth / 2.0)
@@ -265,11 +266,15 @@ def parse_modes(text):
 def parse_config(text):
     """Parse the sectioned key = value format back into a ScenarioConfig.
 
-    Missing keys fall back to the reference defaults, so partial files
-    are usable; unknown sections or keys are rejected.  A file the
-    parser cannot read (duplicate keys or sections, no section header, a
-    line without `=`, a bad `%(name)s` reference) raises ValueError."""
+    The file is read over `serialize_config(mcewan_default())`, so
+    missing keys keep the reference defaults and partial files are
+    usable; a section or key the default does not have, or a
+    [DEFAULT] section, is rejected.  A file the parser cannot read
+    (duplicate keys or sections, no section header, a line without
+    `=`, a bad `%(name)s` reference) raises ValueError."""
     cp = configparser.ConfigParser()
+    cp.read_string(serialize_config(mcewan_default()))
+    known = {section: set(cp[section]) for section in cp.sections()}
     try:
         cp.read_string(text)
         values = {(section, key): cp.get(section, key)
@@ -278,15 +283,8 @@ def parse_config(text):
         # on one line: some of the parser's messages span several
         raise ValueError("malformed config file: "
                          + " ".join(str(err).split())) from None
-    base = mcewan_default()
-
-    known = {
-        "stratification": {"n", "depth"},
-        "paddle": {"a", "l", "b", "z0"},
-        "grid": {"dx", "n_points", "x0"},
-        "scheme": {"scheme", "dt"},
-        "run": {"t_end", "snapshot_every", "modes", "sigma", "beta2"},
-    }
+    if cp.defaults():
+        raise ValueError("unknown config section [DEFAULT]")
     for section in cp.sections():
         if section not in known:
             raise ValueError(f"unknown config section [{section}]")
@@ -294,40 +292,23 @@ def parse_config(text):
             if key not in known[section]:
                 raise ValueError(f"unknown key {key!r} in section [{section}]")
 
-    def get(section, key, conv, default):
-        if (section, key) in values:
-            return conv(values[section, key])
-        return default
+    def get(section, key, conv=float):
+        return conv(values[section, key])
 
-    strat = Stratification(
-        N=get("stratification", "n", float, base.strat.N),
-        depth=get("stratification", "depth", float, base.strat.depth),
-    )
-    paddle = PaddleProfile(
-        a=get("paddle", "a", float, base.paddle.a),
-        l=get("paddle", "l", float, base.paddle.l),
-        b=get("paddle", "b", float, base.paddle.b),
-        z0=get("paddle", "z0", float, base.paddle.z0),
-    )
-    grid = Grid(
-        h_x=get("grid", "dx", float, base.grid.h_x),
-        n_points=get("grid", "n_points", int, base.grid.n_points),
-        x0=get("grid", "x0", float, base.grid.x0),
-    )
-    scheme = SchemeParams(
-        tau=get("scheme", "dt", float, base.scheme.tau),
-        scheme=get("scheme", "scheme", str, base.scheme.scheme),
-    )
     return ScenarioConfig(
-        strat=strat,
-        modes=get("run", "modes", parse_modes, base.modes),
-        paddle=paddle,
-        grid=grid,
-        scheme=scheme,
-        t_end=get("run", "t_end", float, base.t_end),
-        snapshot_every=get("run", "snapshot_every", int, base.snapshot_every),
-        sigma=get("run", "sigma", float, base.sigma),
-        beta2=get("run", "beta2", float, base.beta2),
+        strat=Stratification(N=get("stratification", "n"),
+                             depth=get("stratification", "depth")),
+        modes=get("run", "modes", parse_modes),
+        paddle=PaddleProfile(a=get("paddle", "a"), l=get("paddle", "l"),
+                             b=get("paddle", "b"), z0=get("paddle", "z0")),
+        grid=Grid(h_x=get("grid", "dx"), n_points=get("grid", "n_points", int),
+                  x0=get("grid", "x0")),
+        scheme=SchemeParams(tau=get("scheme", "dt"),
+                            scheme=get("scheme", "scheme", str)),
+        t_end=get("run", "t_end"),
+        snapshot_every=get("run", "snapshot_every", int),
+        sigma=get("run", "sigma"),
+        beta2=get("run", "beta2"),
     )
 
 

@@ -30,7 +30,8 @@ import wavetank as wt
 from wavetank import verification as V
 from wavetank.coefficients import build_coefficients, reconcile_with_reference
 from wavetank.fields import cross_section, export, synthesize, write_mode_file
-from wavetank.modes import build_constant_n_basis, project_profile, weighted_inner_product
+from wavetank.modes import (build_constant_n_basis, project_profile, simpson_grid,
+                            weighted_inner_product)
 from wavetank.reference_tables import (MCEWAN_DEPTH, MCEWAN_MODES, MCEWAN_N,
                                        REFERENCE_C, REFERENCE_D)
 from wavetank.scenario import build_initial_state, mcewan_default
@@ -223,8 +224,7 @@ def test_criterion_4_orthonormality_suite():
     projections below 1e-12."""
     strat = wt.Stratification(1.23, 0.25)
     basis = build_constant_n_basis(strat, (2, 4, 6, 8, 10))
-    z = np.linspace(0.0, strat.depth, 1025)
-    zmat = basis.evaluate(z)
+    zmat = basis.evaluate(simpson_grid(strat.depth)[0])
     worst = 0.0
     for i in range(5):
         for j in range(5):

@@ -55,11 +55,13 @@ class TestParsing:
         "t_end = 0\n",                              # no section header
         "[run]\nt_end\n",                           # no '='
         "[run]\nt_end = %(x)s\n",                   # unknown reference
+        "[DEFAULT]\nt_end = 5\n",                   # section outside the format
     ], ids=["duplicate-key", "duplicate-section", "no-section",
-            "no-equals", "interpolation"])
+            "no-equals", "interpolation", "default-section"])
     def test_malformed_config_file_exits_2(self, capsys, outdir, text):
         # each raised an uncaught configparser error: a traceback and
-        # exit 1, the code of a failed check
+        # exit 1, the code of a failed check; the [DEFAULT] file ran with
+        # its key dropped (t_end = 0.02)
         cfgfile = outdir / "bad.cfg"
         cfgfile.write_text(text)
         assert run_cli("run", "--config", str(cfgfile), "--out", str(outdir),

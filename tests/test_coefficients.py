@@ -9,6 +9,7 @@ from wavetank.coefficients import (
     nonlinear_coeffs,
     reconcile_with_reference,
 )
+from wavetank import modes
 from wavetank.modes import Stratification, build_constant_n_basis
 from wavetank import reference_tables as ref
 
@@ -58,11 +59,13 @@ class TestNonlinearTensor:
         scale = np.maximum(1.0, np.abs(g_closed))
         assert np.max(np.abs(g_quad - g_closed) / scale) <= 1e-8
 
-    def test_underresolved_quadrature_flags_inconsistency(self, basis):
+    def test_underresolved_quadrature_flags_inconsistency(self, basis,
+                                                           monkeypatch):
         # the dual-route check is the falsifier: starve the quadrature
         # and the paths must disagree loudly instead of silently
+        monkeypatch.setattr(modes, "QUAD_POINTS", 17)
         with pytest.raises(ConsistencyError):
-            nonlinear_coeffs(basis, method="quadrature", quad_points=17)
+            nonlinear_coeffs(basis, method="quadrature")
 
     def test_spot_values_from_reference_tables(self, coeffs):
         assert coeffs.g_entry(2, 2, 4) == pytest.approx(72.3, rel=5e-3)

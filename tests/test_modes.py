@@ -5,6 +5,7 @@ from wavetank.modes import (
     Stratification,
     build_constant_n_basis,
     project_profile,
+    simpson_grid,
     weighted_inner_product,
 )
 
@@ -87,8 +88,7 @@ class TestBasisConstruction:
 class TestInnerProduct:
     def test_orthonormality_all_pairs(self):
         basis = build_constant_n_basis(MCEWAN, MODES)
-        z = np.linspace(0, MCEWAN.depth, 1025)
-        zmat = basis.evaluate(z)
+        zmat = basis.evaluate(simpson_grid(MCEWAN.depth)[0])
         for i in range(len(MODES)):
             for j in range(len(MODES)):
                 val = weighted_inner_product(zmat[i], zmat[j], MCEWAN)
@@ -102,9 +102,15 @@ class TestInnerProduct:
         )
         assert abs(val) <= 1e-12
 
-    def test_rejects_too_few_points(self):
-        with pytest.raises(ValueError):
-            weighted_inner_product(np.sin, np.cos, MCEWAN, quad_points=8)
+    def test_simpson_grid_integrates_cubics_exactly(self):
+        # composite Simpson is exact for cubics on any odd node count
+        z, w, dz = simpson_grid(MCEWAN.depth)
+        assert len(z) % 2 == 1 and z[0] == 0.0 and z[-1] == MCEWAN.depth
+        assert dz == z[1] - z[0]
+        cubic = 1.0 - 2.0 * z + 3.0 * z**2 - 4.0 * z**3
+        h = MCEWAN.depth
+        exact = h - h**2 + h**3 - h**4
+        assert dz * np.sum(w * cubic) == pytest.approx(exact, rel=1e-14)
 
     def test_eigen_residual_finite_difference(self):
         # second difference of Z^n against -(N/c_n)^2 Z^n; tolerance

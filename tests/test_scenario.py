@@ -174,6 +174,9 @@ class TestConfigRoundTrip:
         assert back == cfg
         assert serialize_config(back) == text
 
+    def test_empty_file_is_the_default(self):
+        assert parse_config("") == mcewan_default()
+
     def test_partial_file_uses_defaults(self):
         cfg = parse_config("[run]\nt_end = 0.5\n")
         assert cfg.t_end == 0.5
@@ -186,6 +189,11 @@ class TestConfigRoundTrip:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             parse_config("[run]\nbogus = 1\n")
+
+    def test_default_section_rejected(self):
+        # a [DEFAULT] key used to be dropped: t_end parsed as 0.02
+        with pytest.raises(ValueError, match=r"section \[DEFAULT\]"):
+            parse_config("[DEFAULT]\nt_end = 5\n")
 
     def test_scheme_section_has_scheme_and_dt_only(self):
         text = serialize_config(mcewan_default())

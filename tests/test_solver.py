@@ -185,6 +185,18 @@ class TestNorm:
         assert l2[0] == pytest.approx(1e200 * plain, rel=1e-15)
         assert l2[1] == plain
 
+    def test_mass_per_mode_of_huge_finite_row_is_exact(self):
+        # the plain sum reads inf - inf = nan; the row's exact mass is 0
+        grid = Grid(h_x=1.0, n_points=8)
+        theta = np.zeros((2, 8))
+        theta[0, :4] = [1e308, 1e308, -1e308, -1e308]
+        theta[1] = np.arange(8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mass = mass_per_mode(ModeState(0.0, theta), grid)
+        assert mass[0] == 0.0
+        assert mass[1] == 28.0
+
 
 def test_import_and_single_mode_run_load_no_scipy():
     # scipy.sparse is imported only for L > 1 and nothing else needs
@@ -222,9 +234,8 @@ class TestTimestepPolicy:
         grid = Grid(h_x=0.1, n_points=64)
         coeffs = single_mode_coefficients(1.0, 1.0, 1.0)
         lam = 2.598 / 1e-3 + 1.0 / 0.1
-        tau = stable_tau(coeffs, grid, ONE_STAGE, horizon=2.0,
-                         growth_budget=8.0)
-        assert tau == pytest.approx(16.0 / (2.0 * lam**2), rel=1e-12)
+        tau = stable_tau(coeffs, grid, ONE_STAGE, horizon=2.0)
+        assert tau == pytest.approx(20.0 / (2.0 * lam**2), rel=1e-12)
 
     def test_halving_h(self):
         # with c = 0 the two-stage bound is the familiar tau ~ h^4 guard

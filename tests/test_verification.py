@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from wavetank.solver import Grid, ModeState, SchemeParams, advance
+from wavetank import verification
+from wavetank.solver import Grid, ModeState, SchemeParams, advance, stable_tau
 from wavetank.verification import (
     build_traveling_pair,
     canonical_pulse_strength,
@@ -337,6 +338,25 @@ class TestTravelingPair:
     def test_residual_verified(self):
         pair = build_traveling_pair()
         assert pair.residual <= 1e-9
+
+    def test_check_budgets_the_round_trip(self, monkeypatch):
+        # each tau is stable_tau over twice its leg's horizon; these are
+        # the values of a growth budget of 5 over the plain horizons, bit
+        # for bit (powers of 2 scale exactly)
+        taus = []
+
+        def recording(*args):
+            taus.append(stable_tau(*args))
+            return taus[-1]
+
+        def no_run(state, coeffs, grid, params, t_end, **kwargs):
+            return ModeState(t_end, state.theta.copy()), None
+
+        monkeypatch.setattr(verification, "stable_tau", recording)
+        monkeypatch.setattr(verification, "advance", no_run)
+        verification.integrable_pair_check()
+        assert taus == [3.7642986342247076e-3, 2.4605839901269724e-4,
+                        1.5555745131698625e-5, 3.905933614383666e-4]
 
     def test_cross_coupling_is_genuine(self):
         pair = build_traveling_pair()
