@@ -5,7 +5,9 @@ function of immutable inputs.  Every data file of a run (field, state,
 mode and cross-section) goes through `write_table`: `#` header lines,
 then rows of FMT (17 significant digits) values separated by single
 spaces, so identical inputs give byte-identical files that
-`np.loadtxt` reads back exactly.
+`np.loadtxt` reads back exactly.  Each row is formatted from Python
+numbers with one `%`, not from numpy scalars as `np.savetxt` does, for
+the same bytes at a lower cost per row.
 """
 
 from __future__ import annotations
@@ -98,11 +100,15 @@ def cross_section(snapshot, x_fixed):
 
 def write_table(path, header, rows):
     """Write the `header` lines verbatim, then one line per row of the
-    2-D array `rows`: FMT values separated by single spaces."""
+    2-D array `rows`: FMT values separated by single spaces, the same
+    bytes as `np.savetxt(fh, rows, fmt=FMT)`.  Rows are written one at
+    a time, so the file is never held whole in memory."""
+    row_format = " ".join([FMT] * rows.shape[1]) + "\n"
     try:
         with open(path, "w") as fh:
             fh.writelines(line + "\n" for line in header)
-            np.savetxt(fh, rows, fmt=FMT)
+            for row in rows:
+                fh.write(row_format % tuple(row.tolist()))
     except OSError as err:
         raise OSError(f"cannot write {path}: {err}") from err
 

@@ -271,7 +271,8 @@ def parse_config(text):
     usable; a section or key the default does not have, or a
     [DEFAULT] section, is rejected.  A file the parser cannot read
     (duplicate keys or sections, no section header, a line without
-    `=`, a bad `%(name)s` reference) raises ValueError."""
+    `=`, a bad `%(name)s` reference) raises ValueError, as does a value
+    that does not convert, naming its section, key and text."""
     cp = configparser.ConfigParser()
     cp.read_string(serialize_config(mcewan_default()))
     known = {section: set(cp[section]) for section in cp.sections()}
@@ -293,7 +294,11 @@ def parse_config(text):
                 raise ValueError(f"unknown key {key!r} in section [{section}]")
 
     def get(section, key, conv=float):
-        return conv(values[section, key])
+        raw = values[section, key]
+        try:
+            return conv(raw)
+        except ValueError as err:
+            raise ValueError(f"[{section}] {key} = {raw!r}: {err}") from err
 
     return ScenarioConfig(
         strat=Stratification(N=get("stratification", "n"),

@@ -29,7 +29,7 @@ s0 = 1/(2h) and s3 = 1/(2h^3),
 
 so tau, the stencil scales and the coefficients meet once per `advance`
 call, in per-mode factors, and a stage is the two differences, their
-products and one subtract(theta, increment, out=dest).
+products and one subtract(theta, increment, dest).
 
 The triad operator T_dt is applied through the nonzeros of g, which lie
 only on the resonance branches n = m + k and n = |m - k| (4.5 % of the
@@ -38,21 +38,27 @@ as a CSR matrix of shape (L, L^2) and scales a copy by dt s0 for each
 stage; each stage forms the all-pair product theta^m D1 theta^k as an
 (L^2, n) array and applies the matrix, at O(L^2 n) for the product plus
 O(nnz n) for the sum, instead of the dense O(L^3 n) contraction.  L = 1
-computes (A + B theta) D1 + F D4 with B = dt g s0 and A, B, F as Python
-floats, and builds no matrix: a (1, 1) sparse call alone costs about
-4 us.  An L = 1 stage is 10 numpy calls and an L > 1 stage 11.  The
-two-stage step at L = 1 takes about 18 us at n = 120 and at n = 300,
-one-stage about 9 us, and at L = 5, n = 256, about 87 us (medians of 5
-rounds of 10,000 steps; 2-core Xeon, numpy 2.4.6, scipy 1.17.1).
+computes (A + B theta) D1 + F D4 with B = dt g s0 and A, B, F as 0-d
+float64 arrays, and builds no matrix: a (1, 1) sparse call alone costs
+about 4 us.  An L = 1 stage is 10 numpy calls (two ghost-column slice
+assignments, eight ufuncs) and an L > 1 stage 11 (nine ufuncs, the
+matrix product among them).  At n = 300 a call's fixed cost outweighs
+its arithmetic, so each is issued the cheap way: the output array by
+position rather than as `out=`, 0-d arrays rather than Python floats,
+slice assignment rather than `np.copyto`.  The two-stage step at L = 1
+takes about 13 us at n = 120 and at n = 300 (18 us with `out=`, Python
+floats and `copyto`), one-stage about 8 us (10 us), and at L = 5,
+n = 256, about 86 us (90 us); medians of 15 interleaved rounds of
+10,000 steps (2,000 at L = 5), 2-core Xeon, numpy 2.4.6, scipy 1.17.1.
 
 `advance` steps in place.  Per call it allocates the padded state
 (L, n + 4), with the state in columns 2..n+1, a padded half-stage
 buffer (two-stage), the increment and one set of work arrays (D1, a
 temporary and, for L > 1, the (L, L, n) pair product) shared by every
 stage; each stage refreshes the four ghost columns and evaluates the
-stencil through `out=` ufuncs into those arrays.  Finiteness is checked
-every `_FINITE_CHECK_EVERY` steps, before every observation and after
-the last step, and each passing check copies the state into a
+stencil through ufuncs that write into those arrays.  Finiteness is
+checked every `_FINITE_CHECK_EVERY` steps, before every observation and
+after the last step, and each passing check copies the state into a
 checkpoint.
 A non-finite value stays non-finite through every later stage, so a
 failed check means the first bad stage lies after the checkpoint: the
@@ -251,38 +257,40 @@ def _increment_kernel(coeffs, grid, e, triad):
     if L > 1:
         prod = np.empty((L, L, n))
         pairs = prod.reshape(L * L, n)
-    subtract, multiply, add, copyto = (np.subtract, np.multiply, np.add,
-                                       np.copyto)
+    subtract, multiply, add = np.subtract, np.multiply, np.add
 
     def increment(dt):
         a = dt * (coeffs.c * s0 - 2.0 * e * s3)
         f = dt * e * s3
         if L == 1:
-            # Python floats: a (1, 1) array would send every multiply down
-            # numpy's broadcast path
-            a, f = float(a[0]), float(f[0])
-            b = dt * float(coeffs.g[0, 0, 0]) * s0
+            # 0-d arrays, not (1, 1): those would send every multiply down
+            # numpy's broadcast path; and not Python floats, which numpy
+            # converts on every call.  Each holds the same double.
+            a, f = a.reshape(()), f.reshape(())
+            b = np.array(dt * float(coeffs.g[0, 0, 0]) * s0)
         else:
             a, f = a[:, None], f[:, None]
             scaled = triad * (dt * s0)
 
+        # the output goes by position: as `out=` a call on (1, 300)
+        # arrays costs about 0.8 us instead of 0.4 us
         def inc(views, out):
             ghost_lo, wrap_lo, ghost_hi, wrap_hi, p0, p1, theta, p3, p4 = views
-            copyto(ghost_lo, wrap_lo)
-            copyto(ghost_hi, wrap_hi)
-            subtract(p3, p1, out=diff1)          # theta_{i+1} - theta_{i-1}
-            subtract(p4, p0, out=out)            # theta_{i+2} - theta_{i-2}
-            multiply(out, f, out=out)
+            ghost_lo[...] = wrap_lo
+            ghost_hi[...] = wrap_hi
+            subtract(p3, p1, diff1)              # theta_{i+1} - theta_{i-1}
+            subtract(p4, p0, out)                # theta_{i+2} - theta_{i-2}
+            multiply(out, f, out)
             if L == 1:
-                multiply(theta, b, out=tmp)      # (A + B theta) D1
-                add(tmp, a, out=tmp)
-                multiply(tmp, diff1, out=tmp)
-                add(out, tmp, out=out)
+                multiply(theta, b, tmp)          # (A + B theta) D1
+                add(tmp, a, tmp)
+                multiply(tmp, diff1, tmp)
+                add(out, tmp, out)
             else:
-                multiply(diff1, a, out=tmp)
-                add(out, tmp, out=out)
-                multiply(theta[:, None, :], diff1[None, :, :], out=prod)
-                add(out, scaled @ pairs, out=out)
+                multiply(diff1, a, tmp)
+                add(out, tmp, out)
+                multiply(theta[:, None, :], diff1[None, :, :], prod)
+                add(out, scaled @ pairs, out)
             return out
 
         return inc
@@ -408,7 +416,7 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
         """One step in place; with `check`, the name of the first stage
         that produced non-finite values, else None."""
         for at, inc, dest, what in stages:
-            subtract(theta, inc(at, out), out=dest)
+            subtract(theta, inc(at, out), dest)
             if check and not np.isfinite(dest).all():
                 return what
         return None

@@ -71,6 +71,23 @@ class TestParsing:
         assert err.startswith("config error: ") and "Traceback" not in err
         assert not (outdir / "bad").exists()
 
+    @pytest.mark.parametrize("text, named", [
+        ("[run]\nt_end = abc\n", "[run] t_end = 'abc': "),
+        ("[grid]\nn_points = 1e3\n", "[grid] n_points = '1e3': "),
+    ], ids=["float", "int"])
+    def test_unconvertible_value_names_its_key(self, capsys, outdir, text,
+                                               named):
+        # the message named neither section nor key, only Python's
+        # conversion error
+        cfgfile = outdir / "bad.cfg"
+        cfgfile.write_text(text)
+        assert run_cli("run", "--config", str(cfgfile), "--out", str(outdir),
+                       "--run-id", "bad") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + named)
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (outdir / "bad").exists()
+
     def test_consistency_error_exits_1(self, capsys, outdir, monkeypatch):
         def failing_build(*args, **kwargs):
             raise ConsistencyError("quadrature/closed-form tensor mismatch")

@@ -1,7 +1,12 @@
+import io
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wavetank.fields import (
+    FMT,
     cross_section,
     export,
     read_state_file,
@@ -174,7 +179,40 @@ class TestExport:
             export(snap, bad)
 
 
+# values where a hand-rolled formatter could part from np.savetxt: signed
+# zeros, non-finite values, subnormals, the ends of the double range and
+# integers beyond 2**53
+EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+    2.2250738585072009e-308, 2.2250738585072014e-308, 1e308, -1e308,
+    np.finfo(float).max, -np.finfo(float).max, 2.0**53 + 2, -(2.0**63)])
+FLOAT_TABLES = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                 max_side=6).filter(lambda s: s[1] > 0),
+    elements=st.one_of(EDGE_FLOATS, st.floats(),
+                       st.integers(-2**63, 2**63).map(float)))
+INT_TABLES = hnp.arrays(
+    st.sampled_from([np.int64, np.int32]),
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
+                     max_side=6).filter(lambda s: s[1] > 0))
+
+
 class TestWriteTable:
+    @given(rows=st.one_of(FLOAT_TABLES, INT_TABLES))
+    @example(rows=np.empty((0, 3)))
+    @example(rows=np.empty((0, 1)))
+    @example(rows=np.array([[-0.0], [5e-324], [np.nan], [-np.inf]]))
+    @example(rows=np.array([[3, -2**63], [0, 2**53 + 1]]))
+    def test_bytes_equal_savetxt(self, tmp_path_factory, rows):
+        # the format every byte-identity check of the run outputs relies on
+        path = tmp_path_factory.getbasetemp() / "savetxt.dat"
+        header = ["# time = 0", "z\\x 1 2"]
+        write_table(path, header, rows)
+        buf = io.StringIO()
+        buf.writelines(line + "\n" for line in header)
+        np.savetxt(buf, rows, fmt=FMT)
+        assert path.read_bytes() == buf.getvalue().encode()
+
     def test_rows_match_per_value_reference(self, tmp_path):
         rows = np.array([[-0.0, 5e-324, 1e300],
                          [np.nan, np.inf, -np.inf],
