@@ -102,7 +102,8 @@ def _out_dir(args):
 
 def _load_scenario(args):
     cfg = scenario.load_config(args.config) if args.config else scenario.mcewan_default()
-    if getattr(args, "modes", None):
+    # an empty --modes "" must reach `validate`, not run the default modes
+    if getattr(args, "modes", None) is not None:
         try:
             modes = scenario.parse_modes(args.modes)
         except ValueError:

@@ -31,25 +31,29 @@ so tau, the stencil scales and the coefficients meet once per `advance`
 call, in per-mode factors, and a stage is the two differences, their
 products and one subtract(theta, increment, dest).
 
-The triad operator T_dt is applied through the nonzeros of g, which lie
-only on the resonance branches n = m + k and n = |m - k| (4.5 % of the
-entries at L = 32, 1.8 % at L = 80).  `advance` builds g once per call
-as a CSR matrix of shape (L, L^2) and scales a copy by dt s0 for each
-stage; each stage forms the all-pair product theta^m D1 theta^k as an
-(L^2, n) array and applies the matrix, at O(L^2 n) for the product plus
-O(nnz n) for the sum, instead of the dense O(L^3 n) contraction.  L = 1
-computes (A + B theta) D1 + F D4 with B = dt g s0 and A, B, F as 0-d
-float64 arrays, and builds no matrix: a (1, 1) sparse call alone costs
-about 4 us.  An L = 1 stage is 10 numpy calls (two ghost-column slice
-assignments, eight ufuncs) and an L > 1 stage 11 (nine ufuncs, the
-matrix product among them).  At n = 300 a call's fixed cost outweighs
-its arithmetic, so each is issued the cheap way: the output array by
+`advance` forms the triad operator once per call as a matrix of shape
+(L, L^2) and scales a copy by dt s0 for each stage; each stage forms the
+all-pair product theta^m D1 theta^k as an (L^2, n) array and applies
+the matrix.  Up to _DENSE_TRIAD_MAX_MODES modes the matrix is g itself,
+applied by a BLAS product.  Above, it is a CSR matrix of g's nonzeros,
+which lie only on the resonance branches n = m + k and n = |m - k|
+(4.5 % of the entries at L = 32, 1.8 % at L = 80), so the sum costs
+O(nnz n) instead of the dense O(L^3 n).  L = 1 computes
+(A + B theta) D1 + F D4 with B = dt g s0 and A, B, F as 0-d float64
+arrays, and builds no matrix: a (1, 1) sparse call alone costs about
+4 us.  An L = 1 stage is 10 numpy calls (two ghost-column slice
+assignments, eight ufuncs) and an L > 1 stage 11 (the two slice
+assignments, the pair product's `einsum` and eight ufuncs, the matrix
+product among them).  At n = 300 a call's fixed cost outweighs its
+arithmetic, so each is issued the cheap way: the output array by
 position rather than as `out=`, 0-d arrays rather than Python floats,
-slice assignment rather than `np.copyto`.  The two-stage step at L = 1
-takes about 13 us at n = 120 and at n = 300 (18 us with `out=`, Python
-floats and `copyto`), one-stage about 8 us (10 us), and at L = 5,
-n = 256, about 86 us (90 us); medians of 15 interleaved rounds of
-10,000 steps (2,000 at L = 5), 2-core Xeon, numpy 2.4.6, scipy 1.17.1.
+slice assignment rather than `np.copyto`.  The
+two-stage step at L = 1 takes about 13 us at n = 120 and at n = 300
+(18 us with `out=`, Python floats and `copyto`), one-stage about 8 us
+(10 us); medians of 15 interleaved rounds of 10,000 steps, 2-core Xeon,
+numpy 2.4.6.  At L = 5, n = 256, it takes about 69 us with the dense
+triad product against 82 us through CSR (medians of 9 interleaved
+processes, 2,000 steps each, one BLAS thread, scipy 1.17.1).
 
 `advance` steps in place.  Per call it allocates the padded state
 (L, n + 4), with the state in columns 2..n+1, a padded half-stage
@@ -112,6 +116,14 @@ LIMIT_RTOL = 1e-8
 _LIMIT_MIN_STEPS, _LIMIT_MAX_STEPS = 32, 2**13
 # points on each contour circle of the phi-function means
 _CONTOUR_POINTS = 64
+# the largest mode count whose triad operator is applied as a dense BLAS
+# product rather than through scipy CSR.  Per product (L, L^2) @ (L^2, 256),
+# modes 2, 4, ..., 2L, one BLAS thread (2-core Xeon, OpenBLAS 0.3.31, best
+# of 15 in each of three runs), dense against CSR: 2.4-4.5 against
+# 6.8-10.7 us at L = 5, 6.4-9.5 against 13.5-18.4 us at L = 8, about even
+# from L = 10 to 12, 57-66 against 28-49 us at L = 16 and 407-502 against
+# 148-235 us at L = 32
+_DENSE_TRIAD_MAX_MODES = 8
 
 
 class NonFiniteError(ArithmeticError):
@@ -222,13 +234,18 @@ def step_count(t0, t_end, tau):
 
 
 def _triad_operator(g):
-    """g^n_{m,k} as a CSR matrix of shape (L, L^2): row n, column m L + k,
-    holding only g's nonzero entries; None for a single mode."""
+    """g^n_{m,k} as a matrix of shape (L, L^2): row n, column m L + k.
+    Up to _DENSE_TRIAD_MAX_MODES modes it is g's C-contiguous reshape,
+    applied by a BLAS product; above, a CSR matrix holding only g's
+    nonzero entries.  None for a single mode."""
     L = g.shape[0]
     if L == 1:
         return None
+    if L <= _DENSE_TRIAD_MAX_MODES:
+        return np.ascontiguousarray(g.reshape(L, L * L))
     # imported here: importing scipy.sparse costs about 20 MB resident and
-    # 0.24 s (2-core Xeon, scipy 1.17.1), which single-mode runs never need
+    # 0.17-0.24 s (2-core Xeon, scipy 1.17.1), which runs of at most
+    # _DENSE_TRIAD_MAX_MODES modes never need
     from scipy import sparse
     return sparse.csr_array(g.reshape(L, L * L))
 
@@ -257,7 +274,8 @@ def _increment_kernel(coeffs, grid, e, triad):
     if L > 1:
         prod = np.empty((L, L, n))
         pairs = prod.reshape(L * L, n)
-    subtract, multiply, add = np.subtract, np.multiply, np.add
+    subtract, multiply, add, einsum = (np.subtract, np.multiply, np.add,
+                                       np.einsum)
 
     def increment(dt):
         a = dt * (coeffs.c * s0 - 2.0 * e * s3)
@@ -289,7 +307,7 @@ def _increment_kernel(coeffs, grid, e, triad):
             else:
                 multiply(diff1, a, tmp)
                 add(out, tmp, out)
-                multiply(theta[:, None, :], diff1[None, :, :], prod)
+                einsum("mi,ki->mki", theta, diff1, out=prod)
                 add(out, scaled @ pairs, out)
             return out
 

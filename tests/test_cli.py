@@ -39,6 +39,16 @@ class TestParsing:
         assert capsys.readouterr().err.startswith(
             "usage error: cannot parse --modes '2,q'")
 
+    @pytest.mark.parametrize("command", ["run", "coeffs"])
+    @pytest.mark.parametrize("modes", ["", ",", " "])
+    def test_empty_modes_list_exits_2(self, capsys, outdir, command, modes):
+        # --modes "" ran the default modes (2, 4, 6, 8, 10) and exited 0
+        assert run_cli(command, "--modes", modes, "--out", str(outdir),
+                       "--run-id", "empty") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: modes: list must not be empty"]
+        assert not (outdir / "empty").exists()
+
     @pytest.mark.parametrize("key", ["stability_margin",
                                      "dispersion_correction"])
     def test_removed_scheme_keys_rejected(self, capsys, outdir, key):

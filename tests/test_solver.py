@@ -199,24 +199,37 @@ class TestNorm:
 
 
 def test_import_and_single_mode_run_load_no_scipy():
-    # scipy.sparse is imported only for L > 1 and nothing else needs
-    # scipy; numpy.fft only by semi_discrete_limit
+    # scipy.sparse is imported only above _DENSE_TRIAD_MAX_MODES modes and
+    # nothing else needs scipy; numpy.fft only by semi_discrete_limit
     code = (
         "import sys\n"
         "import numpy as np\n"
         "import wavetank as wt\n"
+        "def loaded():\n"
+        "    scipy = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "    print(sorted(scipy), 'numpy.fft' in sys.modules)\n"
+        "loaded()\n"
         "grid = wt.Grid(h_x=0.1, n_points=32)\n"
         "coeffs = wt.single_mode_coefficients(1.0, 6.0, 1.0)\n"
         "wt.advance(wt.ModeState(0.0, np.ones((1, 32))), coeffs, grid,\n"
         "           wt.SchemeParams(tau=1e-5), 1e-4)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "print('numpy.fft' in sys.modules)\n"
+        "loaded()\n"
+        "cfg = wt.mcewan_default()\n"
+        "basis = cfg.basis()\n"
+        "coeffs = wt.build_coefficients(basis, sigma=cfg.sigma,\n"
+        "                               beta2=cfg.beta2)\n"
+        "state, _ = wt.build_initial_state(cfg, basis)\n"
+        "_, report = wt.advance(state, coeffs, cfg.grid, cfg.scheme,\n"
+        "                       10 * cfg.scheme.tau)\n"
+        "print(coeffs.n_modes, report.steps)\n"
+        "loaded()\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(wavetank.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]", "False"]
+    assert proc.stdout.splitlines() == [
+        "[] False", "[] False", "5 10", "[] False"]
 
 
 class TestTimestepPolicy:
@@ -411,9 +424,19 @@ class TestTriadSum:
         coeffs = build_coefficients(basis, sigma=sigma, method=method)
         L = len(modes)
         triad = _triad_operator(coeffs.g)
-        # only the resonance entries are stored (a -0.0 is not a nonzero)
         assert triad.shape == (L, L * L)
-        assert triad.nnz == np.count_nonzero(coeffs.g)
+        if L <= solver._DENSE_TRIAD_MAX_MODES:
+            # g itself, row n and column m L + k, for a BLAS product
+            assert type(triad) is np.ndarray
+            assert triad.flags.c_contiguous
+            assert triad.tobytes() == coeffs.g.tobytes()
+        else:
+            # only the resonance entries are stored (a -0.0 is not a
+            # nonzero)
+            assert triad.format == "csr"
+            assert triad.nnz == np.count_nonzero(coeffs.g)
+            assert np.array_equal(triad.toarray(),
+                                  coeffs.g.reshape(L, L * L))
         grid = Grid(h_x=0.5 / n_points, n_points=n_points)
         theta = np.random.default_rng(seed).standard_normal((L, n_points))
         # c = 0 and e = 0 leave the triad term alone in the right-hand side
@@ -633,6 +656,23 @@ def mcewan_tank():
     coeffs = build_coefficients(basis, sigma=cfg.sigma, beta2=cfg.beta2)
     state, _ = build_initial_state(cfg, basis)
     return cfg, coeffs, state
+
+
+def test_dense_triad_tracks_a_csr_trajectory(mcewan_tank, monkeypatch):
+    # the five-mode tank applies g as a dense BLAS product, which sums in
+    # another order than a CSR product: over 500 steps the two stay
+    # within round-off of each other
+    from scipy import sparse
+    cfg, coeffs, state = mcewan_tank
+    t_end = state.time + 500 * cfg.scheme.tau
+    dense, report = advance(state, coeffs, cfg.grid, cfg.scheme, t_end)
+    L = coeffs.n_modes
+    monkeypatch.setattr(solver, "_triad_operator",
+                        lambda g: sparse.csr_array(g.reshape(L, L * L)))
+    csr, _ = advance(state, coeffs, cfg.grid, cfg.scheme, t_end)
+    assert report.steps == 500
+    assert (np.max(np.abs(dense.theta - csr.theta))
+            <= 1e-13 * np.max(np.abs(csr.theta)))
 
 
 class TestExactAbort:
