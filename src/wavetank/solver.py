@@ -227,10 +227,13 @@ def stable_tau(coeffs, grid, scheme, horizon):
 
 
 def step_count(t0, t_end, tau):
-    """Number of steps of size tau that `advance` takes from t0 to t_end."""
+    """Number of steps of size tau that `advance` takes from t0 to t_end:
+    none when t_end <= t0, else at least one, however short the span.
+    The 1e-9 absorbs the rounding of a span that is a whole number of
+    steps."""
     if t_end <= t0:
         return 0
-    return int(np.ceil((t_end - t0) / tau - 1e-9))
+    return max(1, int(np.ceil((t_end - t0) / tau - 1e-9)))
 
 
 def _triad_operator(g):

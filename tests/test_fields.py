@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from wavetank.fields import (
     FMT,
+    _BLOCK,
     cross_section,
     export,
     read_state_file,
@@ -137,6 +139,7 @@ class TestExport:
         export(snap, path)
         label, xrow = path.read_text().splitlines()[3].split(" ", 1)
         assert label == "z\\x"
+        assert xrow == " ".join(FMT % v for v in snap.x.tolist())
         np.testing.assert_array_equal(np.loadtxt([xrow]), snap.x)
         data = np.loadtxt(path, comments=("#", "z\\x"))
         assert data.shape == (17, grid.n_points + 1)
@@ -197,6 +200,51 @@ INT_TABLES = hnp.arrays(
                      max_side=6).filter(lambda s: s[1] > 0))
 
 
+def exact_ties(rng):
+    """Doubles N / 2^e, N odd, with 18 significant digits, the last a 5:
+    FMT rounds them half to even.  They exist for exponents -7 to 15."""
+    out = []
+    for e in range(2, 25):
+        x = 17 - e                              # 18 digits: e + x + 1
+        lo = -(-(2**e * 10**max(x, 0)) // 10**max(-x, 0))
+        hi = min(-(-(2**e * 10**max(x + 1, 0)) // 10**max(-x - 1, 0)), 2**53)
+        for n in rng.integers(lo, hi, 40) | 1:
+            if n < hi:
+                out.append(math.ldexp(int(n), -e))
+    return out
+
+
+def near_ties():
+    """Doubles v = M 2^s in [1e17, 1e45) whose y = v / 10^k, k = X - 16,
+    lies |2e - 1| / (2 5^k) from a half-integer: M 2^(s - k) =
+    (5^k - 1) / 2 + e modulo 5^k, for |e| up to 5^k / 2^54 (or 1).  The
+    gap runs from 0.1 at k = 1 to below 2^-54 from k = 22 on, where a
+    double holding y's fractional part rounds it to 1/2 itself."""
+    out = []
+    for k in range(1, 29):
+        x, n = 16 + k, 5**k
+        reach = max(1, n >> 54)
+        for s in range((10**x).bit_length() - 53, (10**(x + 1)).bit_length() - 51):
+            m_lo = max(2**52, -(-10**x // 2**s))
+            m_hi = min(2**53, -(-10**(x + 1) // 2**s))
+            inverse = pow(2**(s - k), -1, n)
+            for e in range(-reach, reach + 1):
+                m = ((n - 1) // 2 + e) * inverse % n
+                m += -(-(m_lo - m) // n) * n      # the first one >= m_lo
+                out.extend(math.ldexp(c, s) for c in range(m, m_hi, n)[:3])
+    return out
+
+
+def assert_table_matches_reference(tmp_path, rows):
+    path = tmp_path / "sweep.dat"
+    write_table(path, ["# sweep"], rows)
+    lines = path.read_text().splitlines()[1:]
+    assert len(lines) == len(rows)
+    for row, line in zip(rows.tolist(), lines):
+        reference = " ".join(FMT % v for v in row)
+        assert line == reference, (row, line, reference)
+
+
 class TestWriteTable:
     @given(rows=st.one_of(FLOAT_TABLES, INT_TABLES))
     @example(rows=np.empty((0, 3)))
@@ -228,6 +276,53 @@ class TestWriteTable:
         back = np.loadtxt(path, skiprows=2)
         np.testing.assert_array_equal(back, rows)
         assert np.signbit(back[0, 0])
+
+    def test_block_sweep_matches_per_value_reference(self, tmp_path):
+        # tables of several blocks, 7 columns so rows straddle the block
+        # boundaries, against FMT value by value, on the values where a
+        # double-length digit kernel can go wrong
+        rng = np.random.default_rng(15)
+        below = above = 10.0 ** np.arange(-300, 301)
+        neighbours = [below]
+        for _ in range(3):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            neighbours += [below, above]
+        boundaries = np.array([1e-5, 1e-4, 1e16, 1e17, 9.9999999999999995e-5,
+                               9.99999999999999995e-5, 99999999999999999.0])
+        boundaries = np.concatenate([boundaries,
+                                     np.nextafter(boundaries, 0.0),
+                                     np.nextafter(boundaries, np.inf)])
+        specials = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                    -2.2250738585072009e-308, 2.2250738585072014e-308,
+                    np.finfo(float).max, 1e-280, 1e280,
+                    123456789012345.625, 1e-28, 1e-79]
+        values = np.concatenate([
+            rng.integers(0, 2**64, 30000, dtype=np.uint64).view(np.float64),
+            rng.standard_normal(5000) * 10.0 ** rng.integers(-25, 25, 5000),
+            *neighbours, boundaries, specials,
+            exact_ties(rng), near_ties()])
+        values = np.concatenate([values, -values])
+        values = values[rng.permutation(len(values))]
+        values = np.append(values, np.zeros(-len(values) % 7))
+        assert len(values) > 4 * _BLOCK and _BLOCK % 7
+        assert_table_matches_reference(tmp_path, values.reshape(-1, 7))
+        # cases the kernel must get right: log10 of the double nearest 1e-28
+        # rounds up to -28, and the double nearest 1e-79 lies below
+        # 10^-79 but carries to it at 17 digits
+        assert FMT % 1e-28 == "9.9999999999999997e-29"
+        num, den = (1e-79).as_integer_ratio()
+        assert num * 10**79 < den and FMT % 1e-79 == "1e-79"
+        assert FMT % 123456789012345.625 == "123456789012345.62"
+
+    def test_int_sweep_matches_per_value_reference(self, tmp_path):
+        rng = np.random.default_rng(16)
+        rows = np.concatenate([
+            rng.integers(-2**63, 2**63, 3000, dtype=np.int64),
+            rng.integers(2**53, 2**53 + 4096, 1000, dtype=np.int64),
+            np.array([2**53 + 1, -(2**63), 2**63 - 1, 0, -1])])
+        rows = np.append(rows, np.zeros(-len(rows) % 5, np.int64))
+        assert len(rows) > _BLOCK and _BLOCK % 5
+        assert_table_matches_reference(tmp_path, rows.reshape(-1, 5))
 
 
 class TestStateFiles:

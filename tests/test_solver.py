@@ -32,6 +32,7 @@ from wavetank.solver import (
     mass_per_mode,
     semi_discrete_limit,
     stable_tau,
+    step_count,
 )
 from wavetank.verification import (
     build_traveling_pair,
@@ -200,14 +201,17 @@ class TestNorm:
 
 def test_import_and_single_mode_run_load_no_scipy():
     # scipy.sparse is imported only above _DENSE_TRIAD_MAX_MODES modes and
-    # nothing else needs scipy; numpy.fft only by semi_discrete_limit
+    # nothing else needs scipy; numpy.fft only by semi_discrete_limit.
+    # The table writer builds its tables from ints and floats, without
+    # fractions or decimal
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "import numpy as np\n"
         "import wavetank as wt\n"
         "def loaded():\n"
         "    scipy = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "    print(sorted(scipy), 'numpy.fft' in sys.modules)\n"
+        "    exact = [m for m in ('fractions', 'decimal') if m in sys.modules]\n"
+        "    print(sorted(scipy), 'numpy.fft' in sys.modules, exact)\n"
         "loaded()\n"
         "grid = wt.Grid(h_x=0.1, n_points=32)\n"
         "coeffs = wt.single_mode_coefficients(1.0, 6.0, 1.0)\n"
@@ -219,8 +223,9 @@ def test_import_and_single_mode_run_load_no_scipy():
         "coeffs = wt.build_coefficients(basis, sigma=cfg.sigma,\n"
         "                               beta2=cfg.beta2)\n"
         "state, _ = wt.build_initial_state(cfg, basis)\n"
-        "_, report = wt.advance(state, coeffs, cfg.grid, cfg.scheme,\n"
-        "                       10 * cfg.scheme.tau)\n"
+        "final, report = wt.advance(state, coeffs, cfg.grid, cfg.scheme,\n"
+        "                           10 * cfg.scheme.tau)\n"
+        "wt.export(wt.synthesize(basis, final, cfg.grid), os.devnull)\n"
         "print(coeffs.n_modes, report.steps)\n"
         "loaded()\n"
     )
@@ -229,7 +234,7 @@ def test_import_and_single_mode_run_load_no_scipy():
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "[] False", "[] False", "5 10", "[] False"]
+        "[] False []", "[] False []", "5 10", "[] False []"]
 
 
 class TestTimestepPolicy:
@@ -300,6 +305,18 @@ class TestAdvance:
                                 SchemeParams(tau=1e-4), state.time)
         assert report.steps == 0
         assert np.array_equal(final.theta, state.theta)
+
+    def test_span_far_below_one_step_takes_one(self):
+        # a span under 1e-9 tau used to round to 0 steps, leaving the
+        # state at t0 < t_end
+        assert step_count(0.0, 1e-13, 1e-3) == 1
+        assert step_count(0.0, 0.0, 1e-3) == 0
+        grid = Grid(h_x=0.05, n_points=64)
+        state, coeffs, _ = soliton_state(grid)
+        final, report = advance(state, coeffs, grid, SchemeParams(tau=1e-4),
+                                1e-14)
+        assert report.steps == 1
+        assert final.time >= 1e-14
 
     def test_rejects_backward_span(self):
         grid = Grid(h_x=0.05, n_points=64)
