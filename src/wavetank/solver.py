@@ -19,48 +19,37 @@ Both are weakly unstable on the dispersive spectrum, so one policy
 picks tau for both: `stable_tau` bounds the round-off growth of the
 grid-scale mode over the run's horizon by a fixed budget.
 
-Each stage computes its increment dt * rhs in one kernel.  With
-D1 = theta_{i+1} - theta_{i-1}, D4 = theta_{i+2} - theta_{i-2},
+Each stage computes its increment dt * rhs as one matrix product.
+With D1 = theta_{i+1} - theta_{i-1}, D4 = theta_{i+2} - theta_{i-2},
 s0 = 1/(2h) and s3 = 1/(2h^3),
 
     dt (c D0 theta + e D3 theta + sum_{m,k} g^n_{m,k} theta^m D0 theta^k)
-        = A D1 + F D4 + T_dt(theta^m D1^k),
-    A = dt (c s0 - 2 e s3),  F = dt e s3,  T_dt = dt s0 g,
+        = (dt K) S,
+    K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 g]     (L, 2L + L^2),
+    S = [D1; D4; theta^m D1 theta^k]                  (2L + L^2, n),
 
-so tau, the stencil scales and the coefficients meet once per `advance`
-call, in per-mode factors, and a stage is the two differences, their
-products and one subtract(theta, increment, dest).
-
-`advance` forms the triad operator once per call as a matrix of shape
-(L, L^2) and scales a copy by dt s0 for each stage; each stage forms the
-all-pair product theta^m D1 theta^k as an (L^2, n) array and applies
-the matrix.  Up to _DENSE_TRIAD_MAX_MODES modes the matrix is g itself,
-applied by a BLAS product.  Above, it is a CSR matrix of g's nonzeros,
-which lie only on the resonance branches n = m + k and n = |m - k|
-(4.5 % of the entries at L = 32, 1.8 % at L = 80), so the sum costs
-O(nnz n) instead of the dense O(L^3 n).  L = 1 computes
-(A + B theta) D1 + F D4 with B = dt g s0 and A, B, F as 0-d float64
-arrays, and builds no matrix: a (1, 1) sparse call alone costs about
-4 us.  An L = 1 stage is 10 numpy calls (two ghost-column slice
-assignments, eight ufuncs) and an L > 1 stage 11 (the two slice
-assignments, the pair product's `einsum` and eight ufuncs, the matrix
-product among them).  At n = 300 a call's fixed cost outweighs its
-arithmetic, so each is issued the cheap way: the output array by
-position rather than as `out=`, 0-d arrays rather than Python floats,
-slice assignment rather than `np.copyto`.  The
-two-stage step at L = 1 takes about 13 us at n = 120 and at n = 300
-(18 us with `out=`, Python floats and `copyto`), one-stage about 8 us
-(10 us); medians of 15 interleaved rounds of 10,000 steps, 2-core Xeon,
-numpy 2.4.6.  At L = 5, n = 256, it takes about 69 us with the dense
-triad product against 82 us through CSR (medians of 9 interleaved
-processes, 2,000 steps each, one BLAS thread, scipy 1.17.1).
+with g as a matrix of row n and column m L + k.  `advance` builds K
+once per call and scales it by dt for each stage.  A stage is 7 numpy
+calls for every L: two ghost-column slice assignments; the two
+differences and the pair product, written into the rows of S; the
+product; and one subtract(theta, increment, dest).  Up to
+_DENSE_TRIAD_MAX_MODES modes K is dense and the product a BLAS matmul
+into the increment buffer.  Above, K is CSR, built from its two
+diagonals and g's nonzeros, which lie only on the resonance branches
+n = m + k and n = |m - k| (4.5 % of the entries at L = 32, 1.8 % at
+L = 80), so the product costs O(nnz n) instead of the dense O(L^3 n).
+At n = 300 a call's fixed cost outweighs its arithmetic, so each is
+issued the cheap way: the output array by position rather than as
+`out=`, slice assignment rather than `np.copyto`.  The two-stage step
+takes about 11 us at (L, n) = (1, 120), 13 us at (1, 300), 58 us at
+(5, 256) and 1.26 ms at (32, 256) (README, Numerical notes, has the
+harness and the numbers of the per-mode form before it).
 
 `advance` steps in place.  Per call it allocates the padded state
 (L, n + 4), with the state in columns 2..n+1, a padded half-stage
-buffer (two-stage), the increment and one set of work arrays (D1, a
-temporary and, for L > 1, the (L, L, n) pair product) shared by every
-stage; each stage refreshes the four ghost columns and evaluates the
-stencil through ufuncs that write into those arrays.  Finiteness is
+buffer (two-stage), the increment and S, shared by every stage; each
+stage refreshes the four ghost columns and writes S and the increment
+through calls that write into those arrays.  Finiteness is
 checked every `_FINITE_CHECK_EVERY` steps, before every observation and
 after the last step, and each passing check copies the state into a
 checkpoint.
@@ -97,6 +86,7 @@ __all__ = [
     "semi_discrete_limit",
     "stable_tau",
     "step_count",
+    "whole_steps",
     "discrete_l2_norm",
     "mass_per_mode",
     "l2_per_mode",
@@ -116,14 +106,14 @@ LIMIT_RTOL = 1e-8
 _LIMIT_MIN_STEPS, _LIMIT_MAX_STEPS = 32, 2**13
 # points on each contour circle of the phi-function means
 _CONTOUR_POINTS = 64
-# the largest mode count whose triad operator is applied as a dense BLAS
-# product rather than through scipy CSR.  Per product (L, L^2) @ (L^2, 256),
-# modes 2, 4, ..., 2L, one BLAS thread (2-core Xeon, OpenBLAS 0.3.31, best
-# of 15 in each of three runs), dense against CSR: 2.4-4.5 against
-# 6.8-10.7 us at L = 5, 6.4-9.5 against 13.5-18.4 us at L = 8, about even
-# from L = 10 to 12, 57-66 against 28-49 us at L = 16 and 407-502 against
-# 148-235 us at L = 32
-_DENSE_TRIAD_MAX_MODES = 8
+# the largest mode count whose stage matrix is dense, applied by a BLAS
+# product, rather than CSR.  Per two-stage stage at n = 256, modes 2, 4,
+# ..., 2L, one BLAS thread (2-core Xeon, OpenBLAS 0.3.31, medians of 11
+# interleaved rounds in each of two runs), dense against CSR: 29-32
+# against 38-41 us at L = 5, 54-57 against 58-61 us at L = 8, 64-67
+# against 69-71 us at L = 9, even at L = 10, 106-112 against 98-104 us
+# at L = 12 and 781 against 532 us at L = 32 (one run)
+_DENSE_TRIAD_MAX_MODES = 9
 
 
 class NonFiniteError(ArithmeticError):
@@ -236,14 +226,19 @@ def step_count(t0, t_end, tau):
     return max(1, int(np.ceil((t_end - t0) / tau - 1e-9)))
 
 
+def whole_steps(t0, t_end, tau):
+    """(tau', n) for t_end > t0: the n = step_count(t0, t_end, tau) equal
+    steps tau' that land on t_end, so tau' <= tau but for the 1e-9 of a
+    step that step_count forgives."""
+    n_steps = step_count(t0, t_end, tau)
+    return (t_end - t0) / n_steps, n_steps
+
+
 def _triad_operator(g):
     """g^n_{m,k} as a matrix of shape (L, L^2): row n, column m L + k.
-    Up to _DENSE_TRIAD_MAX_MODES modes it is g's C-contiguous reshape,
-    applied by a BLAS product; above, a CSR matrix holding only g's
-    nonzero entries.  None for a single mode."""
+    Up to _DENSE_TRIAD_MAX_MODES modes it is g's C-contiguous reshape;
+    above, a CSR matrix holding only g's nonzero entries."""
     L = g.shape[0]
-    if L == 1:
-        return None
     if L <= _DENSE_TRIAD_MAX_MODES:
         return np.ascontiguousarray(g.reshape(L, L * L))
     # imported here: importing scipy.sparse costs about 20 MB resident and
@@ -256,63 +251,68 @@ def _triad_operator(g):
 def _stencil_views(pad):
     """Views into a padded (L, n + 4) buffer that holds the state in
     columns 2..n+1: the two ghost-column pairs with their periodic
-    sources, then the shifts 0..4 of the stencil (shift 2 is the state)."""
+    sources, the shifts 0..4 of the stencil (shift 2 is the state), then
+    the state as (L, 1, n) for the pair product."""
     n = pad.shape[1] - 4
     return ((pad[:, :2], pad[:, n:n + 2], pad[:, n + 2:], pad[:, 2:4])
-            + tuple(pad[:, s:s + n] for s in range(5)))
+            + tuple(pad[:, s:s + n] for s in range(5))
+            + (pad[:, None, 2:n + 2],))
 
 
 def _increment_kernel(coeffs, grid, e, triad):
     """increment(dt) -> inc(views, out): dt (c D0 theta + e D3 theta
-    + sum g theta^m D0 theta^k), per mode, written into `out` for the
-    padded state behind `views` (`_stencil_views`); `triad` is
-    `_triad_operator(coeffs.g)`.  With D1 = theta_{i+1} - theta_{i-1} and
-    D4 = theta_{i+2} - theta_{i-2}, this is A D1 + F D4 + T(theta^m D1^k)
-    for A = dt (c s0 - 2 e s3), F = dt e s3 and T the triad matrix times
-    dt s0 (s0 = 1/2h, s3 = 1/2h^3).  Every `inc` shares the work arrays,
-    allocated here once."""
+    + sum g theta^m D0 theta^k), per mode, for the padded state behind
+    `views` (`_stencil_views`); `triad` is `_triad_operator(coeffs.g)`.
+    With D1 = theta_{i+1} - theta_{i-1}, D4 = theta_{i+2} - theta_{i-2},
+    s0 = 1/2h and s3 = 1/2h^3 this is the one product (dt K) S of the
+    stage matrix K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 triad], of
+    shape (L, 2L + L^2), and the stage rows S = [D1; D4; theta^m D1^k],
+    of shape (2L + L^2, n).  A dense `triad` gives a dense K, applied by
+    a BLAS product written into `out`; a CSR one a CSR K, built from the
+    two diagonals and triad's nonzeros, whose product is a new array.
+    Every `inc` shares S, allocated here once.  A linear system (g = 0,
+    as in every single-mode tank) keeps only K's and S's first 2L
+    columns and rows: theta^m D1^k overflows while theta is still finite,
+    and 0 * inf is nan."""
     L, n = coeffs.n_modes, grid.n_points
     s0, s3 = 0.5 / grid.h_x, 0.5 / grid.h_x**3
-    diff1, tmp = np.empty((L, n)), np.empty((L, n))
-    if L > 1:
-        prod = np.empty((L, L, n))
-        pairs = prod.reshape(L * L, n)
-    subtract, multiply, add, einsum = (np.subtract, np.multiply, np.add,
-                                       np.einsum)
+    diagonals = (coeffs.c * s0 - 2.0 * e * s3, e * s3)
+    width = 2 * L + L * L if coeffs.g.any() else 2 * L
+    if isinstance(triad, np.ndarray):
+        stage = np.hstack([np.diag(d) for d in diagonals] + [s0 * triad])
+        pair_product, product = np.multiply, np.matmul
+    else:
+        from scipy import sparse
+        stage = sparse.hstack([sparse.diags_array(d) for d in diagonals]
+                              + [s0 * triad], format="csr")
+
+        # einsum forms the pairs faster than the broadcast multiply from
+        # about 9 modes (42 against 72 us at L = 16, n = 256) and slower
+        # at one (2.4-3.8 against 0.5-0.8 us at n = 120-300)
+        def pair_product(col, row, pairs):
+            np.einsum("mi,ki->mki", col[:, 0], row[0], out=pairs)
+
+        def product(scaled, rows, out):
+            return scaled @ rows
+    stage = stage[:, :width]
+    rows = np.empty((2 * L + L * L, n))
+    diff1, diff4, used = rows[:L], rows[L:2 * L], rows[:width]
+    pairs, diff1_row = rows[2 * L:].reshape(L, L, n), diff1[None]
+    subtract = np.subtract
 
     def increment(dt):
-        a = dt * (coeffs.c * s0 - 2.0 * e * s3)
-        f = dt * e * s3
-        if L == 1:
-            # 0-d arrays, not (1, 1): those would send every multiply down
-            # numpy's broadcast path; and not Python floats, which numpy
-            # converts on every call.  Each holds the same double.
-            a, f = a.reshape(()), f.reshape(())
-            b = np.array(dt * float(coeffs.g[0, 0, 0]) * s0)
-        else:
-            a, f = a[:, None], f[:, None]
-            scaled = triad * (dt * s0)
+        scaled = dt * stage
 
         # the output goes by position: as `out=` a call on (1, 300)
         # arrays costs about 0.8 us instead of 0.4 us
         def inc(views, out):
-            ghost_lo, wrap_lo, ghost_hi, wrap_hi, p0, p1, theta, p3, p4 = views
+            ghost_lo, wrap_lo, ghost_hi, wrap_hi, p0, p1, _, p3, p4, col = views
             ghost_lo[...] = wrap_lo
             ghost_hi[...] = wrap_hi
-            subtract(p3, p1, diff1)              # theta_{i+1} - theta_{i-1}
-            subtract(p4, p0, out)                # theta_{i+2} - theta_{i-2}
-            multiply(out, f, out)
-            if L == 1:
-                multiply(theta, b, tmp)          # (A + B theta) D1
-                add(tmp, a, tmp)
-                multiply(tmp, diff1, tmp)
-                add(out, tmp, out)
-            else:
-                multiply(diff1, a, tmp)
-                add(out, tmp, out)
-                einsum("mi,ki->mki", theta, diff1, out=prod)
-                add(out, scaled @ pairs, out)
-            return out
+            subtract(p3, p1, diff1)
+            subtract(p4, p0, diff4)
+            pair_product(col, diff1_row, pairs)  # theta^m D1 theta^k
+            return product(scaled, used, out)
 
         return inc
 
@@ -538,25 +538,20 @@ def semi_discrete_limit(state, coeffs, grid, scheme, t_end):
     e = _dispersion_coefficient(coeffs, grid, scheme)
     lin = -(coeffs.c[:, None] * sym0 + e[:, None] * sym3)
     triad = _triad_operator(coeffs.g)
-    # the step weights carry the sign of the triad term, and g at L = 1
-    sign = -1.0 if triad is not None else -float(coeffs.g[0, 0, 0])
     stack = np.empty((2, L, n // 2 + 1), dtype=complex)
 
     def triad_term(v):
-        """sum g theta^m D0 theta^k of the spectrum v, as a spectrum,
-        without g at L = 1."""
+        """sum g theta^m D0 theta^k of the spectrum v, as a spectrum."""
         stack[0] = v
         np.multiply(sym0, v, out=stack[1])
         theta, d0 = fft.irfft(stack, n)
-        if triad is None:
-            return fft.rfft(theta * d0)
         return fft.rfft(triad @ (theta[:, None, :] * d0[None, :, :])
                         .reshape(L * L, n))
 
     def solve(n_steps):
         tau = (t_end - state.time) / n_steps
         E, E2, q, f1, f2, f3 = _phi_weights(tau * lin)
-        w = sign * tau
+        w = -tau
         q, f1, f2, f3 = w * q, w * f1, 2.0 * w * f2, w * f3
         v = fft.rfft(state.theta)
         for _ in range(n_steps):

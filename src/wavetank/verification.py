@@ -42,6 +42,7 @@ from .solver import (
     l2_per_mode,
     semi_discrete_limit,
     stable_tau,
+    whole_steps,
 )
 
 __all__ = [
@@ -288,12 +289,6 @@ def fit_order(scales, norms):
     return float(slope), resid
 
 
-def _whole_steps(tau, horizon):
-    """tau adjusted to a whole number of steps across `horizon`."""
-    n_steps = max(1, int(round(horizon / tau)))
-    return horizon / n_steps, n_steps
-
-
 def _convergence_study(kind, scheme, wave, levels, horizon, reference=None):
     """Run `wave` from t = 0 to `horizon` once per (grid, tau) pair and
     fit the order.
@@ -308,7 +303,7 @@ def _convergence_study(kind, scheme, wave, levels, horizon, reference=None):
     """
     out = []
     for grid, tau in levels:
-        tau, n_steps = _whole_steps(tau, horizon)
+        tau, n_steps = whole_steps(0.0, horizon, tau)
         try:
             final, _ = advance(wave.state(grid, 0.0), wave.coeffs, grid,
                                SchemeParams(tau=tau, scheme=scheme), horizon)
@@ -507,8 +502,8 @@ def fission_census(coeffs, amplitude, width, t_end):
     theta0 = amplitude / np.cosh((grid.x - center) / width) ** 2
     state = ModeState(time=0.0, theta=theta0[None, :])
 
-    tau, n_steps = _whole_steps(stable_tau(coeffs, grid, TWO_STAGE, t_end),
-                                t_end)
+    tau, n_steps = whole_steps(0.0, t_end,
+                               stable_tau(coeffs, grid, TWO_STAGE, t_end))
     snaps = []
     advance(state, coeffs, grid, SchemeParams(tau=tau), t_end,
             observers=[lambda s, st: snaps.append(st.theta[0].copy())],
@@ -576,8 +571,9 @@ def integrable_pair_check():
 
     rev_horizon = 0.25 * horizon
     grid = levels[1][0]
-    tau, _ = _whole_steps(stable_tau(pair.coeffs, grid, TWO_STAGE,
-                                     2.0 * rev_horizon), rev_horizon)
+    tau, _ = whole_steps(0.0, rev_horizon,
+                         stable_tau(pair.coeffs, grid, TWO_STAGE,
+                                    2.0 * rev_horizon))
     params = SchemeParams(tau=tau)
     start = pair.state(grid, 0.0)
     fwd, _ = advance(start, pair.coeffs, grid, params, rev_horizon)

@@ -496,20 +496,26 @@ class TestMassProperty:
 
 def reference_increment(theta, coeffs, grid, e, triad, dt):
     """dt times the right-hand side with fresh arrays for every
-    intermediate: a padded copy, shifted views and the same fused float
-    expressions, in the same order, as the in-place kernel."""
+    intermediate: the stage matrix K = [diag(c s0 - 2 e s3) | diag(e s3)
+    | s0 g] and the stage rows S = [D1; D4; theta^m D1 theta^k] built
+    from a padded copy, and the one product (dt K) S, in the format of
+    `triad` (CSR drops K's zero entries), as in the in-place kernel.  At
+    g = 0 only the first 2L columns of K and rows of S enter."""
     s0, s3 = 0.5 / grid.h_x, 0.5 / grid.h_x**3
     L, n = theta.shape
     pad = np.concatenate((theta[:, -2:], theta, theta[:, :2]), axis=1)
     diff1 = pad[:, 3:n + 3] - pad[:, 1:n + 1]
-    a = dt * (coeffs.c * s0 - 2.0 * e * s3)
-    out = (pad[:, 4:n + 4] - pad[:, 0:n]) * (dt * e * s3)[:, None]
-    if L == 1:
-        b = dt * coeffs.g[0, 0, 0] * s0
-        return out + (theta * b + a[0]) * diff1
-    out = out + diff1 * a[:, None]
+    diff4 = pad[:, 4:n + 4] - pad[:, 0:n]
     pairs = (theta[:, None, :] * diff1[None, :, :]).reshape(L * L, n)
-    return out + (triad * (dt * s0)) @ pairs
+    rows = np.concatenate((diff1, diff4, pairs))
+    stage = np.hstack((np.diag(coeffs.c * s0 - 2.0 * e * s3),
+                       np.diag(e * s3), s0 * coeffs.g.reshape(L, L * L)))
+    if not coeffs.g.any():
+        stage, rows = stage[:, :2 * L], rows[:2 * L]
+    if not isinstance(triad, np.ndarray):
+        from scipy import sparse
+        stage = sparse.csr_array(stage)
+    return (dt * stage) @ rows
 
 
 def reference_trajectory(theta, coeffs, grid, tau, scheme, steps):
@@ -570,20 +576,32 @@ def tank_coefficients(modes):
     return build_coefficients(basis, method="closed_form")
 
 
+# tank mode sets (g = 0 at one mode, a CSR stage matrix at ten) and the
+# single-mode KdV system (g = 6)
+KERNEL_CASES = [(1,), (2,), (1, 2, 3), (1, 3, 4), tuple(range(2, 21, 2)),
+                "kdv"]
+
+
+def kernel_coefficients(case):
+    if case == "kdv":
+        return single_mode_coefficients(1.0, 6.0, 1.0)
+    return tank_coefficients(case)
+
+
 class TestInPlaceKernel:
-    @given(modes=st.sampled_from([(1,), (2,), (1, 2, 3), (1, 3, 4)]),
+    @given(case=st.sampled_from(KERNEL_CASES),
            scheme=st.sampled_from([TWO_STAGE, ONE_STAGE]),
            n_points=st.integers(8, 64),
            steps=st.integers(1, 30),
            observe_every=st.integers(0, 7),
            seed=st.integers(0, 2**32 - 1))
-    def test_bit_identical_to_per_stage_reference(self, modes, scheme,
+    def test_bit_identical_to_per_stage_reference(self, case, scheme,
                                                   n_points, steps,
                                                   observe_every, seed):
-        coeffs = tank_coefficients(modes)
+        coeffs = kernel_coefficients(case)
         grid = Grid(h_x=0.5 / n_points, n_points=n_points)
         theta = np.random.default_rng(seed).standard_normal(
-            (len(modes), n_points))
+            (coeffs.n_modes, n_points))
         tau = finite_tau(coeffs, grid, scheme, theta)
         seen = {}
         final, report = advance(
@@ -602,19 +620,19 @@ class TestInPlaceKernel:
             _rhs(theta, coeffs, grid, e, triad),
             reference_increment(theta, coeffs, grid, e, triad, 1.0))
 
-    @given(modes=st.sampled_from([(1,), (2,), (1, 2, 3), (1, 3, 4)]),
+    @given(case=st.sampled_from(KERNEL_CASES),
            scheme=st.sampled_from([TWO_STAGE, ONE_STAGE]),
            n_points=st.integers(8, 64),
            steps=st.integers(1, 30),
            seed=st.integers(0, 2**32 - 1))
-    def test_matches_unfused_textbook_step_to_roundoff(self, modes, scheme,
+    def test_matches_unfused_textbook_step_to_roundoff(self, case, scheme,
                                                        n_points, steps, seed):
-        # folding tau and the stencil scales into per-mode coefficients
-        # reorders the float arithmetic but not the scheme
-        coeffs = tank_coefficients(modes)
+        # folding tau, the stencil scales and the coefficients into one
+        # stage matrix reorders the float arithmetic but not the scheme
+        coeffs = kernel_coefficients(case)
         grid = Grid(h_x=0.5 / n_points, n_points=n_points)
         theta = np.random.default_rng(seed).standard_normal(
-            (len(modes), n_points))
+            (coeffs.n_modes, n_points))
         tau = finite_tau(coeffs, grid, scheme, theta)
         final, _ = advance(ModeState(0.0, theta), coeffs, grid,
                            SchemeParams(tau, scheme), steps * tau)

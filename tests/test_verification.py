@@ -5,7 +5,14 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from wavetank import verification
-from wavetank.solver import Grid, ModeState, SchemeParams, advance, stable_tau
+from wavetank.solver import (
+    Grid,
+    ModeState,
+    SchemeParams,
+    advance,
+    stable_tau,
+    step_count,
+)
 from wavetank.verification import (
     build_traveling_pair,
     canonical_pulse_strength,
@@ -384,3 +391,37 @@ class TestTravelingPair:
             rel = (np.sqrt(np.sum((final.theta[row] - exact) ** 2))
                    / np.sqrt(np.sum(exact**2)))
             assert rel < 5e-3
+
+
+def test_every_study_steps_within_stable_tau_onto_its_end(monkeypatch,
+                                                          fission_coeffs):
+    # each study's tau is its policy's tau cut to whole steps across the
+    # span: never longer than stable_tau over that span, and landing on
+    # its end (a rounded step count gave the temporal study's tau0
+    # 0.011 % above stable_tau)
+    runs = []
+
+    def recording(state, coeffs, grid, params, t_end, observers=(),
+                  observe_every=0):
+        span = t_end - state.time
+        runs.append((params.tau, stable_tau(coeffs, grid, params.scheme, span),
+                     step_count(state.time, t_end, params.tau) * params.tau,
+                     span))
+        final = ModeState(t_end, state.theta.copy())
+        for obs in observers:
+            obs(0, final)
+        return final, None
+
+    def shifted_limit(state, coeffs, grid, scheme, t_end):
+        return ModeState(t_end, np.roll(state.theta, 1, axis=1))
+
+    monkeypatch.setattr(verification, "advance", recording)
+    monkeypatch.setattr(verification, "semi_discrete_limit", shifted_limit)
+    measure_spatial_convergence()
+    measure_temporal_convergence()
+    fission_census(fission_coeffs, amplitude=6.0, width=1.0, t_end=1.5)
+    verification.integrable_pair_check()
+    assert len(runs) == 3 + 3 + 1 + 5
+    for tau, limit, landed, span in runs:
+        assert tau <= limit
+        assert landed == pytest.approx(span, rel=1e-12)
