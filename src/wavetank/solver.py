@@ -26,33 +26,46 @@ s0 = 1/(2h) and s3 = 1/(2h^3),
     dt (c D0 theta + e D3 theta + sum_{m,k} g^n_{m,k} theta^m D0 theta^k)
         = (dt K) S,
     K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 g]     (L, 2L + L^2),
-    S = [D1; D4; theta^m D1 theta^k]                  (2L + L^2, n),
+    S = [D1; D4; theta^m D1 theta^k]                  (2L + L^2, n + 4),
 
 with g as a matrix of row n and column m L + k.  `advance` builds K
 once per call and scales it by dt for each stage.  A stage is 7 numpy
 calls for every L: two ghost-column slice assignments; the two
 differences and the pair product, written into the rows of S; the
-product; and one subtract(theta, increment, dest).  Up to
-_DENSE_TRIAD_MAX_MODES modes K is dense and the product a BLAS matmul
-into the increment buffer.  Above, K is CSR, built from its two
+product; and one subtract(base, increment, dest).  Every elementwise
+call runs over whole padded rows in one contiguous pass: D1 and D4 are
+each one difference of the flattened (L, n + 4) buffer, over its
+entries 2..L(n+4)-3, the pair product and S span n + 4 columns, and
+the update subtracts the padded increment from the padded base into
+the padded destination.  The ghost columns so collect junk: differences
+across the ends of two rows, products of ghost values.  It never
+reaches the interior: an interior column reads only its own row's
+columns 0..n+3, which the stage refreshes first, and the product works
+column by column.  Up to _DENSE_TRIAD_MAX_MODES modes K is dense and
+the product a BLAS matmul that reads and writes only columns 2..n+1 of
+S and of the increment (at a leading dimension of n + 4, so with the
+bits of the (L, n) product).  Above, K is CSR, built from its two
 diagonals and g's nonzeros, which lie only on the resonance branches
 n = m + k and n = |m - k| (4.5 % of the entries at L = 32, 1.8 % at
-L = 80), so the product costs O(nnz n) instead of the dense O(L^3 n).
-At n = 300 a call's fixed cost outweighs its arithmetic, so each is
-issued the cheap way: the output array by position rather than as
-`out=`, slice assignment rather than `np.copyto`.  The two-stage step
-takes about 11 us at (L, n) = (1, 120), 13 us at (1, 300), 58 us at
-(5, 256) and 1.26 ms at (32, 256) (README, Numerical notes, has the
-harness and the numbers of the per-mode form before it).
+L = 80), so the product costs O(nnz n) instead of the dense O(L^3 n);
+it takes the whole width, which gives the same bits column by column,
+and is copied into the increment buffer.  At n = 300 a
+call's fixed cost outweighs its arithmetic, so each is issued the cheap
+way: the output array by position rather than as `out=`, slice
+assignment rather than `np.copyto`.  The two-stage step takes about
+10 us at (L, n) = (1, 120), 11 us at (1, 300), 39 us at (5, 256) and
+1.0 ms at (32, 256) (README, Numerical notes, has the harness and the
+numbers of the forms before it).
 
 `advance` steps in place.  Per call it allocates the padded state
 (L, n + 4), with the state in columns 2..n+1, a padded half-stage
-buffer (two-stage), the increment and S, shared by every stage; each
-stage refreshes the four ghost columns and writes S and the increment
-through calls that write into those arrays.  Finiteness is
-checked every `_FINITE_CHECK_EVERY` steps, before every observation and
-after the last step, and each passing check copies the state into a
-checkpoint.
+buffer (two-stage), and, zero-initialised, the padded increment and S,
+shared by every stage, so that the entries no pass writes read 0; each
+stage refreshes the four ghost columns of its input and writes S, the
+increment and its padded destination through calls that write into
+those arrays.  Finiteness of the state is checked every
+`_FINITE_CHECK_EVERY` steps, before every observation and after the
+last step, and each passing check copies the state into a checkpoint.
 A non-finite value stays non-finite through every later stage, so a
 failed check means the first bad stage lies after the checkpoint: the
 same kernel replays from it with a check after every stage and raises
@@ -251,36 +264,57 @@ def _triad_operator(g):
 def _stencil_views(pad):
     """Views into a padded (L, n + 4) buffer that holds the state in
     columns 2..n+1: the two ghost-column pairs with their periodic
-    sources, the shifts 0..4 of the stencil (shift 2 is the state), then
-    the state as (L, 1, n) for the pair product."""
+    sources; the flat buffer's entries 3.., 1.., 4.. and 0.. that line
+    up with its entries 2..L(n+4)-3, so that D1 and D4 of every row are
+    each one contiguous difference; the buffer as (L, 1, n + 4) for the
+    pair product; and the state, columns 2..n+1."""
     n = pad.shape[1] - 4
-    return ((pad[:, :2], pad[:, n:n + 2], pad[:, n + 2:], pad[:, 2:4])
-            + tuple(pad[:, s:s + n] for s in range(5))
-            + (pad[:, None, 2:n + 2],))
+    flat = pad.reshape(-1)
+    return (pad[:, :2], pad[:, n:n + 2], pad[:, n + 2:], pad[:, 2:4],
+            flat[3:-1], flat[1:-3], flat[4:], flat[:-4],
+            pad[:, None, :], pad[:, 2:n + 2])
 
 
 def _increment_kernel(coeffs, grid, e, triad):
-    """increment(dt) -> inc(views, out): dt (c D0 theta + e D3 theta
+    """increment(dt) -> inc(views): dt (c D0 theta + e D3 theta
     + sum g theta^m D0 theta^k), per mode, for the padded state behind
-    `views` (`_stencil_views`); `triad` is `_triad_operator(coeffs.g)`.
-    With D1 = theta_{i+1} - theta_{i-1}, D4 = theta_{i+2} - theta_{i-2},
-    s0 = 1/2h and s3 = 1/2h^3 this is the one product (dt K) S of the
-    stage matrix K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 triad], of
-    shape (L, 2L + L^2), and the stage rows S = [D1; D4; theta^m D1^k],
-    of shape (2L + L^2, n).  A dense `triad` gives a dense K, applied by
-    a BLAS product written into `out`; a CSR one a CSR K, built from the
-    two diagonals and triad's nonzeros, whose product is a new array.
-    Every `inc` shares S, allocated here once.  A linear system (g = 0,
-    as in every single-mode tank) keeps only K's and S's first 2L
-    columns and rows: theta^m D1^k overflows while theta is still finite,
-    and 0 * inf is nan."""
+    `views` (`_stencil_views`), as a padded (L, n + 4) array whose
+    columns 2..n+1 hold the increment; `triad` is
+    `_triad_operator(coeffs.g)`.  With D1 = theta_{i+1} - theta_{i-1},
+    D4 = theta_{i+2} - theta_{i-2}, s0 = 1/2h and s3 = 1/2h^3 this is
+    the one product (dt K) S of the stage matrix
+    K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 triad], of shape
+    (L, 2L + L^2), and the stage rows S = [D1; D4; theta^m D1^k], of
+    shape (2L + L^2, n + 4).
+
+    Every pass runs over whole padded rows: D1 and D4 are each one
+    difference of the flat buffer over its entries 2..L(n+4)-3, and the
+    pair product spans all n + 4 columns.  The ghost columns of S and of
+    the increment so hold junk, which is harmless: an interior column
+    reads only its own row's columns 0..n+3, refreshed first; the
+    product works column by column; and the next stage refreshes every
+    ghost column it reads.  A dense `triad` gives a dense K, applied by
+    a BLAS product that reads and writes only columns 2..n+1 (at a
+    leading dimension of n + 4, with the bits of the (L, n) product); a
+    CSR one a CSR K, built from the two diagonals and triad's nonzeros,
+    whose product over the whole width (the same bits column by column)
+    is copied into the increment.  Every `inc` shares S and the
+    increment, allocated here once and zero-initialised, so the entries
+    no pass writes (the flat ends of D1 and D4, the dense increment's
+    ghost columns) read 0.  A linear system (g = 0, as in every
+    single-mode tank) keeps only K's and S's first 2L columns and rows:
+    theta^m D1^k overflows while theta is still finite, and 0 * inf is
+    nan."""
     L, n = coeffs.n_modes, grid.n_points
     s0, s3 = 0.5 / grid.h_x, 0.5 / grid.h_x**3
     diagonals = (coeffs.c * s0 - 2.0 * e * s3, e * s3)
     width = 2 * L + L * L if coeffs.g.any() else 2 * L
+    rows = np.zeros((2 * L + L * L, n + 4))
+    padded = np.zeros((L, n + 4))
     if isinstance(triad, np.ndarray):
         stage = np.hstack([np.diag(d) for d in diagonals] + [s0 * triad])
         pair_product, product = np.multiply, np.matmul
+        used, product_out = rows[:width, 2:n + 2], padded[:, 2:n + 2]
     else:
         from scipy import sparse
         stage = sparse.hstack([sparse.diags_array(d) for d in diagonals]
@@ -293,11 +327,12 @@ def _increment_kernel(coeffs, grid, e, triad):
             np.einsum("mi,ki->mki", col[:, 0], row[0], out=pairs)
 
         def product(scaled, rows, out):
-            return scaled @ rows
+            out[...] = scaled @ rows
+        used, product_out = rows[:width], padded
     stage = stage[:, :width]
-    rows = np.empty((2 * L + L * L, n))
-    diff1, diff4, used = rows[:L], rows[L:2 * L], rows[:width]
-    pairs, diff1_row = rows[2 * L:].reshape(L, L, n), diff1[None]
+    diff1 = rows[:L].reshape(-1)[2:-2]
+    diff4 = rows[L:2 * L].reshape(-1)[2:-2]
+    pairs, diff1_row = rows[2 * L:].reshape(L, L, n + 4), rows[None, :L]
     subtract = np.subtract
 
     def increment(dt):
@@ -305,14 +340,15 @@ def _increment_kernel(coeffs, grid, e, triad):
 
         # the output goes by position: as `out=` a call on (1, 300)
         # arrays costs about 0.8 us instead of 0.4 us
-        def inc(views, out):
-            ghost_lo, wrap_lo, ghost_hi, wrap_hi, p0, p1, _, p3, p4, col = views
+        def inc(views):
+            ghost_lo, wrap_lo, ghost_hi, wrap_hi, p3, p1, p4, p0, col, _ = views
             ghost_lo[...] = wrap_lo
             ghost_hi[...] = wrap_hi
             subtract(p3, p1, diff1)
             subtract(p4, p0, diff4)
             pair_product(col, diff1_row, pairs)  # theta^m D1 theta^k
-            return product(scaled, used, out)
+            product(scaled, used, product_out)
+            return padded
 
         return inc
 
@@ -326,7 +362,7 @@ def _rhs(theta, coeffs, grid, e, triad):
     pad = np.empty((L, n + 4))
     pad[:, 2:n + 2] = theta
     inc = _increment_kernel(coeffs, grid, e, triad)(1.0)
-    return inc(_stencil_views(pad), np.empty((L, n)))
+    return inc(_stencil_views(pad))[:, 2:n + 2].copy()
 
 
 def mass_per_mode(state, grid):
@@ -419,26 +455,30 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
     increment = _increment_kernel(
         coeffs, grid, _dispersion_coefficient(coeffs, grid, params.scheme),
         _triad_operator(coeffs.g))
-    views = _stencil_views(np.empty((L, n + 4)))
-    theta = views[6]               # the state, advanced in place
+    pad = np.empty((L, n + 4))
+    views = _stencil_views(pad)
+    theta = views[-1]              # the state, advanced in place
     theta[...] = state.theta
-    out = np.empty((L, n))
-    # (stage input, increment, destination, name): every stage is based
-    # on theta
+    # (stage input, increment, padded destination, its state, name):
+    # every stage is based on the padded theta, and its update runs over
+    # whole padded rows; the ghost junk it writes is refreshed by the
+    # next stage before anything reads it
     if params.scheme == TWO_STAGE:
-        half_views = _stencil_views(np.empty((L, n + 4)))
-        stages = ((views, increment(tau / 2.0), half_views[6], "half step"),
-                  (half_views, increment(tau), theta, "full step"))
+        half = np.empty((L, n + 4))
+        half_views = _stencil_views(half)
+        stages = ((views, increment(tau / 2.0), half, half_views[-1],
+                   "half step"),
+                  (half_views, increment(tau), pad, theta, "full step"))
     else:
-        stages = ((views, increment(tau), theta, "one-stage step"),)
+        stages = ((views, increment(tau), pad, theta, "one-stage step"),)
     subtract = np.subtract
 
     def step(check=False):
         """One step in place; with `check`, the name of the first stage
         that produced non-finite values, else None."""
-        for at, inc, dest, what in stages:
-            subtract(theta, inc(at, out), dest)
-            if check and not np.isfinite(dest).all():
+        for at, inc, dest, dest_state, what in stages:
+            subtract(pad, inc(at), dest)
+            if check and not np.isfinite(dest_state).all():
                 return what
         return None
 

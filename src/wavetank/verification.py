@@ -74,6 +74,8 @@ FIT_RESIDUAL_LIMIT = 0.1   # log2 units
 # accuracy cap, not a growth budget: it binds below `stable_tau` at 12
 # and 24 points per width, for 100 transits and for 40.
 SPATIAL_TAU_CAP_FRACTION = 0.02
+# A crest is a local maximum at or above this share of its row's maximum
+CREST_FLOOR = 0.05
 
 
 # -- the exact travelling wave -------------------------------------------------
@@ -458,14 +460,14 @@ def scattering_bound_states(strength):
 
 
 def _count_crests(row):
-    """Local maxima at or above 5 % of the row's maximum, and their
-    amplitudes in descending order."""
+    """Local maxima at or above CREST_FLOOR of the row's maximum, and
+    their amplitudes in descending order."""
     peak = float(np.max(row))
     if peak <= 0:
         return 0, ()
     left = np.roll(row, 1)
     right = np.roll(row, -1)
-    is_max = (row > left) & (row > right) & (row >= 0.05 * peak)
+    is_max = (row > left) & (row > right) & (row >= CREST_FLOOR * peak)
     amps = tuple(sorted((float(v) for v in row[is_max]), reverse=True))
     return int(np.count_nonzero(is_max)), amps
 
@@ -488,9 +490,9 @@ def fission_census(coeffs, amplitude, width, t_end):
 
     The pulse sits mid-ring on 30 widths at 10 points per width, and
     the two-stage run is observed at 12 snapshots.  A crest is a local
-    maximum at or above 5 % of the snapshot's global maximum; the
-    census is persistent when the crest count agrees across the last 3
-    snapshots.  Detection is deterministic for a given trajectory."""
+    maximum at or above CREST_FLOOR (5 %) of the snapshot's global
+    maximum; the census is persistent when the crest count agrees
+    across the last 3 snapshots.  Detection is deterministic for a given trajectory."""
     if coeffs.n_modes != 1:
         raise ValueError("fission census is a single-mode diagnostic")
     g, d = float(coeffs.g[0, 0, 0]), float(coeffs.d[0])

@@ -25,7 +25,9 @@ from wavetank.solver import (
     advance,
     _FINITE_CHECK_EVERY,
     _dispersion_coefficient,
+    _increment_kernel,
     _rhs,
+    _stencil_views,
     _triad_operator,
     discrete_l2_norm,
     l2_per_mode,
@@ -639,6 +641,31 @@ class TestInPlaceKernel:
         ref = textbook_trajectory(theta, coeffs, grid, tau, scheme, steps)
         assert (np.max(np.abs(final.theta - ref))
                 <= 1e-12 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("scheme", [TWO_STAGE, ONE_STAGE])
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_stage_reads_no_ghost_column_before_refreshing_it(self, case,
+                                                              scheme):
+        # every pass of a stage runs over whole padded rows, so the ghost
+        # columns of S and of the increment hold junk; with the input's
+        # ghost columns NaN, a pass that read one before the stage
+        # refreshed it would carry NaN into the interior
+        coeffs = kernel_coefficients(case)
+        L, n = coeffs.n_modes, 16
+        grid = Grid(h_x=0.5 / n, n_points=n)
+        theta = np.random.default_rng(3).standard_normal((L, n))
+        e = _dispersion_coefficient(coeffs, grid, scheme)
+        triad = _triad_operator(coeffs.g)
+        dt = finite_tau(coeffs, grid, scheme, theta)
+        pad = np.full((L, n + 4), np.nan)
+        pad[:, 2:n + 2] = theta
+        inc = _increment_kernel(coeffs, grid, e, triad)(dt)
+        with np.errstate(all="raise"):
+            padded = inc(_stencil_views(pad))
+        assert np.array_equal(
+            padded[:, 2:n + 2],
+            reference_increment(theta, coeffs, grid, e, triad, dt))
+        assert np.isfinite(padded).all()
 
     def test_two_stage_work_buffers_are_shared(self):
         # both stages share one (L, L, n) pair product: a second one would
