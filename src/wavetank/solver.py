@@ -17,7 +17,8 @@ one-stage
 
 Both are weakly unstable on the dispersive spectrum, so one policy
 picks tau for both: `stable_tau` bounds the round-off growth of the
-grid-scale mode over the run's horizon by a fixed budget.
+grid-scale mode over the run's horizon by a fixed budget.  `advance`
+lands every run on its t_end, in steps no longer than the tau given.
 
 Each stage computes its increment dt * rhs as one matrix product.
 With D1 = theta_{i+1} - theta_{i-1}, D4 = theta_{i+2} - theta_{i-2},
@@ -99,7 +100,6 @@ __all__ = [
     "semi_discrete_limit",
     "stable_tau",
     "step_count",
-    "whole_steps",
     "discrete_l2_norm",
     "mass_per_mode",
     "l2_per_mode",
@@ -237,14 +237,6 @@ def step_count(t0, t_end, tau):
     if t_end <= t0:
         return 0
     return max(1, int(np.ceil((t_end - t0) / tau - 1e-9)))
-
-
-def whole_steps(t0, t_end, tau):
-    """(tau', n) for t_end > t0: the n = step_count(t0, t_end, tau) equal
-    steps tau' that land on t_end, so tau' <= tau but for the 1e-9 of a
-    step that step_count forgives."""
-    n_steps = step_count(t0, t_end, tau)
-    return (t_end - t0) / n_steps, n_steps
 
 
 def _triad_operator(g):
@@ -433,7 +425,9 @@ def _check_span(state, coeffs, grid, t_end):
 
 
 def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
-    """March `state` to t >= t_end with the selected scheme.
+    """March `state` to t_end with the selected scheme, in the
+    n = step_count(t0, t_end, params.tau) equal steps that span it
+    (`RunReport.tau`), and stamp the final state t_end.
 
     observers are callables (step_index, state) invoked at step 0,
     every `observe_every` steps (0 = only first/last) and after the
@@ -441,9 +435,9 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
     buffers stepped in place).  Conserved-quantity series are recorded
     at the same instants.  On instability raises NonFiniteError
     carrying the step index and the last finite state, with the stage
-    that failed named in its cause.  The time after step j is
-    t0 + j * tau, never a running sum.  tau is taken as given; callers
-    pick it with `stable_tau`.
+    that failed named in its cause.  The time after step j < n is
+    t0 + j * tau, never a running sum.  Callers pick params.tau with
+    `stable_tau`.
     """
     _check_span(state, coeffs, grid, t_end)
     if observe_every < 0:
@@ -451,6 +445,9 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
 
     tau, t0 = params.tau, state.time
     n_steps = step_count(t0, t_end, tau)
+    # a tau that lands on t_end stays bit for bit: runs share their steps
+    if t0 + n_steps * tau != t_end:
+        tau = (t_end - t0) / n_steps
     L, n = state.theta.shape
     increment = _increment_kernel(
         coeffs, grid, _dispersion_coefficient(coeffs, grid, params.scheme),
@@ -483,7 +480,8 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
         return None
 
     def at_step(j, values):
-        return ModeState(time=t0 + j * tau if j else t0, theta=values.copy())
+        return ModeState(time=t_end if j == n_steps else t0 + j * tau,
+                         theta=values.copy())
 
     report = RunReport(scheme=params.scheme, tau=tau)
 

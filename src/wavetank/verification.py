@@ -42,7 +42,7 @@ from .solver import (
     l2_per_mode,
     semi_discrete_limit,
     stable_tau,
-    whole_steps,
+    step_count,
 )
 
 __all__ = [
@@ -305,10 +305,9 @@ def _convergence_study(kind, scheme, wave, levels, horizon, reference=None):
     """
     out = []
     for grid, tau in levels:
-        tau, n_steps = whole_steps(0.0, horizon, tau)
         try:
-            final, _ = advance(wave.state(grid, 0.0), wave.coeffs, grid,
-                               SchemeParams(tau=tau, scheme=scheme), horizon)
+            final, run = advance(wave.state(grid, 0.0), wave.coeffs, grid,
+                                 SchemeParams(tau=tau, scheme=scheme), horizon)
         except NonFiniteError:
             nan = float("nan")
             out.append(ConvergenceLevel(grid.h_x, tau, 0, nan, nan, nan, False))
@@ -318,7 +317,7 @@ def _convergence_study(kind, scheme, wave, levels, horizon, reference=None):
         norm = (oracle_norm if reference is None
                 else discrete_l2_norm(final, reference, grid))
         exact_norm = float(np.sqrt(grid.h_x * np.sum(exact.theta**2)))
-        out.append(ConvergenceLevel(grid.h_x, tau, n_steps, norm,
+        out.append(ConvergenceLevel(grid.h_x, run.tau, run.steps, norm,
                                     norm / exact_norm, oracle_norm, True))
     good = [lv for lv in out if lv.stable]
     if len(good) < 3:
@@ -504,12 +503,11 @@ def fission_census(coeffs, amplitude, width, t_end):
     theta0 = amplitude / np.cosh((grid.x - center) / width) ** 2
     state = ModeState(time=0.0, theta=theta0[None, :])
 
-    tau, n_steps = whole_steps(0.0, t_end,
-                               stable_tau(coeffs, grid, TWO_STAGE, t_end))
+    tau = stable_tau(coeffs, grid, TWO_STAGE, t_end)
     snaps = []
     advance(state, coeffs, grid, SchemeParams(tau=tau), t_end,
             observers=[lambda s, st: snaps.append(st.theta[0].copy())],
-            observe_every=max(1, n_steps // 12))
+            observe_every=max(1, step_count(0.0, t_end, tau) // 12))
     counts_amps = [_count_crests(row) for row in snaps]
     counts = tuple(ca[0] for ca in counts_amps)
     detected, amps = counts_amps[-1]
@@ -573,10 +571,8 @@ def integrable_pair_check():
 
     rev_horizon = 0.25 * horizon
     grid = levels[1][0]
-    tau, _ = whole_steps(0.0, rev_horizon,
-                         stable_tau(pair.coeffs, grid, TWO_STAGE,
-                                    2.0 * rev_horizon))
-    params = SchemeParams(tau=tau)
+    params = SchemeParams(tau=stable_tau(pair.coeffs, grid, TWO_STAGE,
+                                         2.0 * rev_horizon))
     start = pair.state(grid, 0.0)
     fwd, _ = advance(start, pair.coeffs, grid, params, rev_horizon)
     forward_err = discrete_l2_norm(fwd, pair.state(grid, rev_horizon), grid)

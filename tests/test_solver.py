@@ -318,7 +318,31 @@ class TestAdvance:
         final, report = advance(state, coeffs, grid, SchemeParams(tau=1e-4),
                                 1e-14)
         assert report.steps == 1
-        assert final.time >= 1e-14
+        assert final.time == 1e-14
+
+    def test_lands_on_t_end(self):
+        # 1e-3 is 33.3 steps of 3e-5: 34 shorter steps end on it
+        grid = Grid(h_x=0.05, n_points=64)
+        state, coeffs, _ = soliton_state(grid)
+        params = SchemeParams(tau=3e-5)
+        final, report = advance(state, coeffs, grid, params, 1e-3,
+                                observe_every=10)
+        assert final.time == report.times[-1] == 1e-3
+        assert report.tau <= params.tau
+        assert report.steps == step_count(0.0, 1e-3, params.tau) == 34
+        assert report.times[1] == 10 * report.tau
+
+    def test_keeps_a_tau_that_lands_on_t_end(self):
+        # 5 steps of 3e-5 end on t_end, whose fifth is not 3e-5
+        grid = Grid(h_x=0.05, n_points=64)
+        state, coeffs, _ = soliton_state(grid)
+        params = SchemeParams(tau=3e-5)
+        t_end = 5 * params.tau
+        assert t_end / 5 != params.tau
+        final, report = advance(state, coeffs, grid, params, t_end)
+        assert report.tau == params.tau
+        assert report.steps == 5
+        assert final.time == t_end
 
     def test_rejects_backward_span(self):
         grid = Grid(h_x=0.05, n_points=64)
@@ -782,15 +806,6 @@ class TestExactAbort:
         assert err.value.last_state.time == before.time
 
 
-def whole_step_run(wave, grid, tau, scheme, horizon):
-    """`wave` advanced to `horizon` in whole steps near tau; the state and
-    the step count."""
-    n_steps = max(1, round(horizon / tau))
-    final, _ = advance(wave.state(grid, 0.0), wave.coeffs, grid,
-                       SchemeParams(horizon / n_steps, scheme), horizon)
-    return final, n_steps
-
-
 class TestSemiDiscreteLimit:
     """The verified tau -> 0 limit of each scheme's finite-difference
     system, on the coupled travelling pair (L = 2, n = 96)."""
@@ -808,9 +823,11 @@ class TestSemiDiscreteLimit:
                                     TWO_STAGE, self.HORIZON)
         assert limit.time == self.HORIZON
         tau = stable_tau(wave.coeffs, grid, TWO_STAGE, self.HORIZON)
-        runs = [whole_step_run(wave, grid, tau / div, TWO_STAGE, self.HORIZON)
-                for div in (4, 16)]
-        (coarse, n1), (fine, n2) = runs
+        (coarse, r1), (fine, r2) = [
+            advance(wave.state(grid, 0.0), wave.coeffs, grid,
+                    SchemeParams(tau / div, TWO_STAGE), self.HORIZON)
+            for div in (4, 16)]
+        n1, n2 = r1.steps, r2.steps
         e1 = discrete_l2_norm(coarse, limit, grid)
         e2 = discrete_l2_norm(fine, limit, grid)
         assert e2 < 1e-6
@@ -823,9 +840,11 @@ class TestSemiDiscreteLimit:
         limit = semi_discrete_limit(wave.state(grid, 0.0), wave.coeffs, grid,
                                     ONE_STAGE, self.HORIZON)
         tau = stable_tau(wave.coeffs, grid, ONE_STAGE, self.HORIZON) / 4
-        (coarse, n1), (fine, n2) = [
-            whole_step_run(wave, grid, t, ONE_STAGE, self.HORIZON)
+        (coarse, r1), (fine, r2) = [
+            advance(wave.state(grid, 0.0), wave.coeffs, grid,
+                    SchemeParams(t, ONE_STAGE), self.HORIZON)
             for t in (tau, tau / 2)]
+        n1, n2 = r1.steps, r2.steps
         e1 = discrete_l2_norm(coarse, limit, grid)
         e2 = discrete_l2_norm(fine, limit, grid)
         assert 0.95 <= math.log(e1 / e2) / math.log(n2 / n1) <= 1.05

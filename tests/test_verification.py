@@ -8,6 +8,7 @@ from wavetank import verification
 from wavetank.solver import (
     Grid,
     ModeState,
+    RunReport,
     SchemeParams,
     advance,
     stable_tau,
@@ -357,7 +358,8 @@ class TestTravelingPair:
             return taus[-1]
 
         def no_run(state, coeffs, grid, params, t_end, **kwargs):
-            return ModeState(t_end, state.theta.copy()), None
+            return (ModeState(t_end, state.theta.copy()),
+                    RunReport(params.scheme, params.tau))
 
         monkeypatch.setattr(verification, "stable_tau", recording)
         monkeypatch.setattr(verification, "advance", no_run)
@@ -395,22 +397,20 @@ class TestTravelingPair:
 
 def test_every_study_steps_within_stable_tau_onto_its_end(monkeypatch,
                                                           fission_coeffs):
-    # each study's tau is its policy's tau cut to whole steps across the
-    # span: never longer than stable_tau over that span, and landing on
-    # its end (a rounded step count gave the temporal study's tau0
-    # 0.011 % above stable_tau)
+    # each study's tau is never longer than stable_tau over its span (a
+    # rounded step count gave the temporal study's tau0 0.011 % above
+    # stable_tau); `advance` lands it on the span's end
     runs = []
 
     def recording(state, coeffs, grid, params, t_end, observers=(),
                   observe_every=0):
-        span = t_end - state.time
-        runs.append((params.tau, stable_tau(coeffs, grid, params.scheme, span),
-                     step_count(state.time, t_end, params.tau) * params.tau,
-                     span))
+        runs.append((params.tau, stable_tau(coeffs, grid, params.scheme,
+                                            t_end - state.time)))
         final = ModeState(t_end, state.theta.copy())
         for obs in observers:
             obs(0, final)
-        return final, None
+        return final, RunReport(params.scheme, params.tau,
+                                step_count(state.time, t_end, params.tau))
 
     def shifted_limit(state, coeffs, grid, scheme, t_end):
         return ModeState(t_end, np.roll(state.theta, 1, axis=1))
@@ -422,6 +422,5 @@ def test_every_study_steps_within_stable_tau_onto_its_end(monkeypatch,
     fission_census(fission_coeffs, amplitude=6.0, width=1.0, t_end=1.5)
     verification.integrable_pair_check()
     assert len(runs) == 3 + 3 + 1 + 5
-    for tau, limit, landed, span in runs:
+    for tau, limit in runs:
         assert tau <= limit
-        assert landed == pytest.approx(span, rel=1e-12)
