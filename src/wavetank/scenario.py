@@ -4,7 +4,9 @@ run configurations.
 The initial stream function is separable, psi(z, x, 0) = phi1(x) phi2(z)
 with a sech pulse along x and an antisymmetric sech*tanh paddle profile
 in z.  Projected onto the waveguide basis this gives
-theta^n(x, 0) = (Z^n, phi2) phi1(x).
+theta^n(x, 0) = (Z^n, phi2) phi1(x), sampled on the periodic ring as
+phi1's image sum (`PaddleProfile.periodic_phi1`): phi1 itself wraps
+with a jump in slope, whose grid-scale tail the explicit stages amplify.
 
 The reference tank is 0.50 m long, 0.25 m deep, N = 1.23 1/s, modes
 (2, 4, 6, 8, 10).  The pulse constants a, l, b, z0 are qualitative
@@ -59,6 +61,22 @@ class PaddleProfile:
     def phi1(self, x):
         return self.a / np.cosh(np.asarray(x, dtype=float) / self.l)
 
+    def periodic_phi1(self, x, length):
+        """phi1's periodic image sum on a ring of `length`,
+        sum_{|j| <= J} phi1(x + j length), with x first reduced to
+        [-length/2, length/2].  The images beyond J lie at least
+        (J + 1/2) length away, where sech < 2 exp(-40), under half an ulp
+        of the peak; so J = ceil(40 l / length - 1/2).  The images are
+        added in pairs, smallest first, which keeps the sum even in x
+        bit for bit."""
+        x = np.asarray(x, dtype=float)
+        x = x - length * np.round(x / length)
+        images = 0.0
+        for j in range(math.ceil(40.0 * self.l / length - 0.5), 0, -1):
+            images = images + (self.phi1(x + j * length)
+                               + self.phi1(x - j * length))
+        return images + self.phi1(x)
+
     def phi2(self, z, strat):
         amp = np.sqrt(2.0 / (strat.N**2 * strat.depth))
         arg = self.b * (np.asarray(z, dtype=float) - self.z0)
@@ -89,7 +107,7 @@ def mcewan_default():
     vertical structure confined to the paddle region, stream-function
     amplitude of order 1e-4 m^2/s).  tau = 4e-5 s lies below the
     solver's `stable_tau` for this horizon (4.9e-5 s); a run continued
-    at it goes non-finite at step 1936 (t = 0.0774 s).
+    at it goes non-finite in the half stage of step 4427 (t = 0.1771 s).
     """
     strat = Stratification(N=1.23, depth=0.25)
     paddle = PaddleProfile(a=4e-4, l=0.05, b=40.0, z0=strat.depth / 2.0)
@@ -202,7 +220,8 @@ class InitialStateReport:
 
 
 def build_initial_state(cfg, basis=None):
-    """theta^n(x_i, 0) = (Z^n, phi2) phi1(x_i) on the configured grid.
+    """theta^n(x_i, 0) = (Z^n, phi2) phi1(x_i) on the configured grid,
+    with phi1 summed over its periodic images (`periodic_phi1`).
 
     Returns (ModeState, InitialStateReport); the report carries the
     per-mode energy fractions and the fraction of paddle energy the
@@ -218,7 +237,8 @@ def build_initial_state(cfg, basis=None):
             f"basis modes {basis.indices} do not match config modes {cfg.modes}"
         )
     proj = project_profile(lambda z: cfg.paddle.phi2(z, cfg.strat), basis)
-    theta = proj.coefficients[:, None] * cfg.paddle.phi1(cfg.grid.x)[None, :]
+    theta = (proj.coefficients[:, None]
+             * cfg.paddle.periodic_phi1(cfg.grid.x, cfg.grid.length)[None, :])
     state = ModeState(time=0.0, theta=theta)
     fractions = proj.coefficients**2 / proj.profile_norm2
     return state, InitialStateReport(projection=proj, mode_energy_fractions=fractions)

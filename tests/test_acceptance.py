@@ -340,8 +340,9 @@ def test_criterion_8_mcewan_end_to_end(tmp_path):
     snap0 = synthesize(basis, state0, cfg.grid, z_points=257)
     xs = cross_section(snap0, 0.0)
     truncated = (basis.synthesize(init_report.projection.coefficients, xs.z)
-                 * cfg.paddle.phi1(xs.x_used))
-    full = cfg.paddle.phi2(xs.z, cfg.strat) * cfg.paddle.phi1(xs.x_used)
+                 * cfg.paddle.periodic_phi1(xs.x_used, cfg.grid.length))
+    full = (cfg.paddle.phi2(xs.z, cfg.strat)
+            * cfg.paddle.periodic_phi1(xs.x_used, cfg.grid.length))
     trunc_err = float(np.max(np.abs(xs.values - truncated)))
     dz = xs.z[1] - xs.z[0]
     misfit = np.sqrt(np.sum((xs.values - full) ** 2) * dz)

@@ -126,7 +126,7 @@ class TestCrossSection:
         snap = synthesize(basis, state, cfg.grid, z_points=257)
         xs = cross_section(snap, 0.0)
         truncated = (basis.synthesize(report.projection.coefficients, xs.z)
-                     * cfg.paddle.phi1(xs.x_used))
+                     * cfg.paddle.periodic_phi1(xs.x_used, cfg.grid.length))
         np.testing.assert_allclose(xs.values, truncated, atol=1e-15)
 
 

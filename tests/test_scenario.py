@@ -112,8 +112,29 @@ class TestInitialState:
         basis = cfg.basis()
         state, report = build_initial_state(cfg, basis)
         coeffs = report.projection.coefficients
-        expected = coeffs[:, None] * cfg.paddle.phi1(cfg.grid.x)[None, :]
+        expected = (coeffs[:, None]
+                    * cfg.paddle.periodic_phi1(cfg.grid.x,
+                                               cfg.grid.length)[None, :])
         np.testing.assert_allclose(state.theta, expected, rtol=1e-14)
+
+    def test_no_grid_scale_tail(self):
+        # phi1 wraps with a jump in slope, whose rfft tail (k h >= pi/2)
+        # reads 6.6e-6 of the peak; its periodic image sum, 1.0e-16
+        cfg = mcewan_default()
+        state, _ = build_initial_state(cfg)
+        spectrum = np.abs(np.fft.rfft(state.theta, axis=1))
+        kh = 2.0 * np.pi * np.arange(spectrum.shape[1]) / cfg.grid.n_points
+        assert np.max(spectrum[:, kh >= np.pi / 2]) < 1e-12 * np.max(spectrum)
+
+    def test_periodic_phi1_is_the_image_sum(self):
+        # against a sum over far more images than the J = 4 it takes
+        paddle, length = mcewan_default().paddle, 0.5
+        x = np.linspace(-0.25, 0.25, 41)
+        wide = sum(paddle.phi1(x + j * length) for j in range(-40, 41))
+        np.testing.assert_allclose(paddle.periodic_phi1(x, length), wide,
+                                   rtol=1e-15)
+        np.testing.assert_allclose(paddle.periodic_phi1(x + 3 * length, length),
+                                   wide, rtol=1e-14)
 
     def test_even_in_x_about_pulse_centre(self):
         cfg = mcewan_default()

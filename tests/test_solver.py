@@ -761,24 +761,38 @@ def test_dense_triad_tracks_a_csr_trajectory(mcewan_tank, monkeypatch):
             <= 1e-13 * np.max(np.abs(csr.theta)))
 
 
+def test_mcewan_tank_lies_on_its_semi_discrete_limit(mcewan_tank):
+    # the periodic paddle leaves no grid-scale tail for the stages to
+    # amplify: at T = 0.02 (500 steps of tau, landing on T) the default
+    # run reads 6.0e-10 from the tau -> 0 limit, 2.25e-3 with phi1 itself
+    cfg, coeffs, state = mcewan_tank
+    final, report = advance(state, coeffs, cfg.grid, cfg.scheme, 0.02)
+    limit = semi_discrete_limit(state, coeffs, cfg.grid, cfg.scheme.scheme,
+                                0.02)
+    assert report.steps == 500 and final.time == limit.time == 0.02
+    rel = (np.max(np.abs(final.theta - limit.theta), axis=1)
+           / np.max(np.abs(limit.theta), axis=1))
+    assert np.max(rel) <= 1e-8
+
+
 class TestExactAbort:
     """Finiteness is checked only every `_FINITE_CHECK_EVERY` steps; a
     failed check replays from the last checkpoint to the exact stage."""
 
     def test_mcewan_abort_between_checks(self, mcewan_tank):
-        # the default tank goes non-finite in the full stage of step 1936
+        # the default tank goes non-finite in the half stage of step 4427
         cfg, coeffs, state = mcewan_tank
         tau = cfg.scheme.tau
-        assert 1936 % _FINITE_CHECK_EVERY != 0
+        assert 4427 % _FINITE_CHECK_EVERY != 0
         with pytest.raises(NonFiniteError) as err:
-            advance(state, coeffs, cfg.grid, cfg.scheme, 0.08)
-        assert err.value.step == 1936
-        assert "full step" in str(err.value.__cause__)
+            advance(state, coeffs, cfg.grid, cfg.scheme, 4500 * tau)
+        assert err.value.step == 4427
+        assert "half step" in str(err.value.__cause__)
         last = err.value.last_state
-        assert last.time == state.time + 1935 * tau
+        assert last.time == state.time + 4426 * tau
         before, report = advance(state, coeffs, cfg.grid, cfg.scheme,
-                                 state.time + 1935 * tau)
-        assert report.steps == 1935
+                                 state.time + 4426 * tau)
+        assert report.steps == 4426
         assert np.array_equal(last.theta, before.theta)
 
     def test_half_stage_abort_off_the_check_grid(self):
