@@ -22,6 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import fields, scenario, verification
+from . import reference_tables as ref
 from .coefficients import (
     ConsistencyError,
     build_coefficients,
@@ -57,13 +58,16 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", metavar="PATH", help="scenario config file")
         p.add_argument("--out", metavar="DIR",
                        help="output directory (default: $CKDV_OUT or ./out)")
         p.add_argument("--run-id", default="run", help="filesystem-safe run name")
 
+    def scenario_file(p):
+        p.add_argument("--config", metavar="PATH", help="scenario config file")
+        common(p)
+
     run = sub.add_parser("run", help="integrate a scenario and emit snapshots")
-    common(run)
+    scenario_file(run)
     run.add_argument("--t-end", type=float, metavar="S")
     run.add_argument("--dx", type=float, metavar="M")
     run.add_argument("--dt", type=float, metavar="S")
@@ -74,7 +78,7 @@ def build_parser():
 
     coeffs = sub.add_parser("coeffs", help="emit c/d/g tables and the "
                                            "reconciliation report")
-    common(coeffs)
+    scenario_file(coeffs)
     coeffs.add_argument("--modes", metavar="LIST")
 
     conv = sub.add_parser("converge", help="measure empirical convergence orders")
@@ -250,8 +254,9 @@ def cmd_coeffs(args):
                        np.column_stack([n, m, k, coeffs.g.ravel()]))
 
     summary = [f"coefficients for modes {basis.indices}: tables in {out}"]
-    if tuple(basis.indices) == (2, 4, 6, 8, 10) and np.isclose(
-            basis.strat.N, 1.23) and np.isclose(basis.strat.depth, 0.25):
+    if (tuple(basis.indices) == ref.MCEWAN_MODES
+            and np.isclose(basis.strat.N, ref.MCEWAN_N)
+            and np.isclose(basis.strat.depth, ref.MCEWAN_DEPTH)):
         report = reconcile_with_reference(coeffs)
         _write(os.path.join(out, "reconciliation.dat"), report.to_text())
         n_conf = sum(1 for e in report.entries if e.status == "CONFIRMED")
@@ -295,8 +300,8 @@ def cmd_verify(args):
     out = _out_dir(args)
     checks = []
 
-    strat = Stratification(N=1.23, depth=0.25)
-    basis = build_constant_n_basis(strat, (2, 4, 6, 8, 10))
+    strat = Stratification(N=ref.MCEWAN_N, depth=ref.MCEWAN_DEPTH)
+    basis = build_constant_n_basis(strat, ref.MCEWAN_MODES)
     worst = 0.0
     zmat = basis.evaluate(simpson_grid(strat.depth)[0])
     for i in range(basis.n_modes):

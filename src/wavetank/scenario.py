@@ -9,7 +9,7 @@ phi1's image sum (`PaddleProfile.periodic_phi1`): phi1 itself wraps
 with a jump in slope, whose grid-scale tail the explicit stages amplify.
 
 The reference tank is 0.50 m long, 0.25 m deep, N = 1.23 1/s, modes
-(2, 4, 6, 8, 10).  The pulse constants a, l, b, z0 are qualitative
+(2, 4, 6, 8, 10) (`reference_tables.MCEWAN_*`).  The pulse constants a, l, b, z0 are qualitative
 paddle parameters, not reference values; the defaults below centre the
 paddle at mid-depth, which kills every odd mode by symmetry.
 """
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import reference_tables as ref
 from .fields import FMT
 from .modes import Projection, Stratification, build_constant_n_basis, project_profile
 from .solver import Grid, ModeState, SchemeParams, TWO_STAGE
@@ -109,14 +110,14 @@ def mcewan_default():
     solver's `stable_tau` for this horizon (4.9e-5 s); a run continued
     at it goes non-finite in the half stage of step 4427 (t = 0.1771 s).
     """
-    strat = Stratification(N=1.23, depth=0.25)
+    strat = Stratification(N=ref.MCEWAN_N, depth=ref.MCEWAN_DEPTH)
     paddle = PaddleProfile(a=4e-4, l=0.05, b=40.0, z0=strat.depth / 2.0)
     n_points = 256
     grid = Grid(h_x=0.5 / n_points, n_points=n_points, x0=-0.25)
     scheme = SchemeParams(tau=4e-5, scheme=TWO_STAGE)
     return ScenarioConfig(
         strat=strat,
-        modes=(2, 4, 6, 8, 10),
+        modes=ref.MCEWAN_MODES,
         paddle=paddle,
         grid=grid,
         scheme=scheme,

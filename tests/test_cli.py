@@ -34,6 +34,17 @@ class TestParsing:
         assert run_cli("run", "--config", str(outdir / "nope.cfg"),
                        "--out", str(outdir)) == 2
 
+    @pytest.mark.parametrize("command", ["verify", "converge", "fission"])
+    def test_config_only_for_scenario_commands(self, capsys, outdir, command):
+        # these commands read no scenario: --config was accepted, ignored
+        # and the command ran to exit 0
+        cfgfile = outdir / "x.cfg"
+        cfgfile.write_text("[run]\nt_end = 0.01\n")
+        assert run_cli(command, "--config", str(cfgfile), "--out", str(outdir),
+                       "--run-id", "cfg") == 2
+        assert "--config" in capsys.readouterr().err
+        assert not (outdir / "cfg").exists()
+
     def test_bad_modes_list(self, capsys, outdir):
         assert run_cli("run", "--modes", "2,q", "--out", str(outdir)) == 2
         assert capsys.readouterr().err.startswith(
