@@ -42,7 +42,8 @@ the padded destination.  The ghost columns so collect junk: differences
 across the ends of two rows, products of ghost values.  It never
 reaches the interior: an interior column reads only its own row's
 columns 0..n+3, which the stage refreshes first, and the product works
-column by column.  Up to _DENSE_TRIAD_MAX_MODES modes K is dense and
+column by column.  `_increment_kernel` owns K's form and picks it from
+the mode count alone.  Up to _DENSE_TRIAD_MAX_MODES modes K is dense and
 the product a BLAS matmul that reads and writes only columns 2..n+1 of
 S and of the increment (at a leading dimension of n + 4, so with the
 bits of the (L, n) product).  Above, K is CSR, built from its two
@@ -75,8 +76,9 @@ stage named in its cause.
 
 `semi_discrete_limit` gives the tau -> 0 limit of either scheme: the
 same D0, D3 and e_n, integrated by ETDRK4 with the linear part exact in
-rfft space, and returned only once step doubling has settled to
-LIMIT_RTOL.  It is the yardstick of the temporal order study.
+rfft space and g applied as the dense (L, L^2) matrix at every L, and
+returned only once step doubling has settled to LIMIT_RTOL.  It is the
+yardstick of the temporal order study.
 
 Single-mode periodic runs conserve the discrete mass sum_i theta_i to
 round-off: D0, D3 and theta * D0 theta all telescope on a ring.
@@ -239,20 +241,6 @@ def step_count(t0, t_end, tau):
     return max(1, int(np.ceil((t_end - t0) / tau - 1e-9)))
 
 
-def _triad_operator(g):
-    """g^n_{m,k} as a matrix of shape (L, L^2): row n, column m L + k.
-    Up to _DENSE_TRIAD_MAX_MODES modes it is g's C-contiguous reshape;
-    above, a CSR matrix holding only g's nonzero entries."""
-    L = g.shape[0]
-    if L <= _DENSE_TRIAD_MAX_MODES:
-        return np.ascontiguousarray(g.reshape(L, L * L))
-    # imported here: importing scipy.sparse costs about 20 MB resident and
-    # 0.17-0.24 s (2-core Xeon, scipy 1.17.1), which runs of at most
-    # _DENSE_TRIAD_MAX_MODES modes never need
-    from scipy import sparse
-    return sparse.csr_array(g.reshape(L, L * L))
-
-
 def _stencil_views(pad):
     """Views into a padded (L, n + 4) buffer that holds the state in
     columns 2..n+1: the two ghost-column pairs with their periodic
@@ -267,17 +255,16 @@ def _stencil_views(pad):
             pad[:, None, :], pad[:, 2:n + 2])
 
 
-def _increment_kernel(coeffs, grid, e, triad):
+def _increment_kernel(coeffs, grid, scheme):
     """increment(dt) -> inc(views): dt (c D0 theta + e D3 theta
-    + sum g theta^m D0 theta^k), per mode, for the padded state behind
-    `views` (`_stencil_views`), as a padded (L, n + 4) array whose
-    columns 2..n+1 hold the increment; `triad` is
-    `_triad_operator(coeffs.g)`.  With D1 = theta_{i+1} - theta_{i-1},
-    D4 = theta_{i+2} - theta_{i-2}, s0 = 1/2h and s3 = 1/2h^3 this is
-    the one product (dt K) S of the stage matrix
-    K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 triad], of shape
-    (L, 2L + L^2), and the stage rows S = [D1; D4; theta^m D1^k], of
-    shape (2L + L^2, n + 4).
+    + sum g theta^m D0 theta^k), per mode, with `scheme`'s e_n, for the
+    padded state behind `views` (`_stencil_views`), as a padded
+    (L, n + 4) array whose columns 2..n+1 hold the increment.  With
+    D1 = theta_{i+1} - theta_{i-1}, D4 = theta_{i+2} - theta_{i-2},
+    s0 = 1/2h and s3 = 1/2h^3 this is the one product (dt K) S of the
+    stage matrix K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 g], g as a
+    matrix of row n and column m L + k, of shape (L, 2L + L^2), and the
+    stage rows S = [D1; D4; theta^m D1^k], of shape (2L + L^2, n + 4).
 
     Every pass runs over whole padded rows: D1 and D4 are each one
     difference of the flat buffer over its entries 2..L(n+4)-3, and the
@@ -285,10 +272,11 @@ def _increment_kernel(coeffs, grid, e, triad):
     the increment so hold junk, which is harmless: an interior column
     reads only its own row's columns 0..n+3, refreshed first; the
     product works column by column; and the next stage refreshes every
-    ghost column it reads.  A dense `triad` gives a dense K, applied by
-    a BLAS product that reads and writes only columns 2..n+1 (at a
-    leading dimension of n + 4, with the bits of the (L, n) product); a
-    CSR one a CSR K, built from the two diagonals and triad's nonzeros,
+    ghost column it reads.  The kernel alone picks K's form, from the
+    mode count.  Up to _DENSE_TRIAD_MAX_MODES modes K is dense, applied
+    by a BLAS product that reads and writes only columns 2..n+1 (at a
+    leading dimension of n + 4, with the bits of the (L, n) product);
+    above, K is CSR, built from the two diagonals and g's nonzeros,
     whose product over the whole width (the same bits column by column)
     is copied into the increment.  Every `inc` shares S and the
     increment, allocated here once and zero-initialised, so the entries
@@ -299,18 +287,23 @@ def _increment_kernel(coeffs, grid, e, triad):
     nan."""
     L, n = coeffs.n_modes, grid.n_points
     s0, s3 = 0.5 / grid.h_x, 0.5 / grid.h_x**3
+    e = _dispersion_coefficient(coeffs, grid, scheme)
     diagonals = (coeffs.c * s0 - 2.0 * e * s3, e * s3)
+    g = coeffs.g.reshape(L, L * L)
     width = 2 * L + L * L if coeffs.g.any() else 2 * L
     rows = np.zeros((2 * L + L * L, n + 4))
     padded = np.zeros((L, n + 4))
-    if isinstance(triad, np.ndarray):
-        stage = np.hstack([np.diag(d) for d in diagonals] + [s0 * triad])
+    if L <= _DENSE_TRIAD_MAX_MODES:
+        stage = np.hstack([np.diag(d) for d in diagonals] + [s0 * g])
         pair_product, product = np.multiply, np.matmul
         used, product_out = rows[:width, 2:n + 2], padded[:, 2:n + 2]
     else:
+        # imported here: importing scipy.sparse costs about 20 MB resident
+        # and 0.17-0.24 s (2-core Xeon, scipy 1.17.1), which runs of at
+        # most _DENSE_TRIAD_MAX_MODES modes never need
         from scipy import sparse
         stage = sparse.hstack([sparse.diags_array(d) for d in diagonals]
-                              + [s0 * triad], format="csr")
+                              + [s0 * sparse.csr_array(g)], format="csr")
 
         # einsum forms the pairs faster than the broadcast multiply from
         # about 9 modes (42 against 72 us at L = 16, n = 256) and slower
@@ -345,16 +338,6 @@ def _increment_kernel(coeffs, grid, e, triad):
         return inc
 
     return increment
-
-
-def _rhs(theta, coeffs, grid, e, triad):
-    """c D0 theta + sum g theta^m D0 theta^k + e D3 theta, per mode, as a
-    new array: the dt = 1 increment of `_increment_kernel`."""
-    L, n = theta.shape
-    pad = np.empty((L, n + 4))
-    pad[:, 2:n + 2] = theta
-    inc = _increment_kernel(coeffs, grid, e, triad)(1.0)
-    return inc(_stencil_views(pad))[:, 2:n + 2].copy()
 
 
 def mass_per_mode(state, grid):
@@ -449,9 +432,7 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
     if t0 + n_steps * tau != t_end:
         tau = (t_end - t0) / n_steps
     L, n = state.theta.shape
-    increment = _increment_kernel(
-        coeffs, grid, _dispersion_coefficient(coeffs, grid, params.scheme),
-        _triad_operator(coeffs.g))
+    increment = _increment_kernel(coeffs, grid, params.scheme)
     pad = np.empty((L, n + 4))
     views = _stencil_views(pad)
     theta = views[-1]              # the state, advanced in place
@@ -555,7 +536,8 @@ def semi_discrete_limit(state, coeffs, grid, scheme, t_end):
 
     D0 and D3 are circulant, so in rfft space they are the diagonal
     symbols i sin(kh)/h and i (sin 2kh - 2 sin kh)/h^3 and the linear
-    part is integrated exactly; the triad term is explicit.  The
+    part is integrated exactly; the triad term is explicit, g applied
+    as the dense matrix of row n and column m L + k.  The
     integrator is ETDRK4 (Cox & Matthews, J. Comput. Phys. 176, 2002).
     The result verifies itself by step doubling: from
     `_LIMIT_MIN_STEPS` steps the count doubles until two successive
@@ -575,7 +557,7 @@ def semi_discrete_limit(state, coeffs, grid, scheme, t_end):
     sym3 = 1j * (np.sin(2.0 * kh) - 2.0 * np.sin(kh)) / h**3
     e = _dispersion_coefficient(coeffs, grid, scheme)
     lin = -(coeffs.c[:, None] * sym0 + e[:, None] * sym3)
-    triad = _triad_operator(coeffs.g)
+    triad = coeffs.g.reshape(L, L * L)
     stack = np.empty((2, L, n // 2 + 1), dtype=complex)
 
     def triad_term(v):

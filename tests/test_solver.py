@@ -26,9 +26,7 @@ from wavetank.solver import (
     _FINITE_CHECK_EVERY,
     _dispersion_coefficient,
     _increment_kernel,
-    _rhs,
     _stencil_views,
-    _triad_operator,
     discrete_l2_norm,
     l2_per_mode,
     mass_per_mode,
@@ -466,25 +464,12 @@ class TestTriadSum:
                                        modes)
         coeffs = build_coefficients(basis, sigma=sigma, method=method)
         L = len(modes)
-        triad = _triad_operator(coeffs.g)
-        assert triad.shape == (L, L * L)
-        if L <= solver._DENSE_TRIAD_MAX_MODES:
-            # g itself, row n and column m L + k, for a BLAS product
-            assert type(triad) is np.ndarray
-            assert triad.flags.c_contiguous
-            assert triad.tobytes() == coeffs.g.tobytes()
-        else:
-            # only the resonance entries are stored (a -0.0 is not a
-            # nonzero)
-            assert triad.format == "csr"
-            assert triad.nnz == np.count_nonzero(coeffs.g)
-            assert np.array_equal(triad.toarray(),
-                                  coeffs.g.reshape(L, L * L))
         grid = Grid(h_x=0.5 / n_points, n_points=n_points)
         theta = np.random.default_rng(seed).standard_normal((L, n_points))
-        # c = 0 and e = 0 leave the triad term alone in the right-hand side
-        bare = replace(coeffs, c=np.zeros(L))
-        got = _rhs(theta, bare, grid, np.zeros(L), triad)
+        # c = d = 0 leave the triad term alone in the one-stage increment,
+        # dense up to _DENSE_TRIAD_MAX_MODES modes and CSR above
+        bare = replace(coeffs, c=np.zeros(L), d=np.zeros(L))
+        got = kernel_increment(theta, bare, grid, ONE_STAGE, 1.0)
         ref = dense_triad(coeffs.g, theta, grid)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -520,13 +505,23 @@ class TestMassProperty:
         assert drift <= bound
 
 
-def reference_increment(theta, coeffs, grid, e, triad, dt):
+def kernel_increment(theta, coeffs, grid, scheme, dt):
+    """The in-place kernel's increment dt rhs of theta, as a new array."""
+    L, n = theta.shape
+    pad = np.empty((L, n + 4))
+    pad[:, 2:n + 2] = theta
+    inc = _increment_kernel(coeffs, grid, scheme)(dt)
+    return inc(_stencil_views(pad))[:, 2:n + 2].copy()
+
+
+def reference_increment(theta, coeffs, grid, e, dt):
     """dt times the right-hand side with fresh arrays for every
     intermediate: the stage matrix K = [diag(c s0 - 2 e s3) | diag(e s3)
     | s0 g] and the stage rows S = [D1; D4; theta^m D1 theta^k] built
-    from a padded copy, and the one product (dt K) S, in the format of
-    `triad` (CSR drops K's zero entries), as in the in-place kernel.  At
-    g = 0 only the first 2L columns of K and rows of S enter."""
+    from a padded copy, and the one product (dt K) S, dense up to
+    _DENSE_TRIAD_MAX_MODES modes and CSR above (CSR drops K's zero
+    entries), as in the in-place kernel.  At g = 0 only the first 2L
+    columns of K and rows of S enter."""
     s0, s3 = 0.5 / grid.h_x, 0.5 / grid.h_x**3
     L, n = theta.shape
     pad = np.concatenate((theta[:, -2:], theta, theta[:, :2]), axis=1)
@@ -538,7 +533,7 @@ def reference_increment(theta, coeffs, grid, e, triad, dt):
                        np.diag(e * s3), s0 * coeffs.g.reshape(L, L * L)))
     if not coeffs.g.any():
         stage, rows = stage[:, :2 * L], rows[:2 * L]
-    if not isinstance(triad, np.ndarray):
+    if L > solver._DENSE_TRIAD_MAX_MODES:
         from scipy import sparse
         stage = sparse.csr_array(stage)
     return (dt * stage) @ rows
@@ -550,17 +545,14 @@ def reference_trajectory(theta, coeffs, grid, tau, scheme, steps):
     theta <- theta - inc_tau(theta) (one-stage), inc_dt the fused
     increment dt rhs."""
     e = _dispersion_coefficient(coeffs, grid, scheme)
-    triad = _triad_operator(coeffs.g)
     out = [theta]
     for _ in range(steps):
         if scheme == TWO_STAGE:
-            half = theta - reference_increment(theta, coeffs, grid, e, triad,
+            half = theta - reference_increment(theta, coeffs, grid, e,
                                                tau / 2.0)
-            theta = theta - reference_increment(half, coeffs, grid, e, triad,
-                                                tau)
+            theta = theta - reference_increment(half, coeffs, grid, e, tau)
         else:
-            theta = theta - reference_increment(theta, coeffs, grid, e,
-                                                triad, tau)
+            theta = theta - reference_increment(theta, coeffs, grid, e, tau)
         out.append(theta)
     return out
 
@@ -639,12 +631,11 @@ class TestInPlaceKernel:
         assert np.array_equal(final.theta, ref[steps])
         for j, snap in seen.items():
             assert np.array_equal(snap, ref[j])
-        # the wrapper the triad test uses is the same arithmetic at dt = 1
+        # the dt = 1 increment the triad test reads is the same arithmetic
         e = _dispersion_coefficient(coeffs, grid, scheme)
-        triad = _triad_operator(coeffs.g)
         assert np.array_equal(
-            _rhs(theta, coeffs, grid, e, triad),
-            reference_increment(theta, coeffs, grid, e, triad, 1.0))
+            kernel_increment(theta, coeffs, grid, scheme, 1.0),
+            reference_increment(theta, coeffs, grid, e, 1.0))
 
     @given(case=st.sampled_from(KERNEL_CASES),
            scheme=st.sampled_from([TWO_STAGE, ONE_STAGE]),
@@ -679,16 +670,15 @@ class TestInPlaceKernel:
         grid = Grid(h_x=0.5 / n, n_points=n)
         theta = np.random.default_rng(3).standard_normal((L, n))
         e = _dispersion_coefficient(coeffs, grid, scheme)
-        triad = _triad_operator(coeffs.g)
         dt = finite_tau(coeffs, grid, scheme, theta)
         pad = np.full((L, n + 4), np.nan)
         pad[:, 2:n + 2] = theta
-        inc = _increment_kernel(coeffs, grid, e, triad)(dt)
+        inc = _increment_kernel(coeffs, grid, scheme)(dt)
         with np.errstate(all="raise"):
             padded = inc(_stencil_views(pad))
         assert np.array_equal(
             padded[:, 2:n + 2],
-            reference_increment(theta, coeffs, grid, e, triad, dt))
+            reference_increment(theta, coeffs, grid, e, dt))
         assert np.isfinite(padded).all()
 
     def test_two_stage_work_buffers_are_shared(self):
@@ -748,13 +738,10 @@ def test_dense_triad_tracks_a_csr_trajectory(mcewan_tank, monkeypatch):
     # the five-mode tank applies g as a dense BLAS product, which sums in
     # another order than a CSR product: over 500 steps the two stay
     # within round-off of each other
-    from scipy import sparse
     cfg, coeffs, state = mcewan_tank
     t_end = state.time + 500 * cfg.scheme.tau
     dense, report = advance(state, coeffs, cfg.grid, cfg.scheme, t_end)
-    L = coeffs.n_modes
-    monkeypatch.setattr(solver, "_triad_operator",
-                        lambda g: sparse.csr_array(g.reshape(L, L * L)))
+    monkeypatch.setattr(solver, "_DENSE_TRIAD_MAX_MODES", 0)
     csr, _ = advance(state, coeffs, cfg.grid, cfg.scheme, t_end)
     assert report.steps == 500
     assert (np.max(np.abs(dense.theta - csr.theta))
