@@ -18,15 +18,15 @@ from wavetank.scenario import build_initial_state, mcewan_default
 cfg = mcewan_default()
 basis = cfg.basis()
 coeffs = build_coefficients(basis, sigma=cfg.sigma, beta2=cfg.beta2)
-state0, init = build_initial_state(cfg, basis)
+state0, projection = build_initial_state(cfg, basis)
 
 print(f"tank: {cfg.grid.length * 100:.0f} cm x {cfg.strat.depth * 100:.0f} cm,"
       f" N = {cfg.strat.N} 1/s, modes {cfg.modes}")
-print(f"paddle projection keeps {init.projection.captured_fraction * 100:.2f}%"
+print(f"paddle projection keeps {projection.captured_fraction * 100:.2f}%"
       f" of the initial energy in the truncated basis")
+fractions = projection.coefficients**2 / projection.profile_norm2
 print("per-mode energy fractions:",
-      ", ".join(f"{n}: {f:.3f}" for n, f in
-                zip(cfg.modes, init.mode_energy_fractions)))
+      ", ".join(f"{n}: {f:.3f}" for n, f in zip(cfg.modes, fractions)))
 
 final, run = advance(state0, coeffs, cfg.grid, cfg.scheme, cfg.t_end)
 print(f"\nintegrated {run.steps} steps to t = {final.time:g} s "

@@ -25,13 +25,12 @@ import numpy as np
 
 from . import reference_tables as ref
 from .fields import FMT
-from .modes import Projection, Stratification, build_constant_n_basis, project_profile
+from .modes import Stratification, build_constant_n_basis, project_profile
 from .solver import Grid, ModeState, SchemeParams, TWO_STAGE
 
 __all__ = [
     "PaddleProfile",
     "ScenarioConfig",
-    "InitialStateReport",
     "mcewan_default",
     "validate",
     "validate_coefficients",
@@ -140,16 +139,39 @@ def _mode_rules(cfg):
     return []
 
 
+def _scale_rules(strat):
+    """A violation unless N and depth give the mode basis and the
+    coupling scale as finite, nonzero floats: the mode amplitude
+    sqrt(2 / (N^2 depth)), the phase-speed scale N depth / pi and the
+    resonance scale pi sqrt(2) / (4 N depth^1.5).  Outside that range
+    the basis and the tables raise OverflowError or ZeroDivisionError
+    on the way."""
+    N, depth = np.float64(strat.N), np.float64(strat.depth)
+    with np.errstate(all="ignore"):
+        scales = {
+            "mode amplitude": np.sqrt(2.0 / (N**2 * depth)),
+            "phase speed": N * depth / np.pi,
+            "coupling scale": np.pi * np.sqrt(2.0) / (4.0 * N * depth**1.5),
+        }
+    out = [name for name, value in scales.items() if not 0 < value < np.inf]
+    if not out:
+        return []
+    return [f"stratification.N, stratification.depth: N = {strat.N} and "
+            f"depth = {strat.depth} put the {' and the '.join(out)} "
+            f"outside the float range"]
+
+
 def validate_coefficients(cfg):
     """The rules of `validate` that the coefficient tables depend on:
-    finite stratification, sigma and beta2, and a valid mode list.  The
-    paddle, grid and run-length rules do not enter the tables."""
+    finite stratification, sigma and beta2, a basis and coupling scale
+    in the float range, and a valid mode list.  The paddle, grid and
+    run-length rules do not enter the tables."""
     return _non_finite({
         "stratification.N": cfg.strat.N,
         "stratification.depth": cfg.strat.depth,
         "sigma": cfg.sigma,
         "beta2": cfg.beta2,
-    }) or _mode_rules(cfg)
+    }) or _scale_rules(cfg.strat) + _mode_rules(cfg)
 
 
 def validate(cfg):
@@ -174,6 +196,7 @@ def validate(cfg):
     })
     if out:
         return out
+    out.extend(_scale_rules(cfg.strat))
     if cfg.paddle.a == 0:
         out.append("paddle.a: must be nonzero")
     if not cfg.paddle.l > 0:
@@ -212,21 +235,14 @@ def validate(cfg):
     return out
 
 
-@dataclass(frozen=True)
-class InitialStateReport:
-    """Projection bookkeeping for an initial condition."""
-
-    projection: Projection
-    mode_energy_fractions: np.ndarray   # coeff_n^2 / ||phi2||^2 per mode
-
-
 def build_initial_state(cfg, basis=None):
     """theta^n(x_i, 0) = (Z^n, phi2) phi1(x_i) on the configured grid,
     with phi1 summed over its periodic images (`periodic_phi1`).
 
-    Returns (ModeState, InitialStateReport); the report carries the
-    per-mode energy fractions and the fraction of paddle energy the
-    truncated basis misses.  Raises on under-resolved grids.
+    Returns (ModeState, Projection): the projection of phi2 onto the
+    basis, with its coefficients (Z^n, phi2), ||phi2||^2 and the share
+    of paddle energy that the truncated basis captures and misses.
+    Raises on under-resolved grids.
     """
     violations = validate(cfg)
     if violations:
@@ -240,9 +256,7 @@ def build_initial_state(cfg, basis=None):
     proj = project_profile(lambda z: cfg.paddle.phi2(z, cfg.strat), basis)
     theta = (proj.coefficients[:, None]
              * cfg.paddle.periodic_phi1(cfg.grid.x, cfg.grid.length)[None, :])
-    state = ModeState(time=0.0, theta=theta)
-    fractions = proj.coefficients**2 / proj.profile_norm2
-    return state, InitialStateReport(projection=proj, mode_energy_fractions=fractions)
+    return ModeState(time=0.0, theta=theta), proj
 
 
 # -- flat key = value config files -----------------------------------------

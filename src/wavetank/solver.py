@@ -218,17 +218,22 @@ def stable_tau(coeffs, grid, scheme, horizon):
     re-injected every step, so the budget must stay small enough that
     n_steps * exp(budget) * eps remains far below truncation error.  In
     the dispersion-dominated limit this is tau ~ h^4 (two-stage) and
-    tau ~ h^6 (one-stage).  A horizon <= 0 takes no steps: inf.
+    tau ~ h^6 (one-stage).  A horizon <= 0 takes no steps: inf.  The
+    powers of lambda are taken in numpy, so that one beyond the float
+    range gives 0 (and lambda = 0 gives inf) rather than raising.
     """
     if horizon <= 0:
         return math.inf
     h = grid.h_x
     e = _dispersion_coefficient(coeffs, grid, scheme)
-    lam = (2.598 * float(np.max(np.abs(e))) / h**3
-           + float(np.max(np.abs(coeffs.c))) / h)
-    if scheme == TWO_STAGE:
-        return (8.0 * GROWTH_BUDGET / (horizon * lam**4)) ** (1.0 / 3.0)
-    return 2.0 * GROWTH_BUDGET / (horizon * lam**2)
+    lam = np.float64(2.598 * float(np.max(np.abs(e))) / h**3
+                     + float(np.max(np.abs(coeffs.c))) / h)
+    with np.errstate(over="ignore", divide="ignore"):
+        if scheme == TWO_STAGE:
+            tau = (8.0 * GROWTH_BUDGET / (horizon * lam**4)) ** (1.0 / 3.0)
+        else:
+            tau = 2.0 * GROWTH_BUDGET / (horizon * lam**2)
+    return float(tau)
 
 
 def step_count(t0, t_end, tau):

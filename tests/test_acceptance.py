@@ -334,12 +334,12 @@ def test_criterion_8_mcewan_end_to_end(tmp_path):
     cfg = mcewan_default()
     basis = cfg.basis()
     coeffs = build_coefficients(basis, sigma=cfg.sigma, beta2=cfg.beta2)
-    state0, init_report = build_initial_state(cfg, basis)
+    state0, projection = build_initial_state(cfg, basis)
 
     # t = 0 cross-section against the truncated and the full paddle
     snap0 = synthesize(basis, state0, cfg.grid, z_points=257)
     xs = cross_section(snap0, 0.0)
-    truncated = (basis.synthesize(init_report.projection.coefficients, xs.z)
+    truncated = (basis.synthesize(projection.coefficients, xs.z)
                  * cfg.paddle.periodic_phi1(xs.x_used, cfg.grid.length))
     full = (cfg.paddle.phi2(xs.z, cfg.strat)
             * cfg.paddle.periodic_phi1(xs.x_used, cfg.grid.length))
@@ -347,7 +347,7 @@ def test_criterion_8_mcewan_end_to_end(tmp_path):
     dz = xs.z[1] - xs.z[0]
     misfit = np.sqrt(np.sum((xs.values - full) ** 2) * dz)
     full_norm = np.sqrt(np.sum(full**2) * dz)
-    residual_bound = (np.sqrt(init_report.projection.residual_fraction)
+    residual_bound = (np.sqrt(projection.residual_fraction)
                       * full_norm * 1.1)
 
     final, run_rep = advance(state0, coeffs, cfg.grid, cfg.scheme, cfg.t_end)

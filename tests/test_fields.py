@@ -122,10 +122,10 @@ class TestCrossSection:
     def test_mid_tank_matches_truncated_paddle(self):
         cfg = mcewan_default()
         basis = cfg.basis()
-        state, report = build_initial_state(cfg, basis)
+        state, projection = build_initial_state(cfg, basis)
         snap = synthesize(basis, state, cfg.grid, z_points=257)
         xs = cross_section(snap, 0.0)
-        truncated = (basis.synthesize(report.projection.coefficients, xs.z)
+        truncated = (basis.synthesize(projection.coefficients, xs.z)
                      * cfg.paddle.periodic_phi1(xs.x_used, cfg.grid.length))
         np.testing.assert_allclose(xs.values, truncated, atol=1e-15)
 

@@ -281,6 +281,17 @@ class TestTimestepPolicy:
         coeffs = single_mode_coefficients(1.0, 6.0, 1.0)
         assert stable_tau(coeffs, grid, TWO_STAGE, 0.0) == math.inf
 
+    @pytest.mark.parametrize("scheme", [TWO_STAGE, ONE_STAGE])
+    def test_finite_lambda_beyond_the_float_range(self, scheme):
+        # lambda = 1e200 / h: lambda^4 and lambda^2 raised OverflowError;
+        # the step they bound lies below the float range
+        grid = Grid(h_x=0.05, n_points=64)
+        coeffs = single_mode_coefficients(1e200, 6.0, 0.0)
+        assert stable_tau(coeffs, grid, scheme, 1.0) == 0.0
+        # no dispersion and no advection bound no step
+        still = single_mode_coefficients(0.0, 6.0, 0.0)
+        assert stable_tau(still, grid, scheme, 1.0) == math.inf
+
     def test_scheme_params_has_two_fields(self):
         assert [f.name for f in fields(SchemeParams)] == ["tau", "scheme"]
 
@@ -767,19 +778,27 @@ class TestExactAbort:
     failed check replays from the last checkpoint to the exact stage."""
 
     def test_mcewan_abort_between_checks(self, mcewan_tank):
-        # the default tank goes non-finite in the half stage of step 4427
+        # the default tank goes non-finite near step 4427; round-off sets
+        # the exact step (summing the paddle in other orders gave 4416 and
+        # 4477), so the run that checks after every step sets the answer
         cfg, coeffs, state = mcewan_tank
-        tau = cfg.scheme.tau
-        assert 4427 % _FINITE_CHECK_EVERY != 0
+        tau, t_end = cfg.scheme.tau, state.time + 4500 * cfg.scheme.tau
+        with pytest.raises(NonFiniteError) as every_step:
+            advance(state, coeffs, cfg.grid, cfg.scheme, t_end,
+                    observe_every=1)
         with pytest.raises(NonFiniteError) as err:
-            advance(state, coeffs, cfg.grid, cfg.scheme, 4500 * tau)
-        assert err.value.step == 4427
-        assert "half step" in str(err.value.__cause__)
+            advance(state, coeffs, cfg.grid, cfg.scheme, t_end)
+        step = every_step.value.step
+        assert step % _FINITE_CHECK_EVERY != 0
+        assert err.value.step == step
+        assert str(err.value.__cause__) == str(every_step.value.__cause__)
         last = err.value.last_state
-        assert last.time == state.time + 4426 * tau
+        assert last.time == every_step.value.last_state.time
+        assert np.array_equal(last.theta, every_step.value.last_state.theta)
+        assert last.time == state.time + (step - 1) * tau
         before, report = advance(state, coeffs, cfg.grid, cfg.scheme,
-                                 state.time + 4426 * tau)
-        assert report.steps == 4426
+                                 state.time + (step - 1) * tau)
+        assert report.steps == step - 1
         assert np.array_equal(last.theta, before.theta)
 
     def test_half_stage_abort_off_the_check_grid(self):

@@ -1,0 +1,92 @@
+"""Stratifications at the ends of the float range, through the CLI."""
+
+import contextlib
+import io
+import os
+import tempfile
+import warnings
+
+import pytest
+from hypothesis import given, strategies as st
+
+from wavetank.cli import main
+
+PREFIX = {1: "check failure: ", 2: "config error: ", 3: "numerical abort: "}
+
+
+def run_with_config(text, command, *flags, out):
+    """main([command, --config, ...]) on a config file holding `text`;
+    returns (exit code, stderr lines)."""
+    cfgfile = os.path.join(out, "strat.cfg")
+    with open(cfgfile, "w") as fh:
+        fh.write(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", cfgfile, "--out", out,
+                     "--run-id", "r", *flags])
+    return code, err.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("command", ["run", "coeffs"])
+@pytest.mark.parametrize("key, value", [
+    ("N", "1e200"), ("N", "1e300"),            # N^2 overflowed
+    ("N", "1e-200"), ("N", "1e-300"),          # N^2 depth underflowed to 0
+    ("N", "5e-324"),
+    ("depth", "1e300"),                        # depth^1.5 overflowed
+])
+def test_basis_or_coupling_out_of_range_exits_2(tmp_path, command, key,
+                                                value):
+    # each ended in an OverflowError or ZeroDivisionError traceback, exit 1
+    code, err = run_with_config(f"[stratification]\n{key} = {value}\n",
+                                command, out=str(tmp_path))
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith(
+        "config error: stratification.N, stratification.depth: ")
+    assert "outside the float range" in err[0]
+    assert not (tmp_path / "r").exists()
+
+
+def test_stable_tau_beyond_the_float_range_aborts_with_one_line(tmp_path):
+    # lambda^4 overflowed inside stable_tau: an OverflowError traceback
+    with pytest.warns(RuntimeWarning, match="stable_tau = 0.000e"):
+        code, err = run_with_config("[stratification]\nN = 1e100\n", "run",
+                                    "--t-end", "0.0004", out=str(tmp_path))
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("numerical abort: ")
+
+
+def test_run_past_a_stable_tau_of_zero_records_an_infinite_ratio(tmp_path):
+    # stable_tau reads 0 here; one finite step then divided by it.  The
+    # step leaves |theta| near 1e97, whose squares overflow in the audit
+    with pytest.warns(RuntimeWarning) as warned:
+        code, err = run_with_config("[stratification]\nN = 1e100\n", "run",
+                                    "--t-end", "4e-5", out=str(tmp_path))
+    assert any("stable_tau = 0.000e" in str(w.message) for w in warned)
+    assert (code, err) == (0, [])
+    meta = (tmp_path / "r" / "r_meta.txt").read_text().splitlines()
+    assert "tau_over_stable_tau = inf" in meta
+
+
+# N and depth spread over every decade of the positive doubles
+log_spread = st.floats(min_value=-323.3, max_value=308.25).map(
+    lambda u: 10.0 ** u)
+
+
+@given(n=log_spread, depth=log_spread)
+def test_any_finite_stratification_exits_with_a_message(n, depth):
+    # run exits 0, 2 or 3 and coeffs also 1, the code of its quadrature
+    # cross-check, which far from the float range's centre fails for real;
+    # a failing exit prints only lines of its kind, and nothing raises
+    text = f"[stratification]\nN = {n!r}\ndepth = {depth!r}\n"
+    for command, *flags in (("run", "--t-end", "0"), ("coeffs",),
+                            ("run", "--t-end", "4e-5")):
+        with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, err = run_with_config(text, command, *flags, out=out)
+        assert code in ((0, 2, 3) if command == "run" else (0, 1, 2, 3))
+        if code:
+            assert err and all(line.startswith(PREFIX[code]) for line in err)
+        else:
+            assert err == []
