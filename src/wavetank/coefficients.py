@@ -60,7 +60,10 @@ class CoefficientSet:
     g has shape (L, L, L) indexed [n, m, k] in mode-list order; d and c
     have shape (L,).  sigma scales the nonlinear tensor, beta2 the
     dispersion term; both default to 1 (the dimensional benchmark values
-    are only reproduced at unit scales).
+    are only reproduced at unit scales).  triad_scale is sigma K when g
+    is the closed-form resonance tensor of mode_indices (K =
+    `_resonance_scale`), which the stepper may then apply as a product
+    in z; None for any other g.
     """
 
     mode_indices: tuple
@@ -69,6 +72,7 @@ class CoefficientSet:
     g: np.ndarray = field(repr=False)
     sigma: float = 1.0
     beta2: float = 1.0
+    triad_scale: float | None = None
 
     @property
     def n_modes(self):
@@ -161,10 +165,11 @@ def nonlinear_coeffs(basis, method="closed_form", sigma=1.0):
     method is "closed_form" (resonance rule, the production path) or
     "quadrature" (`simpson_grid` over [0, h]).  The quadrature path
     cross-checks itself against the closed form and raises
-    ConsistencyError beyond 1e-8 relative, or when an off-resonance
-    entry exceeds 1e-12 of the quadrature of its absolute integrand
-    (the size its round-off scales with; max|g| is no scale when no
-    triad of the mode list resonates).
+    ConsistencyError beyond 1e-8 of each entry's own scale, |g| on
+    resonance and the quadrature of the absolute integrand off it (the
+    size its round-off scales with; max|g| is no scale when no triad of
+    the mode list resonates), or when an off-resonance entry exceeds
+    1e-12 of that size.
     """
     if method == "closed_form":
         return _tensor_closed_form(basis, sigma)
@@ -172,7 +177,10 @@ def nonlinear_coeffs(basis, method="closed_form", sigma=1.0):
         raise ValueError(f"unknown method {method!r}")
     g_quad, size = _tensor_quadrature(basis, sigma)
     g_closed = _tensor_closed_form(basis, sigma)
-    scale = np.maximum(1.0, np.abs(g_closed))
+    exact_zero = g_closed == 0.0
+    # each entry in g's own units, so that the check holds at any N and
+    # depth: |g| on resonance, the size of its integrand off it
+    scale = np.where(exact_zero, np.maximum(size, 1e-300), np.abs(g_closed))
     worst = float(np.max(np.abs(g_quad - g_closed) / scale))
     if worst > CONSISTENCY_RTOL:
         raise ConsistencyError(
@@ -181,8 +189,7 @@ def nonlinear_coeffs(basis, method="closed_form", sigma=1.0):
         )
     # off-resonance entries vanish identically; confirm the quadrature
     # only carries round-off there, then return the exact zeros
-    exact_zero = g_closed == 0.0
-    stray = np.abs(g_quad[exact_zero]) / np.maximum(size[exact_zero], 1e-300)
+    stray = np.abs(g_quad[exact_zero]) / scale[exact_zero]
     worst = float(np.max(stray, initial=0.0))
     if worst > 1e-12:
         raise ConsistencyError(
@@ -195,7 +202,8 @@ def nonlinear_coeffs(basis, method="closed_form", sigma=1.0):
 
 def build_coefficients(basis, sigma=1.0, beta2=1.0, method="closed_form"):
     """CoefficientSet (c, d, g) for a basis at the given scale parameters;
-    method="quadrature" builds g by the cross-checked quadrature."""
+    method="quadrature" builds g by the cross-checked quadrature and
+    records no triad_scale."""
     return CoefficientSet(
         mode_indices=basis.indices,
         c=basis.speeds.copy(),
@@ -203,6 +211,8 @@ def build_coefficients(basis, sigma=1.0, beta2=1.0, method="closed_form"):
         g=nonlinear_coeffs(basis, method=method, sigma=sigma),
         sigma=sigma,
         beta2=beta2,
+        triad_scale=(float(sigma * _resonance_scale(basis.strat))
+                     if method == "closed_form" else None),
     )
 
 

@@ -59,7 +59,7 @@ class PaddleProfile:
     z0: float     # paddle centre height [m]
 
     def phi1(self, x):
-        return self.a / np.cosh(np.asarray(x, dtype=float) / self.l)
+        return _over_cosh(self.a, np.asarray(x, dtype=float) / self.l)
 
     def periodic_phi1(self, x, length):
         """phi1's periodic image sum on a ring of `length`,
@@ -80,7 +80,15 @@ class PaddleProfile:
     def phi2(self, z, strat):
         amp = np.sqrt(2.0 / (strat.N**2 * strat.depth))
         arg = self.b * (np.asarray(z, dtype=float) - self.z0)
-        return amp / np.cosh(arg) * np.tanh(arg)
+        return _over_cosh(amp, arg) * np.tanh(arg)
+
+
+def _over_cosh(amp, arg):
+    """amp / cosh(arg), as amp 2 exp(-|arg|) where cosh would overflow
+    (|arg| > 700): there the two are equal in double precision."""
+    far = np.abs(arg) > 700.0
+    return np.where(far, amp * (2.0 * np.exp(-np.abs(arg))),
+                    amp / np.cosh(np.where(far, 0.0, arg)))
 
 
 @dataclass(frozen=True)
@@ -161,6 +169,22 @@ def _scale_rules(strat):
             f"outside the float range"]
 
 
+def _grid_rules(grid):
+    """A violation unless dx gives the stencil's powers h^2 and h^3 and
+    its scales 1/(2h) and 1/(2h^3) as finite, nonzero floats.  Outside
+    that range the stepper's dispersion coefficient and `stable_tau`
+    raise OverflowError or ZeroDivisionError."""
+    h = np.float64(grid.h_x)
+    with np.errstate(all="ignore"):
+        scales = {"h^2": h**2, "h^3": h**3,
+                  "1/(2h)": 0.5 / h, "1/(2h^3)": 0.5 / h**3}
+    out = [name for name, value in scales.items() if not 0 < value < np.inf]
+    if not out:
+        return []
+    return [f"grid.h_x: dx = {grid.h_x} puts {', '.join(out)} outside the "
+            f"float range"]
+
+
 def validate_coefficients(cfg):
     """The rules of `validate` that the coefficient tables depend on:
     finite stratification, sigma and beta2, a basis and coupling scale
@@ -196,7 +220,7 @@ def validate(cfg):
     })
     if out:
         return out
-    out.extend(_scale_rules(cfg.strat))
+    out.extend(_scale_rules(cfg.strat) + _grid_rules(cfg.grid))
     if cfg.paddle.a == 0:
         out.append("paddle.a: must be nonzero")
     if not cfg.paddle.l > 0:

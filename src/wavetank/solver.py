@@ -26,43 +26,58 @@ s0 = 1/(2h) and s3 = 1/(2h^3),
 
     dt (c D0 theta + e D3 theta + sum_{m,k} g^n_{m,k} theta^m D0 theta^k)
         = (dt K) S,
-    K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 g]     (L, 2L + L^2),
-    S = [D1; D4; theta^m D1 theta^k]                  (2L + L^2, n + 4),
+    K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 T],
+    S = [D1; D4; R],
 
-with g as a matrix of row n and column m L + k.  `advance` builds K
-once per call and scales it by dt for each stage.  A stage is 7 numpy
-calls for every L: two ghost-column slice assignments; the two
-differences and the pair product, written into the rows of S; the
-product; and one subtract(base, increment, dest).  Every elementwise
-call runs over whole padded rows in one contiguous pass: D1 and D4 are
-each one difference of the flattened (L, n + 4) buffer, over its
-entries 2..L(n+4)-3, the pair product and S span n + 4 columns, and
-the update subtracts the padded increment from the padded base into
-the padded destination.  The ghost columns so collect junk: differences
-across the ends of two rows, products of ghost values.  It never
-reaches the interior: an interior column reads only its own row's
-columns 0..n+3, which the stage refreshes first, and the product works
-column by column.  `_increment_kernel` owns K's form and picks it from
-the mode count alone.  Up to _DENSE_TRIAD_MAX_MODES modes K is dense and
-the product a BLAS matmul that reads and writes only columns 2..n+1 of
-S and of the increment (at a leading dimension of n + 4, so with the
-bits of the (L, n) product).  Above, K is CSR, built from its two
-diagonals and g's nonzeros, which lie only on the resonance branches
-n = m + k and n = |m - k| (4.5 % of the entries at L = 32, 1.8 % at
-L = 80), so the product costs O(nnz n) instead of the dense O(L^3 n);
-it takes the whole width, which gives the same bits column by column,
-and is copied into the increment buffer.  At n = 300 a
-call's fixed cost outweighs its arithmetic, so each is issued the cheap
-way: the output array by position rather than as `out=`, slice
-assignment rather than `np.copyto`.  The two-stage step takes about
-10 us at (L, n) = (1, 120), 11 us at (1, 300), 39 us at (5, 256) and
-1.0 ms at (32, 256) (README, Numerical notes, has the harness and the
-numbers of the forms before it).
+with the triad block in one of two forms, which `_triad_in_z` picks
+from the mode list alone:
+
+dense
+    T is g as a matrix of row n and column m L + k, R the L^2 pair rows
+    theta^m D1 theta^k: K is (L, 2L + L^2), about L(2L + L^2)
+    operations per column.
+product in z
+    Orszag's transform method (J. Atmos. Sci. 27, 890, 1970) in the
+    vertical coordinate.  The closed-form g is the cosine coefficient,
+    in z, of a product of two sums over the modes' eigenfunctions, so R
+    samples that product at P + 1 points in z and T is the analysis
+    matrix (`_transform_matrices`): K is (L, 2L + P + 1), about
+    4L(P + 1) + L(2L + P + 1) operations per column.  With the mode
+    numbers divided by their gcd and M' the largest, P = floor(3M'/2)
+    + 1, so nothing aliases and the form is exact.  Only a closed-form
+    g has it (`CoefficientSet.triad_scale`).
+
+The rule takes the product in z once its count is below
+_Z_FORM_COST_RATIO times the dense one: from modes 2..14 (L = 7) on,
+never for the five McEwan modes or a single mode.  `advance` builds K
+once per call and scales it by dt for each stage.  A dense stage is 7
+numpy calls: two ghost-column slice assignments; the two differences
+and the pair product, written into the rows of S; the product; and one
+subtract(base, increment, dest).  In z the pair product gives way to
+two synthesis products, one multiply and one subtract: 9 calls.  D1, D4,
+the pair product and the update run over whole padded rows in one
+contiguous pass: D1 and D4 are each one difference of the flattened
+(L, n + 4) buffer, over its entries 2..L(n+4)-3, the pair product spans
+n + 4 columns, and the update subtracts the padded increment from the
+padded base into the padded destination.  The ghost columns so collect
+junk: differences across the ends of two rows, products of ghost
+values.  It never reaches the interior: an interior column reads only
+its own row's columns 0..n+3, which the stage refreshes first, and
+every product works column by column.  Each BLAS product reads and
+writes only columns 2..n+1 (at a leading dimension of n + 4, so with
+the bits of the (., n) product).  At n = 300 a call's fixed cost
+outweighs its arithmetic, so each is issued the cheap way: the output
+array by position rather than as `out=`, slice assignment rather than
+`np.copyto`.  The two-stage step takes about 10 us at (L, n) =
+(1, 120), 11 us at (1, 300), 39 us at (5, 256) and 0.3 ms at (32, 256),
+where the CSR form before the product in z took 1.0 ms (README,
+Numerical notes, has the harness and the numbers of the earlier forms).
 
 `advance` steps in place.  Per call it allocates the padded state
 (L, n + 4), with the state in columns 2..n+1, a padded half-stage
-buffer (two-stage), and, zero-initialised, the padded increment and S,
-shared by every stage, so that the entries no pass writes read 0; each
+buffer (two-stage), and, zero-initialised, the padded increment, S and
+the work buffers of the product in z, shared by every stage, so that
+the entries no pass writes read 0; each
 stage refreshes the four ghost columns of its input and writes S, the
 increment and its padded destination through calls that write into
 those arrays.  Finiteness of the state is checked every
@@ -121,14 +136,15 @@ LIMIT_RTOL = 1e-8
 _LIMIT_MIN_STEPS, _LIMIT_MAX_STEPS = 32, 2**13
 # points on each contour circle of the phi-function means
 _CONTOUR_POINTS = 64
-# the largest mode count whose stage matrix is dense, applied by a BLAS
-# product, rather than CSR.  Per two-stage stage at n = 256, modes 2, 4,
-# ..., 2L, one BLAS thread (2-core Xeon, OpenBLAS 0.3.31, medians of 11
-# interleaved rounds in each of two runs), dense against CSR: 29-32
-# against 38-41 us at L = 5, 54-57 against 58-61 us at L = 8, 64-67
-# against 69-71 us at L = 9, even at L = 10, 106-112 against 98-104 us
-# at L = 12 and 781 against 532 us at L = 32 (one run)
-_DENSE_TRIAD_MAX_MODES = 9
+# the product in z replaces the dense pair rows once its operation count
+# per column is below this multiple of theirs (`_triad_in_z`).  Two-stage
+# step at n = 256, one BLAS thread (2-core Xeon, OpenBLAS 0.3.31,
+# medians of 7-41 interleaved rounds in each of three runs), z against dense,
+# by count ratio: 1.17 (modes 2..14, 1..7, 3..21 by 3) 0.82-0.93; 1.40
+# (2..12, 1..6) 0.96-1.19, even; 1.57 (2..10, 1..5) 1.13-1.26; 2.0-2.8
+# 1.07-1.48.  The crossover lies between 1.17 and 1.40; at even cost the
+# dense form keeps the fewer calls
+_Z_FORM_COST_RATIO = 1.3
 
 
 class NonFiniteError(ArithmeticError):
@@ -260,6 +276,62 @@ def _stencil_views(pad):
             pad[:, None, :], pad[:, 2:n + 2])
 
 
+def _transform_grid(modes):
+    """(q, P) of the product in z for the mode numbers `modes`: their gcd
+    q and P = floor(3 M'/2) + 1 with M' = max(modes) / q, so that the
+    P + 1 points zeta_j = j pi / P (in units of q pi z / h) integrate
+    every product of three of the modes' cosines exactly."""
+    q = math.gcd(*modes)
+    return q, 3 * (max(modes) // q) // 2 + 1
+
+
+def _triad_in_z(coeffs):
+    """The one rule that picks the triad term's stage form: True for the
+    product in z, False for the dense pair rows.  Only a closed-form g
+    (`coeffs.triad_scale` set) has a product in z, and it is taken when
+    its operation count per column, 4L(P + 1) + L(2L + P + 1), is below
+    _Z_FORM_COST_RATIO times the dense one, L(2L + L^2)."""
+    if coeffs.triad_scale is None:
+        return False
+    L = coeffs.n_modes
+    _, P = _transform_grid(coeffs.mode_indices)
+    return (4 * L * (P + 1) + L * (2 * L + P + 1)
+            < _Z_FORM_COST_RATIO * L * (2 * L + L * L))
+
+
+def _transform_matrices(modes, triad_scale):
+    """(synthesis of theta, synthesis of D1, analysis) of the product in
+    z, for the mode numbers m, m' = m / q and zeta_j = j pi / P
+    (`_transform_grid`).  The synthesis rows sample
+    [A'; C] = [3 m cos m' zeta_j; m^2 sin m' zeta_j] of theta and
+    [B; D] = [m cos m' zeta_j; sin m' zeta_j] of D1, so that
+    F = A'B - CD is, at each zeta_j,
+
+        sum_{m,k} (3 m k cos m' zeta cos k' zeta
+                   - m^2 sin m' zeta sin k' zeta) theta^m D1 theta^k
+        = sum_{m,k} (m (3k + m) cos (m' + k') zeta
+                     + m (3k - m) cos (m' - k') zeta) theta^m D1 theta^k / 2.
+
+    The analysis row of mode n, (2 sigma K / n) w_j cos n' zeta_j with
+    the trapezoid weights w = 2/P inside and 1/P at the ends, takes
+    cosine coefficient n' of F.  Every product it sums has a degree of
+    at most 3M' < 2P, so none aliases and the coefficient is exact: it
+    keeps the two resonance branches n = m + k and n = |m - k|, and
+    analysis F = sum g^n_{m,k} theta^m D1 theta^k for the closed-form g
+    of scale sigma K = triad_scale.  The angles m' j pi / P are reduced
+    to [0, 2 pi) in integers."""
+    m = np.asarray(modes)
+    q, P = _transform_grid(modes)
+    turn = (np.arange(P + 1)[:, None] * (m // q)) % (2 * P)
+    cos, sin = np.cos(np.pi * turn / P), np.sin(np.pi * turn / P)
+    weights = np.full(P + 1, 2.0 / P)
+    weights[[0, P]] = 1.0 / P
+    synth_theta = np.vstack((3 * m * cos, m * m * sin))
+    synth_d1 = np.vstack((m * cos, sin))
+    analysis = (2.0 * triad_scale / m)[:, None] * (weights * cos.T)
+    return synth_theta, synth_d1, analysis
+
+
 def _increment_kernel(coeffs, grid, scheme):
     """increment(dt) -> inc(views): dt (c D0 theta + e D3 theta
     + sum g theta^m D0 theta^k), per mode, with `scheme`'s e_n, for the
@@ -267,63 +339,72 @@ def _increment_kernel(coeffs, grid, scheme):
     (L, n + 4) array whose columns 2..n+1 hold the increment.  With
     D1 = theta_{i+1} - theta_{i-1}, D4 = theta_{i+2} - theta_{i-2},
     s0 = 1/2h and s3 = 1/2h^3 this is the one product (dt K) S of the
-    stage matrix K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 g], g as a
-    matrix of row n and column m L + k, of shape (L, 2L + L^2), and the
-    stage rows S = [D1; D4; theta^m D1^k], of shape (2L + L^2, n + 4).
+    stage matrix K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 T] and the
+    stage rows S = [D1; D4; R], in one of two forms that `_triad_in_z`
+    picks from the mode list:
 
-    Every pass runs over whole padded rows: D1 and D4 are each one
-    difference of the flat buffer over its entries 2..L(n+4)-3, and the
-    pair product spans all n + 4 columns.  The ghost columns of S and of
-    the increment so hold junk, which is harmless: an interior column
-    reads only its own row's columns 0..n+3, refreshed first; the
-    product works column by column; and the next stage refreshes every
-    ghost column it reads.  The kernel alone picks K's form, from the
-    mode count.  Up to _DENSE_TRIAD_MAX_MODES modes K is dense, applied
-    by a BLAS product that reads and writes only columns 2..n+1 (at a
-    leading dimension of n + 4, with the bits of the (L, n) product);
-    above, K is CSR, built from the two diagonals and g's nonzeros,
-    whose product over the whole width (the same bits column by column)
-    is copied into the increment.  Every `inc` shares S and the
-    increment, allocated here once and zero-initialised, so the entries
-    no pass writes (the flat ends of D1 and D4, the dense increment's
-    ghost columns) read 0.  A linear system (g = 0, as in every
-    single-mode tank) keeps only K's and S's first 2L columns and rows:
-    theta^m D1^k overflows while theta is still finite, and 0 * inf is
-    nan."""
+    dense
+        T = g as a matrix of row n and column m L + k, and R the L^2
+        pair rows theta^m D1^k: K is (L, 2L + L^2).
+    product in z
+        T the analysis matrix and R = F, the product A'B - CD of the
+        synthesised rows at the P + 1 points zeta_j
+        (`_transform_matrices`): K is (L, 2L + P + 1).  Two BLAS
+        products synthesise [A'; C] from theta and [B; D] from D1 into
+        work buffers of their own, one multiply and one subtract write F
+        into S.
+
+    D1 and D4 are each one difference of the flat buffer over its
+    entries 2..L(n+4)-3, and the dense pair product spans all n + 4
+    columns.  The ghost columns of S so hold junk, which is harmless: an
+    interior column reads only its own row's columns 0..n+3, refreshed
+    first; every BLAS product reads and writes only columns 2..n+1 (at
+    a leading dimension of n + 4, with the bits of the (., n) product);
+    and the next stage refreshes every ghost column it reads.  Every
+    `inc` shares S, the work buffers and the increment, allocated here
+    once and zero-initialised, so the entries no pass writes read 0.  A
+    linear system (g = 0, as in every single-mode tank) keeps only K's
+    and S's first 2L columns and rows: theta^m D1^k overflows while
+    theta is still finite, and 0 * inf is nan."""
     L, n = coeffs.n_modes, grid.n_points
     s0, s3 = 0.5 / grid.h_x, 0.5 / grid.h_x**3
     e = _dispersion_coefficient(coeffs, grid, scheme)
-    diagonals = (coeffs.c * s0 - 2.0 * e * s3, e * s3)
-    g = coeffs.g.reshape(L, L * L)
-    width = 2 * L + L * L if coeffs.g.any() else 2 * L
-    rows = np.zeros((2 * L + L * L, n + 4))
+    blocks = [np.diag(coeffs.c * s0 - 2.0 * e * s3), np.diag(e * s3)]
+    nonlinear = coeffs.g.any()
+    in_z = nonlinear and _triad_in_z(coeffs)
+    if in_z:
+        synth_theta, synth_d1, analysis = _transform_matrices(
+            coeffs.mode_indices, coeffs.triad_scale)
+        blocks.append(s0 * analysis)
+    elif nonlinear:
+        blocks.append(s0 * coeffs.g.reshape(L, L * L))
+    stage = np.hstack(blocks)
+    rows = np.zeros((stage.shape[1], n + 4))
     padded = np.zeros((L, n + 4))
-    if L <= _DENSE_TRIAD_MAX_MODES:
-        stage = np.hstack([np.diag(d) for d in diagonals] + [s0 * g])
-        pair_product, product = np.multiply, np.matmul
-        used, product_out = rows[:width, 2:n + 2], padded[:, 2:n + 2]
-    else:
-        # imported here: importing scipy.sparse costs about 20 MB resident
-        # and 0.17-0.24 s (2-core Xeon, scipy 1.17.1), which runs of at
-        # most _DENSE_TRIAD_MAX_MODES modes never need
-        from scipy import sparse
-        stage = sparse.hstack([sparse.diags_array(d) for d in diagonals]
-                              + [s0 * sparse.csr_array(g)], format="csr")
-
-        # einsum forms the pairs faster than the broadcast multiply from
-        # about 9 modes (42 against 72 us at L = 16, n = 256) and slower
-        # at one (2.4-3.8 against 0.5-0.8 us at n = 120-300)
-        def pair_product(col, row, pairs):
-            np.einsum("mi,ki->mki", col[:, 0], row[0], out=pairs)
-
-        def product(scaled, rows, out):
-            out[...] = scaled @ rows
-        used, product_out = rows[:width], padded
-    stage = stage[:, :width]
+    used, product_out = rows[:, 2:n + 2], padded[:, 2:n + 2]
     diff1 = rows[:L].reshape(-1)[2:-2]
     diff4 = rows[L:2 * L].reshape(-1)[2:-2]
-    pairs, diff1_row = rows[2 * L:].reshape(L, L, n + 4), rows[None, :L]
-    subtract = np.subtract
+    multiply, subtract, matmul = np.multiply, np.subtract, np.matmul
+    # triad(col, diff1_row, pairs) writes R into S: the dense form is the
+    # bare multiply, which spares a stage a Python call (0.1 us at L = 1)
+    diff1_row = pairs = None
+    if in_z:
+        points = analysis.shape[1]
+        sampled = np.zeros((2 * points, n))     # [A'; C], then [A'B; CD]
+        sampled_d1 = np.zeros((2 * points, n))  # [B; D]
+        d1, f_rows = used[:L], used[2 * L:]
+
+        def triad(col, diff1_row, pairs):
+            matmul(synth_theta, col[:, 0, 2:n + 2], sampled)
+            matmul(synth_d1, d1, sampled_d1)
+            multiply(sampled, sampled_d1, sampled)
+            subtract(sampled[:points], sampled[points:], f_rows)
+    elif nonlinear:
+        triad = multiply  # theta^m D1 theta^k
+        pairs, diff1_row = rows[2 * L:].reshape(L, L, n + 4), rows[None, :L]
+    else:
+        def triad(col, diff1_row, pairs):
+            pass
 
     def increment(dt):
         scaled = dt * stage
@@ -336,8 +417,8 @@ def _increment_kernel(coeffs, grid, scheme):
             ghost_hi[...] = wrap_hi
             subtract(p3, p1, diff1)
             subtract(p4, p0, diff4)
-            pair_product(col, diff1_row, pairs)  # theta^m D1 theta^k
-            product(scaled, used, product_out)
+            triad(col, diff1_row, pairs)
+            matmul(scaled, used, product_out)
             return padded
 
         return inc

@@ -28,10 +28,12 @@ finite = st.one_of(st.just(0.0), st.just(-0.0), signed)
 def valid_configs(draw):
     """ScenarioConfigs that `validate` accepts, with any finite magnitudes
     but N and depth, which lie within 1e-60..1e60 and 1e-100..1e100, so
-    that the mode basis and the coupling scale stay in the float range."""
+    that the mode basis and the coupling scale stay in the float range,
+    and the pulse width l, within 1e-90..1e90, so that dx = l/10..l/100
+    keeps the stencil's h^2, h^3, 1/(2h) and 1/(2h^3) in it."""
     depth = draw(st.floats(min_value=1e-100, max_value=1e100))
     z0 = depth * draw(st.floats(min_value=0.01, max_value=0.99))
-    l = draw(positive)
+    l = draw(st.floats(min_value=1e-90, max_value=1e90))
     h_x = l / draw(st.floats(min_value=10.0, max_value=100.0))
     assume(0 < z0 < depth and h_x > 0)
     cfg = ScenarioConfig(

@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import wavetank
 import wavetank.solver as solver
@@ -200,12 +200,12 @@ class TestNorm:
 
 
 def test_import_and_single_mode_run_load_no_scipy():
-    # scipy.sparse is imported only above _DENSE_TRIAD_MAX_MODES modes and
-    # nothing else needs scipy; numpy.fft only by semi_discrete_limit.
-    # The table writer builds its tables from ints and floats, without
-    # fractions or decimal
+    # no run loads scipy, the 32-mode product in z included; numpy.fft
+    # only semi_discrete_limit does.  The table writer builds its tables
+    # from ints and floats, without fractions or decimal
     code = (
         "import os, sys\n"
+        "from dataclasses import replace\n"
         "import numpy as np\n"
         "import wavetank as wt\n"
         "def loaded():\n"
@@ -218,23 +218,26 @@ def test_import_and_single_mode_run_load_no_scipy():
         "wt.advance(wt.ModeState(0.0, np.ones((1, 32))), coeffs, grid,\n"
         "           wt.SchemeParams(tau=1e-5), 1e-4)\n"
         "loaded()\n"
-        "cfg = wt.mcewan_default()\n"
-        "basis = cfg.basis()\n"
-        "coeffs = wt.build_coefficients(basis, sigma=cfg.sigma,\n"
-        "                               beta2=cfg.beta2)\n"
-        "state, _ = wt.build_initial_state(cfg, basis)\n"
-        "final, report = wt.advance(state, coeffs, cfg.grid, cfg.scheme,\n"
-        "                           10 * cfg.scheme.tau)\n"
-        "wt.export(wt.synthesize(basis, final, cfg.grid), os.devnull)\n"
-        "print(coeffs.n_modes, report.steps)\n"
-        "loaded()\n"
+        "for modes in (None, tuple(range(2, 65, 2))):\n"
+        "    cfg = wt.mcewan_default()\n"
+        "    cfg = cfg if modes is None else replace(cfg, modes=modes)\n"
+        "    basis = cfg.basis()\n"
+        "    coeffs = wt.build_coefficients(basis, sigma=cfg.sigma,\n"
+        "                                   beta2=cfg.beta2)\n"
+        "    state, _ = wt.build_initial_state(cfg, basis)\n"
+        "    final, report = wt.advance(state, coeffs, cfg.grid, cfg.scheme,\n"
+        "                               10 * cfg.scheme.tau)\n"
+        "    wt.export(wt.synthesize(basis, final, cfg.grid), os.devnull)\n"
+        "    print(coeffs.n_modes, report.steps)\n"
+        "    loaded()\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(wavetank.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "[] False []", "[] False []", "5 10", "[] False []"]
+        "[] False []", "[] False []", "5 10", "[] False []",
+        "32 10", "[] False []"]
 
 
 class TestTimestepPolicy:
@@ -478,11 +481,58 @@ class TestTriadSum:
         grid = Grid(h_x=0.5 / n_points, n_points=n_points)
         theta = np.random.default_rng(seed).standard_normal((L, n_points))
         # c = d = 0 leave the triad term alone in the one-stage increment,
-        # dense up to _DENSE_TRIAD_MAX_MODES modes and CSR above
+        # in the form `_triad_in_z` picks: dense for a quadrature-built g
         bare = replace(coeffs, c=np.zeros(L), d=np.zeros(L))
         got = kernel_increment(theta, bare, grid, ONE_STAGE, 1.0)
         ref = dense_triad(coeffs.g, theta, grid)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    # (1, 2, 3): gcd 1 and 3M'/2 not an integer; (2, 4, 6, 8): gcd 2 and
+    # 3M'/2 = 6; (3, 9, 12, 21): gcd 3 and 3M'/2 = 10.5
+    @example(modes=(1, 2, 3), scale=1, sigma=1.0, n_points=8, seed=0)
+    @example(modes=(2, 4, 6, 8), scale=1, sigma=-0.6, n_points=17, seed=1)
+    @example(modes=(1, 3, 4, 7), scale=3, sigma=2.5, n_points=48, seed=2)
+    @given(modes=mode_sets,
+           scale=st.integers(1, 3),
+           sigma=st.sampled_from([1.0, -0.6, 2.5]),
+           n_points=st.integers(8, 48),
+           seed=st.integers(0, 2**32 - 1))
+    def test_z_form_matches_dense_einsum(self, modes, scale, sigma, n_points,
+                                         seed):
+        # the product in z, forced at any mode count, applies the
+        # closed-form g exactly; `scale` multiplies every mode number, so
+        # that the gcd q reduces both gcd-1 and gcd > 1 sets
+        modes = tuple(scale * m for m in modes)
+        basis = build_constant_n_basis(Stratification(N=1.23, depth=0.25),
+                                       modes)
+        coeffs = build_coefficients(basis, sigma=sigma)
+        assume(coeffs.g.any())
+        L = len(modes)
+        grid = Grid(h_x=0.5 / n_points, n_points=n_points)
+        theta = np.random.default_rng(seed).standard_normal((L, n_points))
+        bare = replace(coeffs, c=np.zeros(L), d=np.zeros(L))
+        in_z = solver._triad_in_z(coeffs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_triad_in_z", lambda coeffs: True)
+            got = kernel_increment(theta, bare, grid, ONE_STAGE, 1.0)
+        ref = dense_triad(coeffs.g, theta, grid)
+        err = np.max(np.abs(got - ref))
+        # the analysis cancels every pair off the resonance branches, so
+        # the round-off scales with `size`, the same sums over absolute
+        # values, which is far above max|ref| for a sparse resonance
+        # (1.2e-13 of it at modes 3, 6, 42, 51, 60); on the mode sets the
+        # rule itself puts in z it stays within 1e-14 of max|ref|
+        synth_theta, synth_d1, analysis = solver._transform_matrices(
+            modes, coeffs.triad_scale)
+        d1 = np.roll(theta, -1, axis=1) - np.roll(theta, 1, axis=1)
+        sampled = (np.abs(synth_theta) @ np.abs(theta)) * (
+            np.abs(synth_d1) @ np.abs(d1))
+        points = analysis.shape[1]
+        size = (0.5 / grid.h_x) * np.abs(analysis) @ (sampled[:points]
+                                                      + sampled[points:])
+        assert err <= 1e-15 * np.max(size)
+        if in_z:
+            assert err <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestMassProperty:
@@ -528,26 +578,30 @@ def kernel_increment(theta, coeffs, grid, scheme, dt):
 def reference_increment(theta, coeffs, grid, e, dt):
     """dt times the right-hand side with fresh arrays for every
     intermediate: the stage matrix K = [diag(c s0 - 2 e s3) | diag(e s3)
-    | s0 g] and the stage rows S = [D1; D4; theta^m D1 theta^k] built
-    from a padded copy, and the one product (dt K) S, dense up to
-    _DENSE_TRIAD_MAX_MODES modes and CSR above (CSR drops K's zero
-    entries), as in the in-place kernel.  At g = 0 only the first 2L
+    | s0 T] and the stage rows S = [D1; D4; R] built from a padded copy,
+    and the one product (dt K) S, in the form `solver._triad_in_z` picks,
+    as in the in-place kernel: T = g and R the pair rows
+    theta^m D1 theta^k (dense), or T the analysis matrix and R = A'B - CD
+    of the synthesised rows (product in z).  At g = 0 only the first 2L
     columns of K and rows of S enter."""
     s0, s3 = 0.5 / grid.h_x, 0.5 / grid.h_x**3
     L, n = theta.shape
     pad = np.concatenate((theta[:, -2:], theta, theta[:, :2]), axis=1)
     diff1 = pad[:, 3:n + 3] - pad[:, 1:n + 1]
     diff4 = pad[:, 4:n + 4] - pad[:, 0:n]
-    pairs = (theta[:, None, :] * diff1[None, :, :]).reshape(L * L, n)
-    rows = np.concatenate((diff1, diff4, pairs))
-    stage = np.hstack((np.diag(coeffs.c * s0 - 2.0 * e * s3),
-                       np.diag(e * s3), s0 * coeffs.g.reshape(L, L * L)))
-    if not coeffs.g.any():
-        stage, rows = stage[:, :2 * L], rows[:2 * L]
-    if L > solver._DENSE_TRIAD_MAX_MODES:
-        from scipy import sparse
-        stage = sparse.csr_array(stage)
-    return (dt * stage) @ rows
+    blocks = [np.diag(coeffs.c * s0 - 2.0 * e * s3), np.diag(e * s3)]
+    rows = [diff1, diff4]
+    if coeffs.g.any() and solver._triad_in_z(coeffs):
+        synth_theta, synth_d1, analysis = solver._transform_matrices(
+            coeffs.mode_indices, coeffs.triad_scale)
+        sampled = (synth_theta @ theta) * (synth_d1 @ diff1)
+        points = analysis.shape[1]
+        blocks.append(s0 * analysis)
+        rows.append(sampled[:points] - sampled[points:])
+    elif coeffs.g.any():
+        blocks.append(s0 * coeffs.g.reshape(L, L * L))
+        rows.append((theta[:, None, :] * diff1[None, :, :]).reshape(L * L, n))
+    return (dt * np.hstack(blocks)) @ np.concatenate(rows)
 
 
 def reference_trajectory(theta, coeffs, grid, tau, scheme, steps):
@@ -605,7 +659,7 @@ def tank_coefficients(modes):
     return build_coefficients(basis, method="closed_form")
 
 
-# tank mode sets (g = 0 at one mode, a CSR stage matrix at ten) and the
+# tank mode sets (g = 0 at one mode, the product in z at ten) and the
 # single-mode KdV system (g = 6)
 KERNEL_CASES = [(1,), (2,), (1, 2, 3), (1, 3, 4), tuple(range(2, 21, 2)),
                 "kdv"]
@@ -693,10 +747,14 @@ class TestInPlaceKernel:
         assert np.isfinite(padded).all()
 
     def test_two_stage_work_buffers_are_shared(self):
-        # both stages share one (L, L, n) pair product: a second one would
-        # take the peak past 1.5 L^2 n doubles
+        # both stages share one set of work buffers of the product in z,
+        # S and the two (2(P + 1), n) sampled rows: a second set would take
+        # the peak past 1.5 sets and the eight state-sized arrays
         L, n = 32, 256
         coeffs = tank_coefficients(tuple(range(2, 2 * L + 1, 2)))
+        assert solver._triad_in_z(coeffs)
+        _, P = solver._transform_grid(coeffs.mode_indices)
+        work = (2 * L + P + 1) * (n + 4) + 4 * (P + 1) * n
         grid = Grid(h_x=0.5 / n, n_points=n)
         x = 2.0 * np.pi * np.arange(n) / n
         state = ModeState(0.0, 1e-3 * np.sin(np.arange(1, L + 1)[:, None] * x))
@@ -708,7 +766,7 @@ class TestInPlaceKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * L * L * n * 8
+        assert peak < (1.5 * work + 8 * L * (n + 4)) * 8
 
     def test_no_buffer_aliasing(self):
         # snapshots and the returned state are copies, never views of the
@@ -745,18 +803,19 @@ def mcewan_tank():
     return cfg, coeffs, state
 
 
-def test_dense_triad_tracks_a_csr_trajectory(mcewan_tank, monkeypatch):
-    # the five-mode tank applies g as a dense BLAS product, which sums in
-    # another order than a CSR product: over 500 steps the two stay
-    # within round-off of each other
+def test_z_form_tracks_the_dense_trajectory(mcewan_tank, monkeypatch):
+    # the five-mode tank applies g as the dense pair rows; forced into the
+    # product in z, which sums in another order, the run stays within
+    # round-off of it over 500 steps
     cfg, coeffs, state = mcewan_tank
     t_end = state.time + 500 * cfg.scheme.tau
+    assert not solver._triad_in_z(coeffs)
     dense, report = advance(state, coeffs, cfg.grid, cfg.scheme, t_end)
-    monkeypatch.setattr(solver, "_DENSE_TRIAD_MAX_MODES", 0)
-    csr, _ = advance(state, coeffs, cfg.grid, cfg.scheme, t_end)
+    monkeypatch.setattr(solver, "_triad_in_z", lambda coeffs: True)
+    in_z, _ = advance(state, coeffs, cfg.grid, cfg.scheme, t_end)
     assert report.steps == 500
-    assert (np.max(np.abs(dense.theta - csr.theta))
-            <= 1e-13 * np.max(np.abs(csr.theta)))
+    assert (np.max(np.abs(in_z.theta - dense.theta))
+            <= 1e-13 * np.max(np.abs(dense.theta)))
 
 
 def test_mcewan_tank_lies_on_its_semi_discrete_limit(mcewan_tank):

@@ -59,11 +59,13 @@ def test_stable_tau_beyond_the_float_range_aborts_with_one_line(tmp_path):
 
 def test_run_past_a_stable_tau_of_zero_records_an_infinite_ratio(tmp_path):
     # stable_tau reads 0 here; one finite step then divided by it.  The
-    # step leaves |theta| near 1e97, whose squares overflow in the audit
+    # step leaves |theta| near 1e97, whose squared L2 norms the audit
+    # forms scaled, without an overflow warning
     with pytest.warns(RuntimeWarning) as warned:
         code, err = run_with_config("[stratification]\nN = 1e100\n", "run",
                                     "--t-end", "4e-5", out=str(tmp_path))
-    assert any("stable_tau = 0.000e" in str(w.message) for w in warned)
+    assert [w for w in warned if "stable_tau = 0.000e" not in str(w.message)
+            ] == []
     assert (code, err) == (0, [])
     meta = (tmp_path / "r" / "r_meta.txt").read_text().splitlines()
     assert "tau_over_stable_tau = inf" in meta
@@ -90,3 +92,64 @@ def test_any_finite_stratification_exits_with_a_message(n, depth):
             assert err and all(line.startswith(PREFIX[code]) for line in err)
         else:
             assert err == []
+
+
+@pytest.mark.parametrize("dx, l", [("1e200", "2e201"), ("1e-200", "1e-199")])
+def test_grid_scale_out_of_range_exits_2(tmp_path, dx, l):
+    # OverflowError at h_x**2 and ZeroDivisionError at / h**3, each a
+    # traceback after config.cfg was written
+    code, err = run_with_config(f"[grid]\ndx = {dx}\n[paddle]\nl = {l}\n",
+                                "run", out=str(tmp_path))
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: grid.h_x: dx = {float(dx)} ")
+    assert "outside the float range" in err[0]
+    assert not (tmp_path / "r").exists()
+
+
+@given(dx=log_spread)
+def test_any_finite_dx_exits_with_a_message(dx):
+    # the pulse spans 20 cells, inside the resolution and domain rules
+    text = f"[grid]\ndx = {dx!r}\n[paddle]\nl = {20.0 * dx!r}\n"
+    for t_end in ("0", "4e-5"):
+        with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "dt = .* exceeds",
+                                    RuntimeWarning)
+            code, err = run_with_config(text, "run", "--t-end", t_end,
+                                        out=out)
+        assert code in (0, 2, 3)
+        if code:
+            assert err and all(line.startswith(PREFIX[code]) for line in err)
+        else:
+            assert err == []
+
+
+@pytest.mark.parametrize("n, depth", [
+    ("1.23", "1e-5"), ("3.5e-7", "0.107"), ("1.6", "1.4e-7")])
+def test_coeffs_cross_check_holds_at_any_scale(tmp_path, n, depth):
+    # each exited 1: the check measured every entry against max(1, |g|),
+    # an absolute floor in g's units
+    code, err = run_with_config(
+        f"[stratification]\nN = {n}\ndepth = {depth}\n", "coeffs",
+        out=str(tmp_path))
+    assert (code, err) == (0, [])
+
+
+def test_coeffs_cross_check_fails_far_out_of_range(tmp_path):
+    # there the quadrature's integrand itself under- or overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, err = run_with_config("[stratification]\nN = 1e20\n"
+                                    "depth = 1e50\n", "coeffs",
+                                    out=str(tmp_path))
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("check failure: ")
+
+
+def test_steep_paddle_runs_without_a_runtime_warning(tmp_path):
+    # sech(b (z - z0)) as 1/cosh warned "overflow encountered in cosh"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, err = run_with_config("[paddle]\nb = 1e300\n", "run",
+                                    out=str(tmp_path))
+    assert (code, err) == (0, [])
