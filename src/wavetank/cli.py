@@ -315,10 +315,10 @@ def cmd_verify(args):
     wave = verification.kdv_soliton_oracle(c=1.0, g=1.2, d=0.1, amplitude=1.0,
                                            x0=6.0, domain=12.0)
     grid = wave.grid(16)
-    tau = 1.2e-4
+    tau = stable_tau(wave.coeffs, grid, TWO_STAGE, 2.4)
     state = wave.state(grid, 0.0)
     _, report = advance(state, wave.coeffs, grid, SchemeParams(tau=tau),
-                        20000 * tau, observe_every=2000)
+                        2.4, observe_every=2000)
     audit = verification.conservation_audit(report)
     tol = 1e-12 * report.steps * float(np.max(np.abs(state.theta)))
     checks.append(("mass drift <= 1e-12 * steps * max|theta|",
@@ -330,9 +330,10 @@ def cmd_verify(args):
     probe_grid = probe_wave.grid(8)
     probe = verification.stability_probe(
         probe_grid, probe_wave.coeffs, (0.5, 1.0, 2.0, 4.0, 8.0),
-        probe_wave.state(probe_grid, 0.0))
-    checks.append(("stability verdicts monotone in b", probe.monotone,
-                   f"verdicts {probe.verdicts} max stable b {probe.max_stable_b}"))
+        probe_wave.state(probe_grid, 0.0), horizon=2.5)
+    checks.append(("tau / stable_tau <= 1 stable, verdicts monotone",
+                   probe.monotone and probe.max_stable_ratio >= 1.0,
+                   f"ratios {probe.ratios} verdicts {probe.verdicts}"))
 
     pair = verification.integrable_pair_check()
     order = pair.convergence.fitted_order

@@ -14,12 +14,13 @@ from the closed-form bound states of the Poeschl-Teller well.
 
 Every study runs one fixed design.  Its time step comes from
 `stable_tau(coeffs, grid, scheme, horizon)`, the one growth budget
-`solver.GROWTH_BUDGET` over the run's horizon: the temporal study over
-its horizon, the pair check over its round trip (twice each leg's
-horizon), and the spatial study over its horizon but capped for
-accuracy by `SPATIAL_TAU_CAP_FRACTION`.  The temporal study
-measures against `solver.semi_discrete_limit`, the step-doubling
-verified tau -> 0 limit of the scheme's own finite-difference system.
+`solver.GROWTH_BUDGET` over the run's horizon: the temporal study and
+the stability probe (at multiples r of it) over their horizons, the
+pair check over its round trip (twice each leg's horizon), and the
+spatial study over its horizon but capped for accuracy by
+`SPATIAL_TAU_CAP_FRACTION`.  The temporal study measures against
+`solver.semi_discrete_limit`, the step-doubling verified tau -> 0
+limit of the scheme's own finite-difference system.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .solver import (
     TWO_STAGE,
     advance,
     discrete_l2_norm,
-    l2_per_mode,
     semi_discrete_limit,
     stable_tau,
     step_count,
@@ -407,37 +407,35 @@ def conservation_audit(report):
 
 @dataclass(frozen=True)
 class StabilityProbeResult:
-    verdicts: tuple           # True = stable, in the order of b_values
-    max_stable_b: float | None
-    monotone: bool
+    ratios: tuple             # tau / stable_tau, ascending
+    verdicts: tuple           # True = stable, one per ratio
+    max_stable_ratio: float   # 0 when no ratio is stable
+    monotone: bool            # stable below a threshold, unstable above
 
 
-def stability_probe(grid, coeffs, b_values, initial_state, steps=10000):
-    """Run `steps` two-stage steps at tau = b h^4 for each multiplier b,
-    the dispersion-dominated scaling of `stable_tau`; a run is unstable
-    on NonFinite or when the total L2 grows past 10 times its start."""
-    start_l2 = float(np.sqrt(np.sum(l2_per_mode(initial_state, grid) ** 2)))
+def stability_probe(grid, coeffs, ratios, initial_state, horizon):
+    """Run two-stage over `horizon` at tau = r `stable_tau` for each
+    ratio r, in ascending order; a run is unstable on NonFinite or when
+    the state's L2 norm ends past 10 times its start."""
+    cap = 10.0 * np.linalg.norm(initial_state.theta)
+    limit = stable_tau(coeffs, grid, TWO_STAGE, horizon)
+    ratios = tuple(sorted(ratios))
     verdicts = []
-    for b in b_values:
-        tau = b * grid.h_x**4
+    for r in ratios:
         try:
             with np.errstate(all="ignore"):
                 final, _ = advance(initial_state.copy(), coeffs, grid,
-                                   SchemeParams(tau=tau),
-                                   initial_state.time + steps * tau)
-            end_l2 = float(np.sqrt(np.sum(l2_per_mode(final, grid) ** 2)))
-            verdicts.append(bool(end_l2 <= 10.0 * start_l2))
+                                   SchemeParams(tau=r * limit),
+                                   initial_state.time + horizon)
+                verdicts.append(bool(np.linalg.norm(final.theta) <= cap))
         except NonFiniteError:
             verdicts.append(False)
-    stable_bs = [b for b, ok in zip(b_values, verdicts) if ok]
-    # stable below a threshold, unstable above it: in b order, no
-    # verdict goes from False to True
-    in_b_order = [verdicts[i] for i in np.argsort(b_values)]
     return StabilityProbeResult(
+        ratios=ratios,
         verdicts=tuple(verdicts),
-        max_stable_b=max(stable_bs) if stable_bs else None,
-        monotone=not any(b and not a
-                         for a, b in zip(in_b_order, in_b_order[1:])),
+        max_stable_ratio=max((r for r, ok in zip(ratios, verdicts) if ok),
+                             default=0.0),
+        monotone=verdicts == sorted(verdicts, reverse=True),
     )
 
 

@@ -10,6 +10,7 @@ from wavetank.solver import (
     ModeState,
     RunReport,
     SchemeParams,
+    TWO_STAGE,
     advance,
     stable_tau,
     step_count,
@@ -209,35 +210,38 @@ def probe_setup():
 
 class TestStabilityProbe:
     def test_sweep_monotone_with_threshold(self, probe_setup):
+        # the probe of `wavetank verify`: stable up to stable_tau, and
+        # non-finite from twice it
         grid, coeffs, state = probe_setup
         res = stability_probe(grid, coeffs, (0.5, 1.0, 2.0, 4.0, 8.0),
-                              steps=10000, initial_state=state)
+                              state, horizon=2.5)
+        assert res.ratios == (0.5, 1.0, 2.0, 4.0, 8.0)
+        assert res.verdicts == (True, True, False, False, False)
         assert res.monotone
-        assert res.verdicts[0] is True          # b -> 0 limit is stable
-        assert res.verdicts[-1] is False        # far side blows up
-        assert res.max_stable_b is not None
+        assert res.max_stable_ratio == 1.0
 
     def test_default_margin_stable_two_stage(self, probe_setup):
+        # stable_tau shrinks as horizon^(-1/3); r = 1 holds at each
+        # horizon and r = 1.5 already fails
         grid, coeffs, state = probe_setup
-        res = stability_probe(grid, coeffs, (1.0,), steps=10000,
-                              initial_state=state)
-        assert res.verdicts == (True,)
+        for horizon in (0.25, 1.0):
+            res = stability_probe(grid, coeffs, (1.0, 1.5), state, horizon)
+            assert res.verdicts == (True, False)
 
     def test_advection_only_tolerates_cfl_scale_steps(self, probe_setup):
-        # without dispersion or nonlinearity the restriction relaxes to
-        # the advection limit tau <~ h/c, far beyond b h^4
+        # without dispersion or nonlinearity stable_tau relaxes by itself
+        # to the advection scale tau ~ h/c: 0.36 h/c at T = 50
         grid, _, _ = probe_setup
         coeffs = single_mode_coefficients(1.0, 1e-12, 1e-30)
         coeffs.g[0, 0, 0] = 0.0
         coeffs.d[0] = 0.0
         theta = 1.0 / np.cosh(grid.x - 8.0) ** 2
         state = ModeState(0.0, theta[None, :])
-        tau = 0.2 * grid.h_x / 1.0          # CFL-scale step
-        b_equiv = tau / grid.h_x**4
-        res = stability_probe(grid, coeffs, (b_equiv,), steps=2000,
-                              initial_state=state)
-        assert res.verdicts == (True,)
-        assert b_equiv > 50.0               # dispersion drives the h^4 law
+        tau = stable_tau(coeffs, grid, TWO_STAGE, 50.0)
+        assert 0.3 * grid.h_x < tau < grid.h_x
+        res = stability_probe(grid, coeffs, (1.0, 2.0), state, 50.0)
+        assert res.verdicts == (True, False)
+        assert res.max_stable_ratio == 1.0
 
 
 def reference_bound_states(strength):
