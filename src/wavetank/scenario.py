@@ -46,6 +46,9 @@ MIN_DOMAIN_PULSE_RATIO = 8.0
 # Above 2**53 steps neither the step index nor the clock t0 + j*dt is
 # exact in double precision.
 MAX_STEPS = 2**53
+# Within this many cells of dx from 0 every grid point x0 + i dx is
+# exact to 2**-26 of a cell, half of a double's 52 bits.
+MAX_AXIS_CELLS = 2**26
 
 
 @dataclass(frozen=True)
@@ -173,16 +176,26 @@ def _grid_rules(grid):
     """A violation unless dx gives the stencil's powers h^2 and h^3 and
     its scales 1/(2h) and 1/(2h^3) as finite, nonzero floats.  Outside
     that range the stepper's dispersion coefficient and `stable_tau`
-    raise OverflowError or ZeroDivisionError."""
+    raise OverflowError or ZeroDivisionError.
+
+    Inside it, a violation unless the x-axis lies within MAX_AXIS_CELLS
+    cells of 0 (|x0| + length <= 2**26 dx).  Farther out the points
+    x0 + i dx round to fewer distinct values than cells, down to one,
+    and the paddle is sampled at positions that are not the grid's."""
     h = np.float64(grid.h_x)
     with np.errstate(all="ignore"):
         scales = {"h^2": h**2, "h^3": h**3,
                   "1/(2h)": 0.5 / h, "1/(2h^3)": 0.5 / h**3}
     out = [name for name, value in scales.items() if not 0 < value < np.inf]
-    if not out:
-        return []
-    return [f"grid.h_x: dx = {grid.h_x} puts {', '.join(out)} outside the "
-            f"float range"]
+    if out:
+        return [f"grid.h_x: dx = {grid.h_x} puts {', '.join(out)} outside "
+                f"the float range"]
+    extent = abs(grid.x0) + grid.length
+    if extent > MAX_AXIS_CELLS * grid.h_x:
+        return [f"grid.x0: x0 = {grid.x0} puts the x-axis out to |x0| + "
+                f"length = {extent:.3e} m, more than 2**26 cells of dx = "
+                f"{grid.h_x} from 0, where its points are not exact"]
+    return []
 
 
 def validate_coefficients(cfg):

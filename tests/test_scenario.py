@@ -4,6 +4,7 @@ from hypothesis import assume, given, strategies as st
 
 from wavetank.modes import Stratification
 from wavetank.scenario import (
+    MAX_AXIS_CELLS,
     PaddleProfile,
     ScenarioConfig,
     build_initial_state,
@@ -100,6 +101,17 @@ class TestValidate:
         assert validate(replace(cfg, t_end=2.0**53 - 1)) == []
         violations = validate(replace(cfg, t_end=2.0**53))
         assert len(violations) == 1 and violations[0].startswith("t_end")
+
+    def test_x_axis_within_2_pow_26_cells(self):
+        # |x0| + length = 2**26 dx exactly, then one cell farther out
+        cfg = mcewan_default()
+        edge = MAX_AXIS_CELLS * cfg.grid.h_x - cfg.grid.length
+        inside = replace(cfg.grid, x0=-edge)
+        assert validate(replace(cfg, grid=inside)) == []
+        assert len(set(inside.x)) == inside.n_points
+        outside = replace(cfg.grid, x0=-edge - cfg.grid.h_x)
+        violations = validate(replace(cfg, grid=outside))
+        assert len(violations) == 1 and violations[0].startswith("grid.x0")
 
     def test_build_rejects_invalid(self):
         cfg = mcewan_default()

@@ -1,15 +1,18 @@
-"""Stratifications at the ends of the float range, through the CLI."""
+"""Scenario values at the ends of the float range, through the CLI."""
 
 import contextlib
+import glob
 import io
 import os
 import tempfile
 import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wavetank.cli import main
+from wavetank.fields import read_state_file
+from wavetank.scenario import mcewan_default
 
 PREFIX = {1: "check failure: ", 2: "config error: ", 3: "numerical abort: "}
 
@@ -153,3 +156,68 @@ def test_steep_paddle_runs_without_a_runtime_warning(tmp_path):
         code, err = run_with_config("[paddle]\nb = 1e300\n", "run",
                                     out=str(tmp_path))
     assert (code, err) == (0, [])
+
+
+@pytest.mark.parametrize("text", [
+    "[grid]\ndx = 1e-66\n[paddle]\nl = 2e-65\n",
+    "[grid]\nx0 = 1e300\n",
+], ids=["dx-1e-66", "x0-1e300"])
+def test_x_axis_beyond_its_cells_exits_2(tmp_path, text):
+    # all 256 grid.x values were x0, so the paddle was sampled at one
+    # position and the run exited 0 on a constant initial state
+    code, err = run_with_config(text, "run", out=str(tmp_path))
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("config error: grid.x0: ")
+    assert not (tmp_path / "r").exists()
+
+
+# the float keys of the scenario that the range rules above leave out,
+# each spread over every decade of both signs, and 0
+FLOAT_KEYS = [("paddle", "a"), ("paddle", "l"), ("paddle", "b"),
+              ("paddle", "z0"), ("grid", "x0"), ("run", "sigma"),
+              ("run", "beta2")]
+
+
+def signed(magnitudes):
+    return st.one_of(st.just(0.0), st.just(-0.0), st.builds(
+        lambda v, sign: sign * v, magnitudes, st.sampled_from((1, -1))))
+
+
+# a t_end between 0.02 s (500 default steps) and 1e12 s (past 2**53
+# steps, which `validate` rejects) only runs longer, so it is left out
+# for time
+short_or_uncountable = st.one_of(
+    st.floats(min_value=-323.3, max_value=-1.7),
+    st.floats(min_value=12.0, max_value=308.25)).map(lambda u: 10.0 ** u)
+
+
+@given(values=st.dictionaries(st.sampled_from(FLOAT_KEYS),
+                              signed(log_spread), min_size=1, max_size=3),
+       t_end=st.none() | signed(short_or_uncountable))
+@example({("run", "sigma"): 1e300}, None)              # exits 3
+@example({("paddle", "l"): 1e300}, None)              # exits 2
+@example({("grid", "x0"): 1e300}, None)               # exits 2
+@example({("paddle", "a"): 1e-320}, 1e300)            # exits 2
+@example({("paddle", "a"): 1e-320}, None)             # exits 0
+@example({("paddle", "z0"): 1e-300}, None)            # exits 0
+def test_any_finite_float_key_exits_with_a_message(values, t_end):
+    # run exits 0, 2 or 3 and nothing raises; a run that exits 0 samples
+    # its paddle at n distinct positions
+    if t_end is not None:
+        values = {**values, ("run", "t_end"): t_end}
+    sections = {"run": ["snapshot_every = 0"]}
+    for (section, key), value in values.items():
+        sections.setdefault(section, []).append(f"{key} = {value!r}")
+    text = "".join(f"[{section}]\n" + "\n".join(lines) + "\n"
+                   for section, lines in sections.items())
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, err = run_with_config(text, "run", out=out)
+        if code:
+            assert code in (2, 3)
+            assert err and all(line.startswith(PREFIX[code]) for line in err)
+            return
+        assert err == []
+        states = glob.glob(os.path.join(out, "r", "r_step*_state.dat"))
+        _, x, _ = read_state_file(min(states))
+    assert len(set(x)) == mcewan_default().grid.n_points
