@@ -91,9 +91,10 @@ stage named in its cause.
 
 `semi_discrete_limit` gives the tau -> 0 limit of either scheme: the
 same D0, D3 and e_n, integrated by ETDRK4 with the linear part exact in
-rfft space and g applied as the dense (L, L^2) matrix at every L, and
+rfft space and the triad term in the form `_triad_in_z` picks, and
 returned only once step doubling has settled to LIMIT_RTOL.  It is the
-yardstick of the temporal order study.
+yardstick of the temporal order study.  Its step allocates no array: the
+fft calls and the ufuncs write into arrays built once per call.
 
 Single-mode periodic runs conserve the discrete mass sum_i theta_i to
 round-off: D0, D3 and theta * D0 theta all telescope on a ring.
@@ -332,6 +333,30 @@ def _transform_matrices(modes, triad_scale):
     return synth_theta, synth_d1, analysis
 
 
+def _z_product(coeffs, n):
+    """(analysis, product) of the product in z for `coeffs`' mode list
+    on n columns (`_transform_matrices`): product(theta, d, f) writes
+    F = A'B - CD into the (P + 1, n) array f, with [A'; C] synthesised
+    from the (L, n) theta and [B; D] from its difference d, through two
+    BLAS products into work buffers of its own (zero-initialised), one
+    multiply and one subtract.  analysis @ F is then the triad term in
+    the units of d."""
+    synth_theta, synth_d1, analysis = _transform_matrices(
+        coeffs.mode_indices, coeffs.triad_scale)
+    points = analysis.shape[1]
+    sampled = np.zeros((2 * points, n))     # [A'; C], then [A'B; CD]
+    sampled_d = np.zeros((2 * points, n))   # [B; D]
+    multiply, subtract, matmul = np.multiply, np.subtract, np.matmul
+
+    def product(theta, d, f):
+        matmul(synth_theta, theta, sampled)
+        matmul(synth_d1, d, sampled_d)
+        multiply(sampled, sampled_d, sampled)
+        subtract(sampled[:points], sampled[points:], f)
+
+    return analysis, product
+
+
 def _increment_kernel(coeffs, grid, scheme):
     """increment(dt) -> inc(views): dt (c D0 theta + e D3 theta
     + sum g theta^m D0 theta^k), per mode, with `scheme`'s e_n, for the
@@ -373,8 +398,7 @@ def _increment_kernel(coeffs, grid, scheme):
     nonlinear = coeffs.g.any()
     in_z = nonlinear and _triad_in_z(coeffs)
     if in_z:
-        synth_theta, synth_d1, analysis = _transform_matrices(
-            coeffs.mode_indices, coeffs.triad_scale)
+        analysis, product = _z_product(coeffs, n)
         blocks.append(s0 * analysis)
     elif nonlinear:
         blocks.append(s0 * coeffs.g.reshape(L, L * L))
@@ -389,16 +413,10 @@ def _increment_kernel(coeffs, grid, scheme):
     # bare multiply, which spares a stage a Python call (0.1 us at L = 1)
     diff1_row = pairs = None
     if in_z:
-        points = analysis.shape[1]
-        sampled = np.zeros((2 * points, n))     # [A'; C], then [A'B; CD]
-        sampled_d1 = np.zeros((2 * points, n))  # [B; D]
         d1, f_rows = used[:L], used[2 * L:]
 
         def triad(col, diff1_row, pairs):
-            matmul(synth_theta, col[:, 0, 2:n + 2], sampled)
-            matmul(synth_d1, d1, sampled_d1)
-            multiply(sampled, sampled_d1, sampled)
-            subtract(sampled[:points], sampled[points:], f_rows)
+            product(col[:, 0, 2:n + 2], d1, f_rows)
     elif nonlinear:
         triad = multiply  # theta^m D1 theta^k
         pairs, diff1_row = rows[2 * L:].reshape(L, L, n + 4), rows[None, :L]
@@ -622,9 +640,18 @@ def semi_discrete_limit(state, coeffs, grid, scheme, t_end):
 
     D0 and D3 are circulant, so in rfft space they are the diagonal
     symbols i sin(kh)/h and i (sin 2kh - 2 sin kh)/h^3 and the linear
-    part is integrated exactly; the triad term is explicit, g applied
-    as the dense matrix of row n and column m L + k.  The
-    integrator is ETDRK4 (Cox & Matthews, J. Comput. Phys. 176, 2002).
+    part is integrated exactly.  The triad term is explicit, applied to
+    theta and the spectral D0 theta in the form `_triad_in_z` picks, as
+    in the stepper: g as the dense matrix of row n and column m L + k,
+    or the product in z (`_z_product`), whose analysis matrix takes no
+    factor s0 = 1/2h, since D0 theta carries it.  A linear system
+    (g = 0) has no triad term.  The integrator is ETDRK4 (Cox & Matthews,
+    J. Comput. Phys. 176, 2002).  A step allocates no array: the spectra,
+    the real pair (theta, D0 theta), the triad rows and the four
+    nonlinear terms live in arrays built once per call, which the fft
+    calls fill through `out=`; each combination applies the ufuncs of
+    its plain expression to the same operands in the same order, so the
+    dense form keeps the bits of a step with fresh temporaries.
     The result verifies itself by step doubling: from
     `_LIMIT_MIN_STEPS` steps the count doubles until two successive
     results agree within LIMIT_RTOL of max|theta|, and the finer one is
@@ -643,32 +670,76 @@ def semi_discrete_limit(state, coeffs, grid, scheme, t_end):
     sym3 = 1j * (np.sin(2.0 * kh) - 2.0 * np.sin(kh)) / h**3
     e = _dispersion_coefficient(coeffs, grid, scheme)
     lin = -(coeffs.c[:, None] * sym0 + e[:, None] * sym3)
-    triad = coeffs.g.reshape(L, L * L)
-    stack = np.empty((2, L, n // 2 + 1), dtype=complex)
+    irfft, rfft = fft.irfft, fft.rfft
+    multiply, add, subtract, matmul = (np.multiply, np.add, np.subtract,
+                                       np.matmul)
+    shape = (L, n // 2 + 1)
+    # the spectra v, a, b and c of Cox & Matthews, each in row 0 of its
+    # own stack, whose row 1 takes its D0 for the inverse transform
+    sv, sa, sb, sc = (np.empty((2,) + shape, dtype=complex) for _ in range(4))
+    v, a, b, c = sv[0], sa[0], sb[0], sc[0]
+    e2v, tmp = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    # the nonlinear terms N(v), N(a), N(b), N(c): zero for a linear system
+    nv, na, nb, nc = (np.zeros(shape, dtype=complex) for _ in range(4))
+    real = np.empty((2, L, n))              # theta, D0 theta
+    rows = np.empty((L, n))                 # the triad term in x
+    nonlinear = coeffs.g.any()
+    if nonlinear and _triad_in_z(coeffs):
+        triad, product = _z_product(coeffs, n)
+        pairs = np.empty((triad.shape[1], n))
 
-    def triad_term(v):
-        """sum g theta^m D0 theta^k of the spectrum v, as a spectrum."""
-        stack[0] = v
-        np.multiply(sym0, v, out=stack[1])
-        theta, d0 = fft.irfft(stack, n)
-        return fft.rfft(triad @ (theta[:, None, :] * d0[None, :, :])
-                        .reshape(L * L, n))
+        def pair_rows():
+            product(real[0], real[1], pairs)
+    elif nonlinear:
+        triad = coeffs.g.reshape(L, L * L)
+        pairs = np.empty((L * L, n))
+        theta_m, d0_k = real[0][:, None, :], real[1][None, :, :]
+        pairs_mk = pairs.reshape(L, L, n)
+
+        def pair_rows():
+            multiply(theta_m, d0_k, pairs_mk)
+
+    def triad_term(stack, out):
+        """sum g theta^m D0 theta^k of the spectrum in stack[0], as a
+        spectrum in `out`; nothing for a linear system."""
+        if nonlinear:
+            multiply(sym0, stack[0], stack[1])
+            irfft(stack, n, out=real)
+            pair_rows()
+            matmul(triad, pairs, rows)
+            rfft(rows, out=out)
 
     def solve(n_steps):
         tau = (t_end - state.time) / n_steps
         E, E2, q, f1, f2, f3 = _phi_weights(tau * lin)
         w = -tau
         q, f1, f2, f3 = w * q, w * f1, 2.0 * w * f2, w * f3
-        v = fft.rfft(state.theta)
+        rfft(state.theta, out=v)
         for _ in range(n_steps):
-            nv = triad_term(v)
-            e2v = E2 * v
-            a = e2v + q * nv
-            na = triad_term(a)
-            nb = triad_term(e2v + q * na)
-            nc = triad_term(E2 * a + q * (2.0 * nb - nv))
-            v = E * v + f1 * nv + f2 * (na + nb) + f3 * nc
-        return fft.irfft(v, n)
+            triad_term(sv, nv)
+            multiply(E2, v, e2v)
+            multiply(q, nv, tmp)
+            add(e2v, tmp, a)                # a = E2 v + q N(v)
+            triad_term(sa, na)
+            multiply(q, na, tmp)
+            add(e2v, tmp, b)                # b = E2 v + q N(a)
+            triad_term(sb, nb)
+            multiply(E2, a, c)
+            multiply(2.0, nb, tmp)
+            subtract(tmp, nv, tmp)
+            multiply(q, tmp, tmp)
+            add(c, tmp, c)                  # c = E2 a + q (2 N(b) - N(v))
+            triad_term(sc, nc)
+            # v = E v + f1 N(v) + f2 (N(a) + N(b)) + f3 N(c)
+            multiply(E, v, v)
+            multiply(f1, nv, tmp)
+            add(v, tmp, v)
+            add(na, nb, tmp)
+            multiply(f2, tmp, tmp)
+            add(v, tmp, v)
+            multiply(f3, nc, tmp)
+            add(v, tmp, v)
+        return irfft(v, n)
 
     n_steps, coarse = _LIMIT_MIN_STEPS, None
     with np.errstate(over="ignore", invalid="ignore"):

@@ -34,6 +34,7 @@ from wavetank.solver import (
     stable_tau,
     step_count,
 )
+from wavetank import verification
 from wavetank.verification import (
     build_traveling_pair,
     kdv_soliton_oracle,
@@ -830,6 +831,102 @@ def test_mcewan_tank_lies_on_its_semi_discrete_limit(mcewan_tank):
     rel = (np.max(np.abs(final.theta - limit.theta), axis=1)
            / np.max(np.abs(limit.theta), axis=1))
     assert np.max(rel) <= 1e-8
+
+
+def textbook_limit(state, coeffs, grid, scheme, t_end):
+    """semi_discrete_limit as plain expressions, with a fresh array for
+    every intermediate: the dense triad term and the ETDRK4 step of Cox &
+    Matthews, step-doubled from `_LIMIT_MIN_STEPS` until two results
+    agree within LIMIT_RTOL of max|theta|."""
+    L, n = state.theta.shape
+    h = grid.h_x
+    kh = 2.0 * np.pi * np.arange(n // 2 + 1) / n
+    sym0 = 1j * np.sin(kh) / h
+    sym3 = 1j * (np.sin(2.0 * kh) - 2.0 * np.sin(kh)) / h**3
+    e = _dispersion_coefficient(coeffs, grid, scheme)
+    lin = -(coeffs.c[:, None] * sym0 + e[:, None] * sym3)
+    triad = coeffs.g.reshape(L, L * L)
+
+    def triad_term(v):
+        theta, d0 = np.fft.irfft(np.stack((v, sym0 * v)), n)
+        return np.fft.rfft(triad @ (theta[:, None, :] * d0[None, :, :])
+                           .reshape(L * L, n))
+
+    def solve(n_steps):
+        tau = (t_end - state.time) / n_steps
+        E, E2, q, f1, f2, f3 = solver._phi_weights(tau * lin)
+        w = -tau
+        q, f1, f2, f3 = w * q, w * f1, 2.0 * w * f2, w * f3
+        v = np.fft.rfft(state.theta)
+        for _ in range(n_steps):
+            nv = triad_term(v)
+            e2v = E2 * v
+            a = e2v + q * nv
+            na = triad_term(a)
+            nb = triad_term(e2v + q * na)
+            nc = triad_term(E2 * a + q * (2.0 * nb - nv))
+            v = E * v + f1 * nv + f2 * (na + nb) + f3 * nc
+        return np.fft.irfft(v, n)
+
+    n_steps, coarse = solver._LIMIT_MIN_STEPS, None
+    while True:
+        fine = solve(n_steps)
+        if (coarse is not None and np.max(np.abs(fine - coarse))
+                <= solver.LIMIT_RTOL * np.max(np.abs(fine))):
+            return fine
+        coarse, n_steps = fine, 2 * n_steps
+
+
+def limit_cases():
+    """(state, coeffs, grid, scheme, t_end) of the temporal study (L = 1),
+    the travelling pair under both schemes (L = 2) and the McEwan tank
+    (L = 5)."""
+    orc = verification._unit_width_soliton(amplitude=1.0, g=1.2, speed=30.0)
+    grid = orc.grid(10)
+    yield (orc.state(grid, 0.0), orc.coeffs, grid, ONE_STAGE,
+           5 * orc.width / abs(orc.speed))
+    wave = build_traveling_pair()
+    grid = wave.grid(8)
+    for scheme in (TWO_STAGE, ONE_STAGE):
+        yield wave.state(grid, 0.0), wave.coeffs, grid, scheme, 0.5
+    cfg = mcewan_default()
+    basis = cfg.basis()
+    coeffs = build_coefficients(basis, sigma=cfg.sigma, beta2=cfg.beta2)
+    state, _ = build_initial_state(cfg, basis)
+    yield state, coeffs, cfg.grid, cfg.scheme.scheme, 0.02
+
+
+@pytest.mark.parametrize("case", list(limit_cases()),
+                         ids=["temporal-L1", "pair-two-stage",
+                              "pair-one-stage", "mcewan-L5"])
+def test_limit_keeps_the_bits_of_the_textbook_step(case):
+    # the buffered step applies every ufunc of the expressions above to
+    # the same operands in the same order, so the dense form agrees bit
+    # for bit
+    state, coeffs, grid, scheme, t_end = case
+    assert not solver._triad_in_z(coeffs)
+    limit = semi_discrete_limit(state, coeffs, grid, scheme, t_end)
+    assert np.array_equal(limit.theta,
+                          textbook_limit(state, coeffs, grid, scheme, t_end))
+
+
+def test_limit_in_z_tracks_the_dense_limit(monkeypatch):
+    # modes 2..20 of the periodic McEwan tank take the product in z by
+    # the stepper's rule; forced dense, the limit sums in another order,
+    # so its bits differ, and agrees to round-off (1.3e-16 of max|theta|
+    # when measured)
+    cfg = replace(mcewan_default(), modes=tuple(range(2, 21, 2)))
+    basis = cfg.basis()
+    coeffs = build_coefficients(basis, sigma=cfg.sigma, beta2=cfg.beta2)
+    state, _ = build_initial_state(cfg, basis)
+    assert cfg.grid.n_points == 256 and solver._triad_in_z(coeffs)
+    in_z = semi_discrete_limit(state, coeffs, cfg.grid, cfg.scheme.scheme, 0.2)
+    monkeypatch.setattr(solver, "_triad_in_z", lambda coeffs: False)
+    dense = semi_discrete_limit(state, coeffs, cfg.grid, cfg.scheme.scheme,
+                                0.2)
+    assert not np.array_equal(in_z.theta, dense.theta)
+    assert (np.max(np.abs(in_z.theta - dense.theta))
+            <= 1e-14 * np.max(np.abs(dense.theta)))
 
 
 class TestExactAbort:
