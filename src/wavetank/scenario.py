@@ -88,10 +88,14 @@ class PaddleProfile:
 
 def _over_cosh(amp, arg):
     """amp / cosh(arg), as amp 2 exp(-|arg|) where cosh would overflow
-    (|arg| > 700): there the two are equal in double precision."""
+    (|arg| > 700): there the two are equal in double precision.  Each
+    form is evaluated only where it is used, so that an amp near the
+    float limit does not overflow in the far form at small |arg|."""
+    arg = np.asarray(arg, dtype=float)
     far = np.abs(arg) > 700.0
-    return np.where(far, amp * (2.0 * np.exp(-np.abs(arg))),
-                    amp / np.cosh(np.where(far, 0.0, arg)))
+    out = np.asarray(amp / np.cosh(np.where(far, 0.0, arg)))
+    out[far] = amp * (2.0 * np.exp(-np.abs(arg[far])))
+    return out
 
 
 @dataclass(frozen=True)

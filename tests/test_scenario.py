@@ -144,6 +144,31 @@ class TestInitialState:
         kh = 2.0 * np.pi * np.arange(spectrum.shape[1]) / cfg.grid.n_points
         assert np.max(spectrum[:, kh >= np.pi / 2]) < 1e-12 * np.max(spectrum)
 
+    def test_amplitude_near_the_float_limit_raises_nothing(self):
+        # the far form amp 2 exp(-|arg|) overflowed at small |arg| for a
+        # finite a above about 9e307 although its value was never used;
+        # where cosh is in range the value stays a / cosh(arg) bit for bit.
+        # The far arguments stay below 708, where exp(-|arg|) is normal:
+        # beyond it the far form underflows, which its value does too
+        cfg = mcewan_default()
+        paddle = replace(cfg.paddle, a=1.7e308)
+        x = paddle.l * np.concatenate((np.linspace(-700.0, 700.0, 1401),
+                                       [-705.0, -701.0, 701.0, 705.0]))
+        z = paddle.z0 + x / paddle.b
+        with np.errstate(all="raise"):
+            phi1 = paddle.phi1(x)
+            phi2 = paddle.phi2(z, cfg.strat)
+        arg = x / paddle.l
+        near = np.abs(arg) <= 700.0
+        assert near.sum() == 1401
+        assert np.array_equal(phi1[near], paddle.a / np.cosh(arg[near]))
+        assert np.all(np.isfinite(phi1)) and np.all(phi1 > 0)
+        zarg = paddle.b * (z - paddle.z0)
+        amp = np.sqrt(2.0 / (cfg.strat.N**2 * cfg.strat.depth))
+        inner = np.abs(zarg) <= 700.0
+        assert np.array_equal(phi2[inner],
+                              amp / np.cosh(zarg[inner]) * np.tanh(zarg[inner]))
+
     def test_periodic_phi1_is_the_image_sum(self):
         # against a sum over far more images than the J = 4 it takes
         paddle, length = mcewan_default().paddle, 0.5
