@@ -98,7 +98,9 @@ def build_parser():
 
 
 def _out_dir(args):
-    if not re.fullmatch(r"[A-Za-z0-9._-]+", args.run_id):
+    # `.` and `..` name the output root and its parent, not a run of it
+    if (args.run_id in (".", "..")
+            or not re.fullmatch(r"[A-Za-z0-9._-]+", args.run_id)):
         raise UsageError(f"run-id {args.run_id!r} is not filesystem-safe")
     root = args.out or os.environ.get("CKDV_OUT") or "out"
     path = os.path.join(root, args.run_id)
@@ -123,6 +125,10 @@ def _load_scenario(args):
         if not args.dx > 0:
             raise ValueError(f"--dx must be positive, got {args.dx:g}")
         cells = cfg.grid.length / args.dx
+        if not math.isfinite(cells):
+            raise ValueError(
+                f"--dx {args.dx:g} puts {cells:g} cells in the domain "
+                f"length {cfg.grid.length:.17g} m")
         n = int(round(cells))
         if abs(cells - n) > 1e-9 * cells:
             raise ValueError(

@@ -132,6 +132,12 @@ def _tensor_closed_form(basis, sigma):
 
 
 def _tensor_quadrature(basis, sigma):
+    """(g, size) by Simpson quadrature (`simpson_grid`): g^n_{m,k} and
+    the quadrature of its absolute integrand, the scale of its round-off.
+    The integrand is the (m, k) factor
+    F = (1/c_m^2 + 3/c_k^2) Z^k dZ^m/dz + (4/c_m^2) Z^m dZ^k/dz, formed
+    once, times Z^n; each n sums the weighted terms of every (m, k) pair
+    at once, as rows of one array."""
     strat = basis.strat
     z, w, dz = simpson_grid(strat.depth)
     zeta = np.pi * z / strat.depth
@@ -142,20 +148,17 @@ def _tensor_quadrature(basis, sigma):
         nidx[:, None] * zeta[None, :]
     )
     c = basis.speeds
+    cm, ck = c[:, None, None], c[None, :, None]
+    pair = ((1.0 / cm**2 + 3.0 / ck**2) * S[None, :] * Sz[:, None]
+            + (4.0 / cm**2) * S[:, None] * Sz[None, :])   # F, [m, k]
     L = basis.n_modes
     g = np.zeros((L, L, L))
     size = np.zeros((L, L, L))
     for a in range(L):
         pref = sigma * strat.N**2 * c[a] ** 2 / 2.0
-        for b in range(L):
-            for c_ in range(L):
-                integrand = (
-                    (1.0 / c[b] ** 2 + 3.0 / c[c_] ** 2) * S[c_] * Sz[b]
-                    + (4.0 / c[b] ** 2) * S[b] * Sz[c_]
-                ) * S[a]
-                terms = w * integrand
-                g[a, b, c_] = pref * dz * np.sum(terms)
-                size[a, b, c_] = abs(pref) * dz * np.sum(np.abs(terms))
+        terms = w * (pair * S[a])
+        g[a] = pref * dz * terms.sum(axis=-1)
+        size[a] = abs(pref) * dz * np.abs(terms).sum(axis=-1)
     return g, size
 
 

@@ -49,45 +49,42 @@ product in z
 
 The rule takes the product in z once its count is below
 _Z_FORM_COST_RATIO times the dense one: from modes 2..14 (L = 7) on,
-never for the five McEwan modes or a single mode.  `advance` builds K
-once per call and scales it by dt for each stage.  A dense stage is 7
-numpy calls: two ghost-column slice assignments; the two differences
-and the pair product, written into the rows of S; the product; and one
+never for the five McEwan modes or a single mode.
+
+`_increment_kernel` builds K once per `advance` and binds each stage
+once: `bind(src, base, dt, dest)` makes every view of the padded src,
+scales K by dt, and returns a zero-argument call that writes
+dest = base - (dt K) S.  A dense stage is 7 numpy calls: two
+ghost-column slice assignments; the two differences and the pair
+product, written into the rows of S; the product; and one
 subtract(base, increment, dest).  In z the pair product gives way to
-two synthesis products, one multiply and one subtract: 9 calls.  D1, D4,
-the pair product and the update run over whole padded rows in one
-contiguous pass: D1 and D4 are each one difference of the flattened
-(L, n + 4) buffer, over its entries 2..L(n+4)-3, the pair product spans
-n + 4 columns, and the update subtracts the padded increment from the
-padded base into the padded destination.  The ghost columns so collect
-junk: differences across the ends of two rows, products of ghost
-values.  It never reaches the interior: an interior column reads only
-its own row's columns 0..n+3, which the stage refreshes first, and
-every product works column by column.  Each BLAS product reads and
-writes only columns 2..n+1 (at a leading dimension of n + 4, so with
-the bits of the (., n) product).  At n = 300 a call's fixed cost
-outweighs its arithmetic, so each is issued the cheap way: the output
-array by position rather than as `out=`, slice assignment rather than
-`np.copyto`.  The two-stage step takes about 10 us at (L, n) =
-(1, 120), 11 us at (1, 300), 39 us at (5, 256) and 0.3 ms at (32, 256),
-where the CSR form before the product in z took 1.0 ms (README,
-Numerical notes, has the harness and the numbers of the earlier forms).
+two synthesis products, one multiply and one subtract: 9 calls.  D1,
+D4, the pair product and the update run over whole padded rows in one
+contiguous pass, so the ghost columns collect junk (differences across
+the ends of two rows, products of ghost values) that never reaches the
+interior: an interior column reads only its own row's columns 0..n+3,
+which the stage refreshes first, every product works column by column,
+and each BLAS product reads and writes only columns 2..n+1 (at a
+leading dimension of n + 4, so with the bits of the (., n) product).
+At n = 300 a call's fixed cost outweighs its arithmetic, so each is
+issued the cheap way: the output array by position rather than as
+`out=`, slice assignment rather than `np.copyto`.  README, Numerical
+notes, has where each workload's time goes.
 
 `advance` steps in place.  Per call it allocates the padded state
-(L, n + 4), with the state in columns 2..n+1, a padded half-stage
-buffer (two-stage), and, zero-initialised, the padded increment, S and
-the work buffers of the product in z, shared by every stage, so that
-the entries no pass writes read 0; each
-stage refreshes the four ghost columns of its input and writes S, the
-increment and its padded destination through calls that write into
-those arrays.  Finiteness of the state is checked every
-`_FINITE_CHECK_EVERY` steps, before every observation and after the
-last step, and each passing check copies the state into a checkpoint.
-A non-finite value stays non-finite through every later stage, so a
-failed check means the first bad stage lies after the checkpoint: the
-same kernel replays from it with a check after every stage and raises
-NonFiniteError at the exact step, with the last finite state and the
-stage named in its cause.
+(L, n + 4), with the state in columns 2..n+1 and the one view of it
+that `advance` keeps, and a padded half-stage buffer (two-stage); the
+kernel allocates, zero-initialised, the padded increment, S and the
+work buffers of the product in z, shared by every stage, so that the
+entries no pass writes read 0.  A step calls its bound stages: the half
+and the full step, or the one-stage step.  Finiteness of the state is
+checked every `_FINITE_CHECK_EVERY` steps, before every observation and
+after the last step, and each passing check copies the state into a
+checkpoint.  A non-finite value stays non-finite through every later
+stage, so a failed check means the first bad stage lies after the
+checkpoint: the same stages replay from it, each followed by a check of
+its destination, and NonFiniteError is raised at the exact step, with
+the last finite state and the stage named in its cause.
 
 `semi_discrete_limit` gives the tau -> 0 limit of either scheme: the
 same D0, D3 and e_n, integrated by ETDRK4 with the linear part exact in
@@ -263,20 +260,6 @@ def step_count(t0, t_end, tau):
     return max(1, int(np.ceil((t_end - t0) / tau - 1e-9)))
 
 
-def _stencil_views(pad):
-    """Views into a padded (L, n + 4) buffer that holds the state in
-    columns 2..n+1: the two ghost-column pairs with their periodic
-    sources; the flat buffer's entries 3.., 1.., 4.. and 0.. that line
-    up with its entries 2..L(n+4)-3, so that D1 and D4 of every row are
-    each one contiguous difference; the buffer as (L, 1, n + 4) for the
-    pair product; and the state, columns 2..n+1."""
-    n = pad.shape[1] - 4
-    flat = pad.reshape(-1)
-    return (pad[:, :2], pad[:, n:n + 2], pad[:, n + 2:], pad[:, 2:4],
-            flat[3:-1], flat[1:-3], flat[4:], flat[:-4],
-            pad[:, None, :], pad[:, 2:n + 2])
-
-
 def _transform_grid(modes):
     """(q, P) of the product in z for the mode numbers `modes`: their gcd
     q and P = floor(3 M'/2) + 1 with M' = max(modes) / q, so that the
@@ -358,15 +341,16 @@ def _z_product(coeffs, n):
 
 
 def _increment_kernel(coeffs, grid, scheme):
-    """increment(dt) -> inc(views): dt (c D0 theta + e D3 theta
-    + sum g theta^m D0 theta^k), per mode, with `scheme`'s e_n, for the
-    padded state behind `views` (`_stencil_views`), as a padded
-    (L, n + 4) array whose columns 2..n+1 hold the increment.  With
-    D1 = theta_{i+1} - theta_{i-1}, D4 = theta_{i+2} - theta_{i-2},
-    s0 = 1/2h and s3 = 1/2h^3 this is the one product (dt K) S of the
-    stage matrix K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 T] and the
-    stage rows S = [D1; D4; R], in one of two forms that `_triad_in_z`
-    picks from the mode list:
+    """bind(src, base, dt, dest) -> stage: a zero-argument call that
+    writes dest = base - dt (c D0 theta + e D3 theta
+    + sum g theta^m D0 theta^k), per mode, with `scheme`'s e_n and theta
+    the state in columns 2..n+1 of src.  src, base and dest are padded
+    (L, n + 4) C-ordered arrays; `bind` makes every view of src once.
+    With D1 = theta_{i+1} - theta_{i-1}, D4 = theta_{i+2} - theta_{i-2},
+    s0 = 1/2h and s3 = 1/2h^3 the increment is the one product (dt K) S
+    of the stage matrix K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 T]
+    and the stage rows S = [D1; D4; R], in one of two forms that
+    `_triad_in_z` picks from the mode list:
 
     dense
         T = g as a matrix of row n and column m L + k, and R the L^2
@@ -379,17 +363,19 @@ def _increment_kernel(coeffs, grid, scheme):
         work buffers of their own, one multiply and one subtract write F
         into S.
 
-    D1 and D4 are each one difference of the flat buffer over its
-    entries 2..L(n+4)-3, and the dense pair product spans all n + 4
-    columns.  The ghost columns of S so hold junk, which is harmless: an
+    A stage refreshes src's four ghost columns from their periodic
+    sources, writes D1 and D4 each as one difference of the flat src
+    over its entries 2..L(n+4)-3, writes R, takes the product and
+    subtracts the padded increment from the padded base into the padded
+    dest.  The ghost columns of S so hold junk, which is harmless: an
     interior column reads only its own row's columns 0..n+3, refreshed
     first; every BLAS product reads and writes only columns 2..n+1 (at
     a leading dimension of n + 4, with the bits of the (., n) product);
-    and the next stage refreshes every ghost column it reads.  Every
-    `inc` shares S, the work buffers and the increment, allocated here
-    once and zero-initialised, so the entries no pass writes read 0.  A
-    linear system (g = 0, as in every single-mode tank) keeps only K's
-    and S's first 2L columns and rows: theta^m D1^k overflows while
+    and the increment's ghost columns stay 0, so dest's are base's.
+    Every stage shares S, the work buffers and the increment, allocated
+    here once and zero-initialised, so the entries no pass writes read
+    0.  A linear system (g = 0, as in every single-mode tank) keeps only
+    K's and S's first 2L columns and rows: theta^m D1^k overflows while
     theta is still finite, and 0 * inf is nan."""
     L, n = coeffs.n_modes, grid.n_points
     s0, s3 = 0.5 / grid.h_x, 0.5 / grid.h_x**3
@@ -404,44 +390,45 @@ def _increment_kernel(coeffs, grid, scheme):
         blocks.append(s0 * coeffs.g.reshape(L, L * L))
     stage = np.hstack(blocks)
     rows = np.zeros((stage.shape[1], n + 4))
-    padded = np.zeros((L, n + 4))
-    used, product_out = rows[:, 2:n + 2], padded[:, 2:n + 2]
+    increment = np.zeros((L, n + 4))
+    used, product_out = rows[:, 2:n + 2], increment[:, 2:n + 2]
     diff1 = rows[:L].reshape(-1)[2:-2]
     diff4 = rows[L:2 * L].reshape(-1)[2:-2]
     multiply, subtract, matmul = np.multiply, np.subtract, np.matmul
-    # triad(col, diff1_row, pairs) writes R into S: the dense form is the
-    # bare multiply, which spares a stage a Python call (0.1 us at L = 1)
-    diff1_row = pairs = None
-    if in_z:
-        d1, f_rows = used[:L], used[2 * L:]
 
-        def triad(col, diff1_row, pairs):
-            product(col[:, 0, 2:n + 2], d1, f_rows)
-    elif nonlinear:
-        triad = multiply  # theta^m D1 theta^k
-        pairs, diff1_row = rows[2 * L:].reshape(L, L, n + 4), rows[None, :L]
-    else:
-        def triad(col, diff1_row, pairs):
-            pass
-
-    def increment(dt):
+    def bind(src, base, dt, dest):
+        flat = src.reshape(-1)
+        ghost_lo, wrap_lo = src[:, :2], src[:, n:n + 2]
+        ghost_hi, wrap_hi = src[:, n + 2:], src[:, 2:4]
+        # the entries 3.., 1.., 4.. and 0.. that line up with 2..L(n+4)-3
+        p3, p1, p4, p0 = flat[3:-1], flat[1:-3], flat[4:], flat[:-4]
+        # triad(a, b, r) writes R into S: the dense form is the bare
+        # multiply, which spares a stage a Python call (0.1 us at L = 1)
+        if in_z:
+            triad, a, b, r = product, src[:, 2:n + 2], used[:L], used[2 * L:]
+        elif nonlinear:
+            triad, a, b, r = (multiply, src[:, None, :], rows[None, :L],
+                              rows[2 * L:].reshape(L, L, n + 4))
+        else:
+            def triad(a, b, r):
+                pass
+            a = b = r = None
         scaled = dt * stage
 
         # the output goes by position: as `out=` a call on (1, 300)
         # arrays costs about 0.8 us instead of 0.4 us
-        def inc(views):
-            ghost_lo, wrap_lo, ghost_hi, wrap_hi, p3, p1, p4, p0, col, _ = views
+        def call():
             ghost_lo[...] = wrap_lo
             ghost_hi[...] = wrap_hi
             subtract(p3, p1, diff1)
             subtract(p4, p0, diff4)
-            triad(col, diff1_row, pairs)
+            triad(a, b, r)
             matmul(scaled, used, product_out)
-            return padded
+            subtract(base, increment, dest)
 
-        return inc
+        return call
 
-    return increment
+    return bind
 
 
 def mass_per_mode(state, grid):
@@ -536,31 +523,28 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
     if t0 + n_steps * tau != t_end:
         tau = (t_end - t0) / n_steps
     L, n = state.theta.shape
-    increment = _increment_kernel(coeffs, grid, params.scheme)
+    bind = _increment_kernel(coeffs, grid, params.scheme)
     pad = np.empty((L, n + 4))
-    views = _stencil_views(pad)
-    theta = views[-1]              # the state, advanced in place
+    theta = pad[:, 2:n + 2]        # the state, advanced in place
     theta[...] = state.theta
-    # (stage input, increment, padded destination, its state, name):
-    # every stage is based on the padded theta, and its update runs over
-    # whole padded rows; the ghost junk it writes is refreshed by the
-    # next stage before anything reads it
+    # (stage, its padded destination, name): every stage is based on the
+    # padded theta
     if params.scheme == TWO_STAGE:
         half = np.empty((L, n + 4))
-        half_views = _stencil_views(half)
-        stages = ((views, increment(tau / 2.0), half, half_views[-1],
-                   "half step"),
-                  (half_views, increment(tau), pad, theta, "full step"))
+        stages = ((bind(pad, pad, tau / 2.0, half), half, "half step"),
+                  (bind(half, pad, tau, pad), pad, "full step"))
     else:
-        stages = ((views, increment(tau), pad, theta, "one-stage step"),)
-    subtract = np.subtract
+        stages = ((bind(pad, pad, tau, pad), pad, "one-stage step"),)
+    calls = tuple(stage for stage, _, _ in stages)
 
-    def step(check=False):
-        """One step in place; with `check`, the name of the first stage
-        that produced non-finite values, else None."""
-        for at, inc, dest, dest_state, what in stages:
-            subtract(pad, inc(at), dest)
-            if check and not np.isfinite(dest_state).all():
+    def checked_step():
+        """One step in place: the name of the first stage that produced
+        non-finite values, else None.  A stage's destination keeps the
+        ghost columns of its base, copied from the finite state the step
+        started from, so all of it is finite where its state is."""
+        for stage, dest, what in stages:
+            stage()
+            if not np.isfinite(dest).all():
                 return what
         return None
 
@@ -587,7 +571,8 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
             stop = min(stop, (checked // observe_every + 1) * observe_every)
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(checked, stop):
-                step()
+                for stage in calls:
+                    stage()
         if not np.isfinite(theta).all():
             # a non-finite value stays non-finite through every later
             # stage, so the first bad stage lies between the checkpoint
@@ -596,7 +581,7 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
             with np.errstate(over="ignore", invalid="ignore"):
                 for failed in range(checked + 1, stop + 1):
                     checkpoint[...] = theta
-                    what = step(check=True)
+                    what = checked_step()
                     if what:
                         break
             last = at_step(failed - 1, checkpoint)

@@ -50,6 +50,20 @@ class TestParsing:
         assert capsys.readouterr().err.startswith(
             "usage error: cannot parse --modes '2,q'")
 
+    @pytest.mark.parametrize("command, flags", [
+        ("run", ("--t-end", "0")), ("coeffs", ()), ("converge", ()),
+        ("verify", ()), ("fission", ())])
+    @pytest.mark.parametrize("run_id", [".", ".."])
+    def test_dot_run_ids_rejected(self, capsys, outdir, command, flags,
+                                  run_id):
+        # `..` wrote config.cfg and the data files next to --out, over any
+        # file of the same name, and `.` into the output root itself
+        assert run_cli(command, *flags, "--out", str(outdir / "out"),
+                       "--run-id", run_id) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"usage error: run-id {run_id!r} is not filesystem-safe"]
+        assert list(outdir.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["run", "coeffs"])
     @pytest.mark.parametrize("modes", ["", ",", " "])
     def test_empty_modes_list_exits_2(self, capsys, outdir, command, modes):

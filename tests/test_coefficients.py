@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wavetank.coefficients import (
     ConsistencyError,
+    _tensor_quadrature,
     build_coefficients,
     dispersion_coeffs,
     nonlinear_coeff_closed_form,
@@ -10,7 +12,7 @@ from wavetank.coefficients import (
     reconcile_with_reference,
 )
 from wavetank import modes
-from wavetank.modes import Stratification, build_constant_n_basis
+from wavetank.modes import Stratification, build_constant_n_basis, simpson_grid
 from wavetank import reference_tables as ref
 
 MCEWAN = Stratification(N=1.23, depth=0.25)
@@ -52,7 +54,49 @@ class TestDispersion:
         assert np.all(np.diff(d) < 0)
 
 
+def entrywise_quadrature(basis, sigma):
+    """(g, size) of `_tensor_quadrature`, one Simpson sum per entry
+    (n, m, k) over the nodes of `simpson_grid`."""
+    strat = basis.strat
+    z, w, dz = simpson_grid(strat.depth)
+    zeta = np.pi * z / strat.depth
+    nidx = np.asarray(basis.indices, dtype=float)
+    S = basis.amplitudes[:, None] * np.sin(nidx[:, None] * zeta[None, :])
+    Sz = (basis.amplitudes * nidx * np.pi / strat.depth)[:, None] * np.cos(
+        nidx[:, None] * zeta[None, :])
+    c = basis.speeds
+    L = basis.n_modes
+    g = np.zeros((L, L, L))
+    size = np.zeros((L, L, L))
+    for a in range(L):
+        pref = sigma * strat.N**2 * c[a] ** 2 / 2.0
+        for b in range(L):
+            for c_ in range(L):
+                integrand = (
+                    (1.0 / c[b] ** 2 + 3.0 / c[c_] ** 2) * S[c_] * Sz[b]
+                    + (4.0 / c[b] ** 2) * S[b] * Sz[c_]
+                ) * S[a]
+                terms = w * integrand
+                g[a, b, c_] = pref * dz * np.sum(terms)
+                size[a, b, c_] = abs(pref) * dz * np.sum(np.abs(terms))
+    return g, size
+
+
 class TestNonlinearTensor:
+    @given(modes=st.lists(st.integers(1, 24), min_size=1, max_size=12,
+                          unique=True).map(tuple),
+           sigma=st.sampled_from([1.0, -0.6, 2.5]))
+    def test_quadrature_matches_entrywise_sums(self, modes, sigma):
+        # every entry takes the same products in the same order, and a row
+        # of the (m, k) pairs is summed as one 1-D array is, so the bits
+        # agree: off resonance g is round-off, which no tolerance relative
+        # to max|g| bounds
+        basis = build_constant_n_basis(MCEWAN, modes)
+        g, size = _tensor_quadrature(basis, sigma)
+        ref_g, ref_size = entrywise_quadrature(basis, sigma)
+        assert np.array_equal(g, ref_g)
+        assert np.array_equal(size, ref_size)
+
     def test_quadrature_matches_closed_form(self, basis):
         g_quad = nonlinear_coeffs(basis, method="quadrature")
         g_closed = nonlinear_coeffs(basis, method="closed_form")

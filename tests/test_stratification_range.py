@@ -127,6 +127,27 @@ def test_any_finite_dx_exits_with_a_message(dx):
             assert err == []
 
 
+@example(dx=1e-309)
+@example(dx=5e-324)
+@given(dx=log_spread)
+def test_any_dx_flag_exits_with_a_message(dx):
+    # a --dx below about 2.8e-309 made the cell count inf, and rounding
+    # it to an int raised OverflowError: a traceback, exit 1
+    with tempfile.TemporaryDirectory() as out:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--dx", repr(dx), "--t-end", "0",
+                         "--out", out, "--run-id", "r"])
+        err = err.getvalue().splitlines()
+        assert code in (0, 2)
+        if code:
+            assert err and all(line.startswith(PREFIX[code]) for line in err)
+            assert not os.path.exists(os.path.join(out, "r"))
+        else:
+            assert err == []
+
+
 @pytest.mark.parametrize("n, depth", [
     ("1.23", "1e-5"), ("3.5e-7", "0.107"), ("1.6", "1.4e-7")])
 def test_coeffs_cross_check_holds_at_any_scale(tmp_path, n, depth):
