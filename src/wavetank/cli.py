@@ -286,8 +286,7 @@ def cmd_converge(args):
     _write(os.path.join(out, f"convergence_{report.kind}_{args.scheme}.dat"),
            report.to_text())
     order = report.fitted_order
-    ok = (order is not None and window[0] <= order <= window[1]
-          and report.asymptotic)
+    ok = report.order_within(*window)
     print(f"{report.kind} order ({args.scheme}): "
           f"{'n/a' if order is None else f'{order:.3f}'} "
           f"expected in [{window[0]}, {window[1]}] "

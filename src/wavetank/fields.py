@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 FMT = "%.17g"
+# the uniform z points `synthesize` samples by default, which resolve
+# the shortest half-wavelength of mode 10 with margin
+Z_POINTS = 129
 # values formatted per block by `write_table`, which bounds its memory
 _BLOCK = 2048
 # the |v| that `_format_values` formats by the double-length product:
@@ -88,12 +91,12 @@ class CrossSection:
     rule: str = "nearest-grid-point"
 
 
-def synthesize(basis, state, grid, z_points=129):
-    """Assemble psi(z_q, x_i) = sum_n Z^n(z_q) theta^n(x_i).
+def synthesize(basis, state, grid, z_points=Z_POINTS):
+    """Assemble psi(z_q, x_i) = sum_n Z^n(z_q) theta^n(x_i) at z_points
+    uniform z_q.
 
     The wall rows z = 0 and z = depth are exact zeros because every
-    eigenfunction vanishes there.  z defaults to 129 uniform points,
-    which resolves the shortest half-wavelength of mode 10 with margin.
+    eigenfunction vanishes there.
     """
     if state.n_modes != basis.n_modes:
         raise ValueError(

@@ -29,27 +29,8 @@ s0 = 1/(2h) and s3 = 1/(2h^3),
     K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 T],
     S = [D1; D4; R],
 
-with the triad block in one of two forms, which `_triad_in_z` picks
-from the mode list alone:
-
-dense
-    T is g as a matrix of row n and column m L + k, R the L^2 pair rows
-    theta^m D1 theta^k: K is (L, 2L + L^2), about L(2L + L^2)
-    operations per column.
-product in z
-    Orszag's transform method (J. Atmos. Sci. 27, 890, 1970) in the
-    vertical coordinate.  The closed-form g is the cosine coefficient,
-    in z, of a product of two sums over the modes' eigenfunctions, so R
-    samples that product at P + 1 points in z and T is the analysis
-    matrix (`_transform_matrices`): K is (L, 2L + P + 1), about
-    4L(P + 1) + L(2L + P + 1) operations per column.  With the mode
-    numbers divided by their gcd and M' the largest, P = floor(3M'/2)
-    + 1, so nothing aliases and the form is exact.  Only a closed-form
-    g has it (`CoefficientSet.triad_scale`).
-
-The rule takes the product in z once its count is below
-_Z_FORM_COST_RATIO times the dense one: from modes 2..14 (L = 7) on,
-never for the five McEwan modes or a single mode.
+with T and R the triad term in its dense form or its product in z:
+`_triad_term` has both, and picks one from the mode list.
 
 `_increment_kernel` builds K once per `advance` and binds each stage
 once: `bind(src, base, dt, dest)` makes every view of the padded src,
@@ -59,13 +40,13 @@ ghost-column slice assignments; the two differences and the pair
 product, written into the rows of S; the product; and one
 subtract(base, increment, dest).  In z the pair product gives way to
 two synthesis products, one multiply and one subtract: 9 calls.  D1,
-D4, the pair product and the update run over whole padded rows in one
-contiguous pass, so the ghost columns collect junk (differences across
-the ends of two rows, products of ghost values) that never reaches the
-interior: an interior column reads only its own row's columns 0..n+3,
-which the stage refreshes first, every product works column by column,
-and each BLAS product reads and writes only columns 2..n+1 (at a
-leading dimension of n + 4, so with the bits of the (., n) product).
+D4, R and the update run over whole padded rows in one contiguous
+pass, so the ghost columns collect junk (differences across the ends of
+two rows, products of ghost values) that never reaches the interior: an
+interior column reads only its own row's columns 0..n+3, which the
+stage refreshes first, every product works column by column, and the
+stage product reads and writes only columns 2..n+1 (at a leading
+dimension of n + 4, so with the bits of the (., n) product).
 At n = 300 a call's fixed cost outweighs its arithmetic, so each is
 issued the cheap way: the output array by position rather than as
 `out=`, slice assignment rather than `np.copyto`.  README, Numerical
@@ -88,7 +69,7 @@ the last finite state and the stage named in its cause.
 
 `semi_discrete_limit` gives the tau -> 0 limit of either scheme: the
 same D0, D3 and e_n, integrated by ETDRK4 with the linear part exact in
-rfft space and the triad term in the form `_triad_in_z` picks, and
+rfft space and the triad term in the form `_triad_term` picks, and
 returned only once step doubling has settled to LIMIT_RTOL.  It is the
 yardstick of the temporal order study.  Its step allocates no array: the
 fft calls and the ufuncs write into arrays built once per call.
@@ -316,14 +297,44 @@ def _transform_matrices(modes, triad_scale):
     return synth_theta, synth_d1, analysis
 
 
-def _z_product(coeffs, n):
-    """(analysis, product) of the product in z for `coeffs`' mode list
-    on n columns (`_transform_matrices`): product(theta, d, f) writes
-    F = A'B - CD into the (P + 1, n) array f, with [A'; C] synthesised
-    from the (L, n) theta and [B; D] from its difference d, through two
-    BLAS products into work buffers of its own (zero-initialised), one
-    multiply and one subtract.  analysis @ F is then the triad term in
-    the units of d."""
+def _triad_term(coeffs, n):
+    """The triad term sum g^n_{m,k} theta^m d^k on rows of n columns, in
+    the one form that this function picks for `coeffs`: None for a
+    linear system (g = 0, as in every single-mode tank), else (T, pair).
+    pair(theta, d, r) gives (f, a, b, r), and f(a, b, r) writes the
+    triad rows R of the (L, n) theta and its difference d into r, so
+    that T @ R is the triad term in the units of d.  The forms:
+
+    dense
+        T = g as a matrix of row n and column m L + k, R the L^2 pair
+        rows theta^m d^k: f is the bare multiply of broadcast views,
+        which spares a caller a Python call (0.1 us at L = 1).
+    product in z
+        Orszag's transform method (J. Atmos. Sci. 27, 890, 1970) in the
+        vertical coordinate.  The closed-form g is the cosine
+        coefficient, in z, of a product of two sums over the modes'
+        eigenfunctions, so R = F = A'B - CD samples that product at the
+        P + 1 points zeta_j and T is the analysis matrix
+        (`_transform_matrices`).  f synthesises [A'; C] from theta and
+        [B; D] from d by two BLAS products into work buffers of its own,
+        built here once and zero-initialised, and takes one multiply
+        and one subtract.  With the mode numbers divided by their gcd
+        and M' the largest, P = floor(3M'/2) + 1, so nothing aliases and
+        the form is exact.  Only a closed-form g has it
+        (`coeffs.triad_scale`).
+
+    `_triad_in_z` picks the form from the mode list alone: the product in
+    z from modes 2..14 (L = 7) on, never for the five McEwan modes or a
+    single mode."""
+    if not coeffs.g.any():
+        return None
+    L = coeffs.n_modes
+    if not _triad_in_z(coeffs):
+        def pair(theta, d, r):
+            return (np.multiply, theta[:, None, :], d[None, :, :],
+                    r.reshape(L, L, -1))
+
+        return coeffs.g.reshape(L, L * L), pair
     synth_theta, synth_d1, analysis = _transform_matrices(
         coeffs.mode_indices, coeffs.triad_scale)
     points = analysis.shape[1]
@@ -337,7 +348,10 @@ def _z_product(coeffs, n):
         multiply(sampled, sampled_d, sampled)
         subtract(sampled[:points], sampled[points:], f)
 
-    return analysis, product
+    def pair(theta, d, r):
+        return product, theta, d, r
+
+    return analysis, pair
 
 
 def _increment_kernel(coeffs, grid, scheme):
@@ -349,19 +363,9 @@ def _increment_kernel(coeffs, grid, scheme):
     With D1 = theta_{i+1} - theta_{i-1}, D4 = theta_{i+2} - theta_{i-2},
     s0 = 1/2h and s3 = 1/2h^3 the increment is the one product (dt K) S
     of the stage matrix K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 T]
-    and the stage rows S = [D1; D4; R], in one of two forms that
-    `_triad_in_z` picks from the mode list:
-
-    dense
-        T = g as a matrix of row n and column m L + k, and R the L^2
-        pair rows theta^m D1^k: K is (L, 2L + L^2).
-    product in z
-        T the analysis matrix and R = F, the product A'B - CD of the
-        synthesised rows at the P + 1 points zeta_j
-        (`_transform_matrices`): K is (L, 2L + P + 1).  Two BLAS
-        products synthesise [A'; C] from theta and [B; D] from D1 into
-        work buffers of their own, one multiply and one subtract write F
-        into S.
+    and the stage rows S = [D1; D4; R], with T and R the triad term of
+    theta and D1 in the form `_triad_term` picks, over whole padded
+    rows.
 
     A stage refreshes src's four ghost columns from their periodic
     sources, writes D1 and D4 each as one difference of the flat src
@@ -369,32 +373,33 @@ def _increment_kernel(coeffs, grid, scheme):
     subtracts the padded increment from the padded base into the padded
     dest.  The ghost columns of S so hold junk, which is harmless: an
     interior column reads only its own row's columns 0..n+3, refreshed
-    first; every BLAS product reads and writes only columns 2..n+1 (at
-    a leading dimension of n + 4, with the bits of the (., n) product);
-    and the increment's ghost columns stay 0, so dest's are base's.
-    Every stage shares S, the work buffers and the increment, allocated
-    here once and zero-initialised, so the entries no pass writes read
-    0.  A linear system (g = 0, as in every single-mode tank) keeps only
-    K's and S's first 2L columns and rows: theta^m D1^k overflows while
-    theta is still finite, and 0 * inf is nan."""
+    first; every product works column by column, and the stage product
+    reads and writes only columns 2..n+1 (at a leading dimension of
+    n + 4, with the bits of the (., n) product); and the increment's
+    ghost columns stay 0, so dest's are base's.  Every stage shares S,
+    the triad term's work buffers and the increment, allocated once and
+    zero-initialised, so the entries no pass writes read 0.  A linear
+    system keeps only K's and S's first 2L columns and rows:
+    theta^m D1^k overflows while theta is still finite, and 0 * inf is
+    nan."""
     L, n = coeffs.n_modes, grid.n_points
     s0, s3 = 0.5 / grid.h_x, 0.5 / grid.h_x**3
     e = _dispersion_coefficient(coeffs, grid, scheme)
     blocks = [np.diag(coeffs.c * s0 - 2.0 * e * s3), np.diag(e * s3)]
-    nonlinear = coeffs.g.any()
-    in_z = nonlinear and _triad_in_z(coeffs)
-    if in_z:
-        analysis, product = _z_product(coeffs, n)
-        blocks.append(s0 * analysis)
-    elif nonlinear:
-        blocks.append(s0 * coeffs.g.reshape(L, L * L))
+    term = _triad_term(coeffs, n + 4)
+    if term is None:
+        def pair(theta, d, r):
+            return (lambda a, b, r: None), None, None, None
+    else:
+        triad, pair = term
+        blocks.append(s0 * triad)
     stage = np.hstack(blocks)
     rows = np.zeros((stage.shape[1], n + 4))
     increment = np.zeros((L, n + 4))
     used, product_out = rows[:, 2:n + 2], increment[:, 2:n + 2]
     diff1 = rows[:L].reshape(-1)[2:-2]
     diff4 = rows[L:2 * L].reshape(-1)[2:-2]
-    multiply, subtract, matmul = np.multiply, np.subtract, np.matmul
+    subtract, matmul = np.subtract, np.matmul
 
     def bind(src, base, dt, dest):
         flat = src.reshape(-1)
@@ -402,17 +407,7 @@ def _increment_kernel(coeffs, grid, scheme):
         ghost_hi, wrap_hi = src[:, n + 2:], src[:, 2:4]
         # the entries 3.., 1.., 4.. and 0.. that line up with 2..L(n+4)-3
         p3, p1, p4, p0 = flat[3:-1], flat[1:-3], flat[4:], flat[:-4]
-        # triad(a, b, r) writes R into S: the dense form is the bare
-        # multiply, which spares a stage a Python call (0.1 us at L = 1)
-        if in_z:
-            triad, a, b, r = product, src[:, 2:n + 2], used[:L], used[2 * L:]
-        elif nonlinear:
-            triad, a, b, r = (multiply, src[:, None, :], rows[None, :L],
-                              rows[2 * L:].reshape(L, L, n + 4))
-        else:
-            def triad(a, b, r):
-                pass
-            a = b = r = None
+        triad, a, b, r = pair(src, rows[:L], rows[2 * L:])
         scaled = dt * stage
 
         # the output goes by position: as `out=` a call on (1, 300)
@@ -626,17 +621,16 @@ def semi_discrete_limit(state, coeffs, grid, scheme, t_end):
     D0 and D3 are circulant, so in rfft space they are the diagonal
     symbols i sin(kh)/h and i (sin 2kh - 2 sin kh)/h^3 and the linear
     part is integrated exactly.  The triad term is explicit, applied to
-    theta and the spectral D0 theta in the form `_triad_in_z` picks, as
-    in the stepper: g as the dense matrix of row n and column m L + k,
-    or the product in z (`_z_product`), whose analysis matrix takes no
-    factor s0 = 1/2h, since D0 theta carries it.  A linear system
-    (g = 0) has no triad term.  The integrator is ETDRK4 (Cox & Matthews,
-    J. Comput. Phys. 176, 2002).  A step allocates no array: the spectra,
-    the real pair (theta, D0 theta), the triad rows and the four
-    nonlinear terms live in arrays built once per call, which the fft
-    calls fill through `out=`; each combination applies the ufuncs of
-    its plain expression to the same operands in the same order, so the
-    dense form keeps the bits of a step with fresh temporaries.
+    theta and the spectral D0 theta in the form `_triad_term` picks, as
+    in the stepper, but with no factor s0 = 1/2h, since D0 theta carries
+    it.  A linear system (g = 0) has no triad term.  The integrator is
+    ETDRK4 (Cox & Matthews, J. Comput. Phys. 176, 2002).  A step
+    allocates no array: the spectra, the real pair (theta, D0 theta),
+    the triad rows and the four nonlinear terms live in arrays built
+    once per call, which the fft calls fill through `out=`; each
+    combination applies the ufuncs of its plain expression to the same
+    operands in the same order, so the dense form keeps the bits of a
+    step with fresh temporaries.
     The result verifies itself by step doubling: from
     `_LIMIT_MIN_STEPS` steps the count doubles until two successive
     results agree within LIMIT_RTOL of max|theta|, and the finer one is
@@ -668,29 +662,21 @@ def semi_discrete_limit(state, coeffs, grid, scheme, t_end):
     nv, na, nb, nc = (np.zeros(shape, dtype=complex) for _ in range(4))
     real = np.empty((2, L, n))              # theta, D0 theta
     rows = np.empty((L, n))                 # the triad term in x
-    nonlinear = coeffs.g.any()
-    if nonlinear and _triad_in_z(coeffs):
-        triad, product = _z_product(coeffs, n)
+    term = _triad_term(coeffs, n)
+    if term is None:
+        def triad_term(stack, out):
+            pass
+    else:
+        triad, pair = term
         pairs = np.empty((triad.shape[1], n))
+        product, theta, d0, pairs_out = pair(real[0], real[1], pairs)
 
-        def pair_rows():
-            product(real[0], real[1], pairs)
-    elif nonlinear:
-        triad = coeffs.g.reshape(L, L * L)
-        pairs = np.empty((L * L, n))
-        theta_m, d0_k = real[0][:, None, :], real[1][None, :, :]
-        pairs_mk = pairs.reshape(L, L, n)
-
-        def pair_rows():
-            multiply(theta_m, d0_k, pairs_mk)
-
-    def triad_term(stack, out):
-        """sum g theta^m D0 theta^k of the spectrum in stack[0], as a
-        spectrum in `out`; nothing for a linear system."""
-        if nonlinear:
+        def triad_term(stack, out):
+            """sum g theta^m D0 theta^k of the spectrum in stack[0], as a
+            spectrum in `out`."""
             multiply(sym0, stack[0], stack[1])
             irfft(stack, n, out=real)
-            pair_rows()
+            product(theta, d0, pairs_out)
             matmul(triad, pairs, rows)
             rfft(rows, out=out)
 

@@ -267,6 +267,12 @@ class ConvergenceReport:
     fit_residual: float | None   # RMS of log2 residuals
     asymptotic: bool
 
+    def order_within(self, lo, hi):
+        """True when the fit is asymptotic and its order lies in
+        [lo, hi]: a non-asymptotic fit reports no order to check."""
+        p = self.fitted_order
+        return p is not None and lo <= p <= hi and self.asymptotic
+
     def to_text(self):
         lines = [f"# kind = {self.kind} scheme = {self.scheme}",
                  "h_x\ttau\tsteps\tnorm\trel_norm\toracle_norm\tstable"]
@@ -539,8 +545,7 @@ class PairCheckReport:
 
     @property
     def ok(self):
-        p = self.convergence.fitted_order
-        return (p is not None and 1.8 <= p <= 2.2
+        return (self.convergence.order_within(1.8, 2.2)
                 and self.reversal_error <= 2.0 * self.forward_error)
 
 

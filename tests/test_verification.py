@@ -351,6 +351,18 @@ class TestTravelingPair:
         pair = build_traveling_pair()
         assert pair.residual <= 1e-9
 
+    @pytest.mark.parametrize("asymptotic", [True, False])
+    def test_ok_needs_an_asymptotic_fit(self, asymptotic):
+        # an order of 2.0 from a fit that is not a power law is no
+        # second order: the check reads ok only for an asymptotic fit
+        conv = verification.ConvergenceReport(
+            kind="spatial", scheme=TWO_STAGE, levels=(), fitted_order=2.0,
+            fit_residual=0.0 if asymptotic else 0.5, asymptotic=asymptotic)
+        report = verification.PairCheckReport(
+            residual=0.0, convergence=conv, reversal_error=1.0,
+            forward_error=1.0)
+        assert report.ok is asymptotic
+
     def test_check_budgets_the_round_trip(self, monkeypatch):
         # each tau is stable_tau over twice its leg's horizon; these are
         # the values of a growth budget of 5 over the plain horizons, bit
