@@ -55,13 +55,14 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Coefficients of the coupled-KdV system for one mode list.
+    """Coefficients of the coupled-KdV system for one mode list: the
+    integrated system is theta^n_t + c_n theta^n_x
+    + sum_{m,k} g^n_{m,k} theta^m theta^k_x + d_n theta^n_xxx = 0, with
+    any scale already applied to d and g.
 
     g has shape (L, L, L) indexed [n, m, k] in mode-list order; d and c
-    have shape (L,).  sigma scales the nonlinear tensor, beta2 the
-    dispersion term; both default to 1 (the dimensional benchmark values
-    are only reproduced at unit scales).  triad_scale is sigma K when g
-    is the closed-form resonance tensor of mode_indices (K =
+    have shape (L,).  triad_scale is sigma K when g is the closed-form
+    resonance tensor of mode_indices scaled by sigma (K =
     `_resonance_scale`), which the stepper may then apply as a product
     in z; None for any other g.
     """
@@ -70,8 +71,6 @@ class CoefficientSet:
     c: np.ndarray = field(repr=False)
     d: np.ndarray = field(repr=False)
     g: np.ndarray = field(repr=False)
-    sigma: float = 1.0
-    beta2: float = 1.0
     triad_scale: float | None = None
 
     @property
@@ -204,16 +203,15 @@ def nonlinear_coeffs(basis, method="closed_form", sigma=1.0):
 
 
 def build_coefficients(basis, sigma=1.0, beta2=1.0, method="closed_form"):
-    """CoefficientSet (c, d, g) for a basis at the given scale parameters;
-    method="quadrature" builds g by the cross-checked quadrature and
-    records no triad_scale."""
+    """CoefficientSet of the integrated system for a basis: c_n,
+    d = beta2 d_n and g = sigma g^n_{m,k}, so that no engine applies a
+    scale.  method="quadrature" builds g by the cross-checked quadrature
+    and records no triad_scale."""
     return CoefficientSet(
         mode_indices=basis.indices,
         c=basis.speeds.copy(),
-        d=dispersion_coeffs(basis),
+        d=beta2 * dispersion_coeffs(basis),
         g=nonlinear_coeffs(basis, method=method, sigma=sigma),
-        sigma=sigma,
-        beta2=beta2,
         triad_scale=(float(sigma * _resonance_scale(basis.strat))
                      if method == "closed_form" else None),
     )

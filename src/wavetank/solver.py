@@ -8,11 +8,11 @@ two-stage
     A midpoint pair: an explicit half step to t + tau/2, then a full
     step whose spatial differences are evaluated on the intermediate
     layer.  O(tau^2 + h^2).  The dispersion stencil carries the
-    modified coefficient e_n = beta2 d_n - c_n h^2 / 6, which cancels
-    the O(h^2) truncation of the advection difference.
+    modified coefficient e_n = d_n - c_n h^2 / 6, which cancels the
+    O(h^2) truncation of the advection difference.
 
 one-stage
-    Forward Euler with the unmodified coefficient e_n = beta2 d_n.
+    Forward Euler with the unmodified coefficient e_n = d_n.
     O(tau + h^2), used for scheme comparison.
 
 Both are weakly unstable on the dispersive spectrum, so one policy
@@ -29,8 +29,8 @@ s0 = 1/(2h) and s3 = 1/(2h^3),
     K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 T],
     S = [D1; D4; R],
 
-with T and R the triad term in its dense form or its product in z:
-`_triad_term` has both, and picks one from the mode list.
+with T and R the triad term: an empty block for a linear system, else
+its dense form or its product in z, which `_triad_term` picks.
 
 `_increment_kernel` builds K once per `advance` and binds each stage
 once: `bind(src, base, dt, dest)` makes every view of the padded src,
@@ -195,11 +195,11 @@ class SchemeParams:
 
 
 def _dispersion_coefficient(coeffs, grid, scheme):
-    """Stencil coefficient e_n: corrected by -c_n h^2/6 for two-stage."""
-    e = coeffs.beta2 * coeffs.d
+    """Stencil coefficient e_n: d_n, corrected by -c_n h^2/6 for
+    two-stage."""
     if scheme == TWO_STAGE:
-        e = e - coeffs.c * grid.h_x**2 / 6.0
-    return e
+        return coeffs.d - coeffs.c * grid.h_x**2 / 6.0
+    return coeffs.d
 
 
 def stable_tau(coeffs, grid, scheme, horizon):
@@ -299,11 +299,14 @@ def _transform_matrices(modes, triad_scale):
 
 def _triad_term(coeffs, n):
     """The triad term sum g^n_{m,k} theta^m d^k on rows of n columns, in
-    the one form that this function picks for `coeffs`: None for a
-    linear system (g = 0, as in every single-mode tank), else (T, pair).
+    the one form that this function picks for `coeffs`, as (T, pair).
     pair(theta, d, r) gives (f, a, b, r), and f(a, b, r) writes the
     triad rows R of the (L, n) theta and its difference d into r, so
     that T @ R is the triad term in the units of d.  The forms:
+
+    none
+        For a linear system (g = 0, as in every single-mode tank), T is
+        (L, 0) and f writes nothing: the term is an empty block.
 
     dense
         T = g as a matrix of row n and column m L + k, R the L^2 pair
@@ -326,9 +329,12 @@ def _triad_term(coeffs, n):
     `_triad_in_z` picks the form from the mode list alone: the product in
     z from modes 2..14 (L = 7) on, never for the five McEwan modes or a
     single mode."""
-    if not coeffs.g.any():
-        return None
     L = coeffs.n_modes
+    if not coeffs.g.any():
+        def pair(theta, d, r):
+            return (lambda a, b, r: None), None, None, None
+
+        return np.zeros((L, 0)), pair
     if not _triad_in_z(coeffs):
         def pair(theta, d, r):
             return (np.multiply, theta[:, None, :], d[None, :, :],
@@ -379,21 +385,15 @@ def _increment_kernel(coeffs, grid, scheme):
     ghost columns stay 0, so dest's are base's.  Every stage shares S,
     the triad term's work buffers and the increment, allocated once and
     zero-initialised, so the entries no pass writes read 0.  A linear
-    system keeps only K's and S's first 2L columns and rows:
-    theta^m D1^k overflows while theta is still finite, and 0 * inf is
-    nan."""
+    system's empty triad block leaves K and S exactly their first 2L
+    columns and rows, as it must: theta^m D1^k overflows while theta is
+    still finite, and 0 * inf is nan."""
     L, n = coeffs.n_modes, grid.n_points
     s0, s3 = 0.5 / grid.h_x, 0.5 / grid.h_x**3
     e = _dispersion_coefficient(coeffs, grid, scheme)
-    blocks = [np.diag(coeffs.c * s0 - 2.0 * e * s3), np.diag(e * s3)]
-    term = _triad_term(coeffs, n + 4)
-    if term is None:
-        def pair(theta, d, r):
-            return (lambda a, b, r: None), None, None, None
-    else:
-        triad, pair = term
-        blocks.append(s0 * triad)
-    stage = np.hstack(blocks)
+    triad, pair = _triad_term(coeffs, n + 4)
+    stage = np.hstack((np.diag(coeffs.c * s0 - 2.0 * e * s3),
+                       np.diag(e * s3), s0 * triad))
     rows = np.zeros((stage.shape[1], n + 4))
     increment = np.zeros((L, n + 4))
     used, product_out = rows[:, 2:n + 2], increment[:, 2:n + 2]
@@ -623,7 +623,7 @@ def semi_discrete_limit(state, coeffs, grid, scheme, t_end):
     part is integrated exactly.  The triad term is explicit, applied to
     theta and the spectral D0 theta in the form `_triad_term` picks, as
     in the stepper, but with no factor s0 = 1/2h, since D0 theta carries
-    it.  A linear system (g = 0) has no triad term.  The integrator is
+    it; for a linear system (g = 0) it reads 0.  The integrator is
     ETDRK4 (Cox & Matthews, J. Comput. Phys. 176, 2002).  A step
     allocates no array: the spectra, the real pair (theta, D0 theta),
     the triad rows and the four nonlinear terms live in arrays built
@@ -658,27 +658,22 @@ def semi_discrete_limit(state, coeffs, grid, scheme, t_end):
     sv, sa, sb, sc = (np.empty((2,) + shape, dtype=complex) for _ in range(4))
     v, a, b, c = sv[0], sa[0], sb[0], sc[0]
     e2v, tmp = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    # the nonlinear terms N(v), N(a), N(b), N(c): zero for a linear system
-    nv, na, nb, nc = (np.zeros(shape, dtype=complex) for _ in range(4))
+    # the nonlinear terms N(v), N(a), N(b), N(c)
+    nv, na, nb, nc = (np.empty(shape, dtype=complex) for _ in range(4))
     real = np.empty((2, L, n))              # theta, D0 theta
     rows = np.empty((L, n))                 # the triad term in x
-    term = _triad_term(coeffs, n)
-    if term is None:
-        def triad_term(stack, out):
-            pass
-    else:
-        triad, pair = term
-        pairs = np.empty((triad.shape[1], n))
-        product, theta, d0, pairs_out = pair(real[0], real[1], pairs)
+    triad, pair = _triad_term(coeffs, n)
+    pairs = np.empty((triad.shape[1], n))
+    product, theta, d0, pairs_out = pair(real[0], real[1], pairs)
 
-        def triad_term(stack, out):
-            """sum g theta^m D0 theta^k of the spectrum in stack[0], as a
-            spectrum in `out`."""
-            multiply(sym0, stack[0], stack[1])
-            irfft(stack, n, out=real)
-            product(theta, d0, pairs_out)
-            matmul(triad, pairs, rows)
-            rfft(rows, out=out)
+    def triad_term(stack, out):
+        """sum g theta^m D0 theta^k of the spectrum in stack[0], as a
+        spectrum in `out`."""
+        multiply(sym0, stack[0], stack[1])
+        irfft(stack, n, out=real)
+        product(theta, d0, pairs_out)
+        matmul(triad, pairs, rows)
+        rfft(rows, out=out)
 
     def solve(n_steps):
         tau = (t_end - state.time) / n_steps

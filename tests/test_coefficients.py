@@ -240,6 +240,13 @@ class TestReconciliation:
 
 def test_mcewan_convenience():
     strat = Stratification(N=ref.MCEWAN_N, depth=ref.MCEWAN_DEPTH)
-    coeffs = build_coefficients(build_constant_n_basis(strat, ref.MCEWAN_MODES))
+    basis = build_constant_n_basis(strat, ref.MCEWAN_MODES)
+    coeffs = build_coefficients(basis)
     assert coeffs.mode_indices == MODES
-    assert coeffs.sigma == 1.0 and coeffs.beta2 == 1.0
+    assert np.array_equal(coeffs.d, dispersion_coeffs(basis))
+
+
+def test_beta2_is_folded_into_d(basis):
+    # the engines integrate d as stored, so the scale lives in d alone
+    coeffs = build_coefficients(basis, beta2=0.5)
+    assert np.array_equal(coeffs.d, 0.5 * dispersion_coeffs(basis))
