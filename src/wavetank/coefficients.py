@@ -171,7 +171,8 @@ def nonlinear_coeffs(basis, method="closed_form", sigma=1.0):
     resonance and the quadrature of the absolute integrand off it (the
     size its round-off scales with; max|g| is no scale when no triad of
     the mode list resonates), or when an off-resonance entry exceeds
-    1e-12 of that size.
+    1e-12 of that size.  A nan deviation, from a quadrature past the
+    float range, fails either check.
     """
     if method == "closed_form":
         return _tensor_closed_form(basis, sigma)
@@ -184,7 +185,7 @@ def nonlinear_coeffs(basis, method="closed_form", sigma=1.0):
     # depth: |g| on resonance, the size of its integrand off it
     scale = np.where(exact_zero, np.maximum(size, 1e-300), np.abs(g_closed))
     worst = float(np.max(np.abs(g_quad - g_closed) / scale))
-    if worst > CONSISTENCY_RTOL:
+    if not worst <= CONSISTENCY_RTOL:
         raise ConsistencyError(
             f"quadrature/closed-form tensor mismatch: worst relative "
             f"deviation {worst:.3e} exceeds {CONSISTENCY_RTOL:.0e}"
@@ -193,7 +194,7 @@ def nonlinear_coeffs(basis, method="closed_form", sigma=1.0):
     # only carries round-off there, then return the exact zeros
     stray = np.abs(g_quad[exact_zero]) / scale[exact_zero]
     worst = float(np.max(stray, initial=0.0))
-    if worst > 1e-12:
+    if not worst <= 1e-12:
         raise ConsistencyError(
             f"off-resonance quadrature entries reach {worst:.3e} of the "
             f"quadrature of their absolute integrand (limit 1e-12)"

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reference_tables as ref
+from .coefficients import build_coefficients
 from .fields import FMT
 from .modes import Stratification, build_constant_n_basis, project_profile
 from .solver import Grid, ModeState, SchemeParams, TWO_STAGE
@@ -202,17 +203,45 @@ def _grid_rules(grid):
     return []
 
 
+def _coefficient_rules(cfg):
+    """The rules on finite keys that the coefficients depend on: a
+    basis and coupling scale in the float range (`_scale_rules`), a
+    valid mode list and, once those hold, a coupled-KdV system, c,
+    beta2 d and sigma g as `build_coefficients` forms them, that is
+    finite.  That violation names the keys of each term that is not:
+    past the float range the tables would hold inf and nan, and a run
+    would abort only after its first snapshot."""
+    out = _scale_rules(cfg.strat) + _mode_rules(cfg)
+    if out:
+        return out
+    with np.errstate(all="ignore"):
+        coeffs = build_coefficients(cfg.basis(), sigma=cfg.sigma,
+                                    beta2=cfg.beta2)
+    keys = {"stratification.N": f"N = {cfg.strat.N}",
+            "stratification.depth": f"depth = {cfg.strat.depth}"}
+    for name, values, key in (("c", coeffs.c, None),
+                              ("beta2 d", coeffs.d, "beta2"),
+                              ("sigma g", coeffs.g, "sigma")):
+        if not np.isfinite(values).all():
+            out.append(name)
+            if key:
+                keys[key] = f"{key} = {getattr(cfg, key)}"
+    if not out:
+        return []
+    return [f"{', '.join(keys)}: {', '.join(keys.values())} put "
+            f"{' and '.join(out)} outside the float range"]
+
+
 def validate_coefficients(cfg):
     """The rules of `validate` that the coefficient tables depend on:
-    finite stratification, sigma and beta2, a basis and coupling scale
-    in the float range, and a valid mode list.  The paddle, grid and
-    run-length rules do not enter the tables."""
+    finite stratification, sigma and beta2, then `_coefficient_rules`.
+    The paddle, grid and run-length rules do not enter the tables."""
     return _non_finite({
         "stratification.N": cfg.strat.N,
         "stratification.depth": cfg.strat.depth,
         "sigma": cfg.sigma,
         "beta2": cfg.beta2,
-    }) or _scale_rules(cfg.strat) + _mode_rules(cfg)
+    }) or _coefficient_rules(cfg)
 
 
 def validate(cfg):
@@ -237,7 +266,7 @@ def validate(cfg):
     })
     if out:
         return out
-    out.extend(_scale_rules(cfg.strat) + _grid_rules(cfg.grid))
+    out.extend(_coefficient_rules(cfg) + _grid_rules(cfg.grid))
     if cfg.paddle.a == 0:
         out.append("paddle.a: must be nonzero")
     if not cfg.paddle.l > 0:
@@ -248,7 +277,6 @@ def validate(cfg):
         out.append(
             f"paddle.z0: must lie inside (0, {cfg.strat.depth}), got {cfg.paddle.z0}"
         )
-    out.extend(_mode_rules(cfg))
     if cfg.paddle.l < MIN_POINTS_PER_PULSE * cfg.grid.h_x:
         out.append(
             f"grid.h_x: pulse width l = {cfg.paddle.l} under-resolved; "

@@ -252,24 +252,18 @@ def test_criterion_5_soliton_propagation_orders():
     temporal = V.measure_temporal_convergence()
 
     ok = (
-        spatial.asymptotic
-        and spatial.fitted_order is not None
-        and 1.8 <= spatial.fitted_order <= 2.2
+        spatial.order_within(1.8, 2.2)
         and finest.stable
         and finest.rel_norm <= 1e-3
-        and temporal.asymptotic
-        and temporal.fitted_order is not None
-        and 0.8 <= temporal.fitted_order <= 1.2
+        and temporal.order_within(0.8, 1.2)
     )
     report(5, "soliton propagation and convergence orders", ok,
            f"p_h {spatial.fitted_order:.3f} (resid {spatial.fit_residual:.3f}), "
            f"finest rel L2 {finest.rel_norm:.2e}, "
            f"p_tau {temporal.fitted_order:.3f}")
-    assert spatial.asymptotic
-    assert 1.8 <= spatial.fitted_order <= 2.2
+    assert spatial.order_within(1.8, 2.2)
     assert finest.rel_norm <= 1e-3
-    assert temporal.asymptotic
-    assert 0.8 <= temporal.fitted_order <= 1.2
+    assert temporal.order_within(0.8, 1.2)
 
 
 def test_criterion_6_conservation():

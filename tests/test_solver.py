@@ -756,13 +756,13 @@ class TestInPlaceKernel:
 
     def test_two_stage_work_buffers_are_shared(self):
         # both stages share one set of work buffers of the product in z,
-        # S and the two (2(P + 1), n) sampled rows: a second set would take
-        # the peak past 1.5 sets and the eight state-sized arrays
+        # S and the two (2(P + 1), n + 4) sampled rows: a second set would
+        # take the peak past 1.5 sets and the eight state-sized arrays
         L, n = 32, 256
         coeffs = tank_coefficients(tuple(range(2, 2 * L + 1, 2)))
         assert solver._triad_in_z(coeffs)
         _, P = solver._transform_grid(coeffs.mode_indices)
-        work = (2 * L + P + 1) * (n + 4) + 4 * (P + 1) * n
+        work = (2 * L + P + 1) * (n + 4) + 4 * (P + 1) * (n + 4)
         grid = Grid(h_x=0.5 / n, n_points=n)
         x = 2.0 * np.pi * np.arange(n) / n
         state = ModeState(0.0, 1e-3 * np.sin(np.arange(1, L + 1)[:, None] * x))

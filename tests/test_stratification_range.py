@@ -7,6 +7,7 @@ import os
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -242,3 +243,43 @@ def test_any_finite_float_key_exits_with_a_message(values, t_end):
         states = glob.glob(os.path.join(out, "r", "r_step*_state.dat"))
         _, x, _ = read_state_file(min(states))
     assert len(set(x)) == mcewan_default().grid.n_points
+
+
+SYSTEM_OUT_OF_RANGE = [
+    ("[stratification]\nN = 1e100\ndepth = 1e100\n",
+     "stratification.N, stratification.depth, beta2: "),
+    ("[run]\nsigma = 1e308\n",
+     "stratification.N, stratification.depth, sigma: "),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "coeffs"])
+@pytest.mark.parametrize("text, keys", SYSTEM_OUT_OF_RANGE,
+                         ids=["d-inf", "g-inf"])
+def test_system_out_of_range_exits_2(tmp_path, command, text, keys):
+    # coeffs exited 0 with inf d or 29 non-finite g entries in its
+    # tables; run exited 3 after writing config.cfg and the step-0
+    # snapshot.  A RuntimeWarning would fail the test here
+    code, err = run_with_config(text, command, out=str(tmp_path))
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"config error: {keys}")
+    assert "outside the float range" in err[0]
+    assert not (tmp_path / "r").exists()
+
+
+@example(n=1e100, depth=1e100, sigma=1.0, beta2=1.0)
+@example(n=1.23, depth=0.25, sigma=1e308, beta2=1.0)
+@given(n=log_spread, depth=log_spread, sigma=signed(log_spread),
+       beta2=signed(log_spread))
+def test_coeffs_exit_0_writes_only_finite_tables(n, depth, sigma, beta2):
+    text = (f"[stratification]\nN = {n!r}\ndepth = {depth!r}\n"
+            f"[run]\nsigma = {sigma!r}\nbeta2 = {beta2!r}\n")
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, err = run_with_config(text, "coeffs", out=out)
+        if code:
+            assert err and all(line.startswith(PREFIX[code]) for line in err)
+            return
+        for name in ("cd_table.dat", "g_tensor.dat"):
+            table = np.loadtxt(os.path.join(out, "r", name), comments="#")
+            assert np.isfinite(table).all(), name
