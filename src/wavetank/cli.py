@@ -3,11 +3,11 @@
 Subcommands: run | coeffs | converge | verify | fission.  Exit codes:
 0 success, 1 check failure (including a coefficient ConsistencyError),
 2 usage/config error (including a config file the parser cannot read,
-a non-finite scenario value, an N and depth that put the mode basis or
-the coupling scale outside the float range, a scenario whose c, beta2 d
-or sigma g leave the float range, a `--dx` that does not divide the
-domain, and a snapshot name that would overwrite another snapshot of
-the same run), 3 numerical abort (non-finite state).  Data
+a non-finite scenario value, a finite scenario with a derived quantity
+outside the float range, named by the keys behind the first such
+quantity, a `--dx` that does not divide the domain, and a snapshot name
+that would overwrite another snapshot of the same run), 3 numerical
+abort (non-finite state).  Data
 files are byte-reproducible; wall-clock information only ever lands in
 the metadata sidecar.
 """

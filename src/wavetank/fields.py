@@ -46,8 +46,8 @@ __all__ = [
 ]
 
 FMT = "%.17g"
-# the uniform z points `synthesize` samples by default, which resolve
-# the shortest half-wavelength of mode 10 with margin
+# the fewest uniform z points `synthesize` samples by default, which
+# resolve the shortest half-wavelength of mode 10 with margin
 Z_POINTS = 129
 # values formatted per block by `write_table`, which bounds its memory
 _BLOCK = 2048
@@ -91,9 +91,11 @@ class CrossSection:
     rule: str = "nearest-grid-point"
 
 
-def synthesize(basis, state, grid, z_points=Z_POINTS):
+def synthesize(basis, state, grid, z_points=None):
     """Assemble psi(z_q, x_i) = sum_n Z^n(z_q) theta^n(x_i) at z_points
-    uniform z_q.
+    uniform z_q: by default max(Z_POINTS, 2 max(n) + 1), two levels or
+    more per half-wavelength of every mode.  At 129 levels every z_q
+    sits on a zero of mode 128, whose psi would read round-off.
 
     The wall rows z = 0 and z = depth are exact zeros because every
     eigenfunction vanishes there.
@@ -102,6 +104,8 @@ def synthesize(basis, state, grid, z_points=Z_POINTS):
         raise ValueError(
             f"state carries {state.n_modes} modes, basis {basis.n_modes}"
         )
+    if z_points is None:
+        z_points = max(Z_POINTS, 2 * max(basis.indices) + 1)
     if z_points < 2:
         raise ValueError(f"z_points must be >= 2, got {z_points}")
     z = np.linspace(0.0, basis.strat.depth, z_points)

@@ -17,6 +17,7 @@ paddle at mid-depth, which kills every odd mode by symmetry.
 from __future__ import annotations
 
 import configparser
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reference_tables as ref
-from .coefficients import build_coefficients
+from .coefficients import _resonance_scale, build_coefficients
 from .fields import FMT
 from .modes import Stratification, build_constant_n_basis, project_profile
 from .solver import Grid, ModeState, SchemeParams, TWO_STAGE
@@ -141,6 +142,20 @@ def mcewan_default():
     )
 
 
+# the config-file name of a key, where it is not the key's last part
+_FILE_NAMES = {"grid.h_x": "dx"}
+
+
+def _float_keys(cfg):
+    """{key: value} of each float key of a scenario."""
+    paddle, grid = cfg.paddle, cfg.grid
+    return {"stratification.N": cfg.strat.N,
+            "stratification.depth": cfg.strat.depth,
+            "paddle.a": paddle.a, "paddle.l": paddle.l, "paddle.b": paddle.b,
+            "paddle.z0": paddle.z0, "grid.h_x": grid.h_x, "grid.x0": grid.x0,
+            "t_end": cfg.t_end, "sigma": cfg.sigma, "beta2": cfg.beta2}
+
+
 def _non_finite(values):
     """A violation for each non-finite entry of {name: value}."""
     return [f"{name}: must be finite, got {value}"
@@ -155,93 +170,64 @@ def _mode_rules(cfg):
     return []
 
 
-def _scale_rules(strat):
-    """A violation unless N and depth give the mode basis and the
-    coupling scale as finite, nonzero floats: the mode amplitude
-    sqrt(2 / (N^2 depth)), the phase-speed scale N depth / pi and the
-    resonance scale pi sqrt(2) / (4 N depth^1.5).  Outside that range
-    the basis and the tables raise OverflowError or ZeroDivisionError
-    on the way."""
-    N, depth = np.float64(strat.N), np.float64(strat.depth)
+def _system_rows(cfg):
+    """The range table's rows for the coefficient tables: (keys,
+    quantity, nonzero, form), each quantity formed by the code a run
+    forms it with, in the order the run forms them."""
+    strat = ("stratification.N", "stratification.depth")
+    basis = functools.cache(cfg.basis)
+    coeffs = functools.cache(lambda: build_coefficients(
+        basis(), sigma=cfg.sigma, beta2=cfg.beta2))
+    return [
+        (strat, "the mode amplitude", True, lambda: basis().amplitudes),
+        (strat, "the phase speed", True, lambda: basis().speeds),
+        (strat, "the coupling scale", True,
+         lambda: _resonance_scale(cfg.strat)),
+        (strat, "c", False, lambda: coeffs().c),
+        (strat + ("beta2",), "beta2 d", False, lambda: coeffs().d),
+        (strat + ("sigma",), "sigma g", False, lambda: coeffs().g),
+    ]
+
+
+def _stencil_rows(grid):
+    """The range table's rows for the stepper's stencil: its powers h^2
+    and h^3 and its scales 1/(2h) and 1/(2h^3)."""
+    h = grid.h_x
+    return [(("grid.h_x",), name, True, form) for name, form in (
+        ("h^2", lambda: h**2), ("h^3", lambda: h**3),
+        ("1/(2h)", lambda: 0.5 / h), ("1/(2h^3)", lambda: 0.5 / h**3))]
+
+
+def _out_of_range(cfg, rows):
+    """A violation naming the keys of the first row whose quantity is
+    not finite, or has a zero entry where it must be nonzero: past the
+    float range the basis and the tables raise, or hold inf and nan, and
+    a run would abort after its first snapshot.  A Python float power or
+    quotient that raises (ArithmeticError) counts as out of range."""
+    values = _float_keys(cfg)
     with np.errstate(all="ignore"):
-        scales = {
-            "mode amplitude": np.sqrt(2.0 / (N**2 * depth)),
-            "phase speed": N * depth / np.pi,
-            "coupling scale": np.pi * np.sqrt(2.0) / (4.0 * N * depth**1.5),
-        }
-    out = [name for name, value in scales.items() if not 0 < value < np.inf]
-    if not out:
-        return []
-    return [f"stratification.N, stratification.depth: N = {strat.N} and "
-            f"depth = {strat.depth} put the {' and the '.join(out)} "
-            f"outside the float range"]
-
-
-def _grid_rules(grid):
-    """A violation unless dx gives the stencil's powers h^2 and h^3 and
-    its scales 1/(2h) and 1/(2h^3) as finite, nonzero floats.  Outside
-    that range the stepper's dispersion coefficient and `stable_tau`
-    raise OverflowError or ZeroDivisionError.
-
-    Inside it, a violation unless the x-axis lies within MAX_AXIS_CELLS
-    cells of 0 (|x0| + length <= 2**26 dx).  Farther out the points
-    x0 + i dx round to fewer distinct values than cells, down to one,
-    and the paddle is sampled at positions that are not the grid's."""
-    h = np.float64(grid.h_x)
-    with np.errstate(all="ignore"):
-        scales = {"h^2": h**2, "h^3": h**3,
-                  "1/(2h)": 0.5 / h, "1/(2h^3)": 0.5 / h**3}
-    out = [name for name, value in scales.items() if not 0 < value < np.inf]
-    if out:
-        return [f"grid.h_x: dx = {grid.h_x} puts {', '.join(out)} outside "
-                f"the float range"]
-    extent = abs(grid.x0) + grid.length
-    if extent > MAX_AXIS_CELLS * grid.h_x:
-        return [f"grid.x0: x0 = {grid.x0} puts the x-axis out to |x0| + "
-                f"length = {extent:.3e} m, more than 2**26 cells of dx = "
-                f"{grid.h_x} from 0, where its points are not exact"]
+        for keys, quantity, nonzero, form in rows:
+            try:
+                value = np.asarray(form(), dtype=float)
+            except ArithmeticError:
+                value = np.asarray(np.nan)
+            if not np.isfinite(value).all() or nonzero and not value.all():
+                named = ", ".join(f"{_FILE_NAMES.get(k, k.split('.')[-1])}"
+                                  f" = {values[k]}" for k in keys)
+                return [f"{', '.join(keys)}: {named} put {quantity} "
+                        f"outside the float range"]
     return []
-
-
-def _coefficient_rules(cfg):
-    """The rules on finite keys that the coefficients depend on: a
-    basis and coupling scale in the float range (`_scale_rules`), a
-    valid mode list and, once those hold, a coupled-KdV system, c,
-    beta2 d and sigma g as `build_coefficients` forms them, that is
-    finite.  That violation names the keys of each term that is not:
-    past the float range the tables would hold inf and nan, and a run
-    would abort only after its first snapshot."""
-    out = _scale_rules(cfg.strat) + _mode_rules(cfg)
-    if out:
-        return out
-    with np.errstate(all="ignore"):
-        coeffs = build_coefficients(cfg.basis(), sigma=cfg.sigma,
-                                    beta2=cfg.beta2)
-    keys = {"stratification.N": f"N = {cfg.strat.N}",
-            "stratification.depth": f"depth = {cfg.strat.depth}"}
-    for name, values, key in (("c", coeffs.c, None),
-                              ("beta2 d", coeffs.d, "beta2"),
-                              ("sigma g", coeffs.g, "sigma")):
-        if not np.isfinite(values).all():
-            out.append(name)
-            if key:
-                keys[key] = f"{key} = {getattr(cfg, key)}"
-    if not out:
-        return []
-    return [f"{', '.join(keys)}: {', '.join(keys.values())} put "
-            f"{' and '.join(out)} outside the float range"]
 
 
 def validate_coefficients(cfg):
     """The rules of `validate` that the coefficient tables depend on:
-    finite stratification, sigma and beta2, then `_coefficient_rules`.
-    The paddle, grid and run-length rules do not enter the tables."""
-    return _non_finite({
-        "stratification.N": cfg.strat.N,
-        "stratification.depth": cfg.strat.depth,
-        "sigma": cfg.sigma,
-        "beta2": cfg.beta2,
-    }) or _coefficient_rules(cfg)
+    finite keys, a valid mode list and the range table cut before its
+    stencil rows.  The paddle, grid and run-length rules do not enter
+    the tables."""
+    rows = _system_rows(cfg)
+    used = {key for keys, *_ in rows for key in keys}
+    return (_non_finite({k: v for k, v in _float_keys(cfg).items() if k in used})
+            or _mode_rules(cfg) or _out_of_range(cfg, rows))
 
 
 def validate(cfg):
@@ -250,23 +236,23 @@ def validate(cfg):
 
     Non-finite values are reported alone: the range rules assume finite
     numbers, and an infinite one would pass some of them and only fail
-    once the run has started."""
-    out = _non_finite({
-        "stratification.N": cfg.strat.N,
-        "stratification.depth": cfg.strat.depth,
-        "paddle.a": cfg.paddle.a,
-        "paddle.l": cfg.paddle.l,
-        "paddle.b": cfg.paddle.b,
-        "paddle.z0": cfg.paddle.z0,
-        "grid.h_x": cfg.grid.h_x,
-        "grid.x0": cfg.grid.x0,
-        "t_end": cfg.t_end,
-        "sigma": cfg.sigma,
-        "beta2": cfg.beta2,
-    })
+    once the run has started.  Then a valid mode list, the whole range
+    table and, once the stencil is in range, an x-axis within
+    MAX_AXIS_CELLS cells of 0 (|x0| + length <= 2**26 dx): farther out
+    the points x0 + i dx round to fewer distinct values than cells,
+    down to one, and the paddle is sampled at positions that are not
+    the grid's."""
+    out = _non_finite(_float_keys(cfg))
     if out:
         return out
-    out.extend(_coefficient_rules(cfg) + _grid_rules(cfg.grid))
+    grid = cfg.grid
+    extent = abs(grid.x0) + grid.length
+    out = _mode_rules(cfg) or _out_of_range(
+        cfg, _system_rows(cfg) + _stencil_rows(grid))
+    if not out and extent > MAX_AXIS_CELLS * grid.h_x:
+        out.append(f"grid.x0: x0 = {grid.x0} puts the x-axis out to |x0| + "
+                   f"length = {extent:.3e} m, more than 2**26 cells of dx = "
+                   f"{grid.h_x} from 0, where its points are not exact")
     if cfg.paddle.a == 0:
         out.append("paddle.a: must be nonzero")
     if not cfg.paddle.l > 0:
@@ -311,7 +297,7 @@ def build_initial_state(cfg, basis=None):
     Returns (ModeState, Projection): the projection of phi2 onto the
     basis, with its coefficients (Z^n, phi2), ||phi2||^2 and the share
     of paddle energy that the truncated basis captures and misses.
-    Raises on under-resolved grids.
+    Raises ValueError on any `validate` violation.
     """
     violations = validate(cfg)
     if violations:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from wavetank.cli import main
 from wavetank.fields import (
     FMT,
     _BLOCK,
@@ -102,6 +103,19 @@ class TestSynthesize:
         lhs = np.sum(inner) * cfg.grid.h_x
         rhs = np.sum(state.theta**2) * cfg.grid.h_x
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+    def test_run_field_file_keeps_mode_128(self, tmp_path):
+        # at the 129 default levels every z_q sat on a zero of
+        # sin(128 pi z / h): the field file peaked at 5.3e-21, round-off,
+        # where the mode file peaked at 5.4e-8
+        assert main(["run", "--modes", "128", "--t-end", "0.0004",
+                     "--out", str(tmp_path), "--run-id", "m"]) == 0
+        theta = np.loadtxt(tmp_path / "m" / "m_t0.000400_mode128.dat")[:, 1]
+        psi = np.loadtxt(tmp_path / "m" / "m_t0.000400_field.dat",
+                         skiprows=4)[:, 1:]
+        amplitude = build_constant_n_basis(MCEWAN, (128,)).amplitudes[0]
+        assert np.max(np.abs(psi)) == pytest.approx(
+            amplitude * np.max(np.abs(theta)), rel=1e-12)
 
 
 class TestCrossSection:
