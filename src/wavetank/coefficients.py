@@ -61,8 +61,8 @@ class CoefficientSet:
     any scale already applied to d and g.
 
     g has shape (L, L, L) indexed [n, m, k] in mode-list order; d and c
-    have shape (L,).  triad_scale is sigma K when g is the closed-form
-    resonance tensor of mode_indices scaled by sigma (K =
+    have shape (L,).  triad_scale is sigma K when g is the nonzero
+    closed-form resonance tensor of mode_indices scaled by sigma (K =
     `_resonance_scale`), which the stepper may then apply as a product
     in z; None for any other g.
     """
@@ -172,14 +172,16 @@ def nonlinear_coeffs(basis, method="closed_form", sigma=1.0):
     size its round-off scales with; max|g| is no scale when no triad of
     the mode list resonates), or when an off-resonance entry exceeds
     1e-12 of that size.  A nan deviation, from a quadrature past the
-    float range, fails either check.
+    float range, fails either check.  The check runs at sigma = 1, and
+    sigma then scales the checked tensor: applied first, a sigma far
+    from 1 pushes both tensors past the float range or into subnormals.
     """
     if method == "closed_form":
         return _tensor_closed_form(basis, sigma)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    g_quad, size = _tensor_quadrature(basis, sigma)
-    g_closed = _tensor_closed_form(basis, sigma)
+    g_quad, size = _tensor_quadrature(basis, 1.0)
+    g_closed = _tensor_closed_form(basis, 1.0)
     exact_zero = g_closed == 0.0
     # each entry in g's own units, so that the check holds at any N and
     # depth: |g| on resonance, the size of its integrand off it
@@ -200,21 +202,23 @@ def nonlinear_coeffs(basis, method="closed_form", sigma=1.0):
             f"quadrature of their absolute integrand (limit 1e-12)"
         )
     g_quad[exact_zero] = 0.0
-    return g_quad
+    return sigma * g_quad
 
 
 def build_coefficients(basis, sigma=1.0, beta2=1.0, method="closed_form"):
     """CoefficientSet of the integrated system for a basis: c_n,
     d = beta2 d_n and g = sigma g^n_{m,k}, so that no engine applies a
     scale.  method="quadrature" builds g by the cross-checked quadrature
-    and records no triad_scale."""
+    and records no triad_scale, nor does a g = 0, which has no triad
+    term to scale."""
+    g = nonlinear_coeffs(basis, method=method, sigma=sigma)
     return CoefficientSet(
         mode_indices=basis.indices,
         c=basis.speeds.copy(),
         d=beta2 * dispersion_coeffs(basis),
-        g=nonlinear_coeffs(basis, method=method, sigma=sigma),
+        g=g,
         triad_scale=(float(sigma * _resonance_scale(basis.strat))
-                     if method == "closed_form" else None),
+                     if method == "closed_form" and g.any() else None),
     )
 
 

@@ -20,59 +20,15 @@ picks tau for both: `stable_tau` bounds the round-off growth of the
 grid-scale mode over the run's horizon by a fixed budget.  `advance`
 lands every run on its t_end, in steps no longer than the tau given.
 
-Each stage computes its increment dt * rhs as one matrix product.
-With D1 = theta_{i+1} - theta_{i-1}, D4 = theta_{i+2} - theta_{i-2},
-s0 = 1/(2h) and s3 = 1/(2h^3),
-
-    dt (c D0 theta + e D3 theta + sum_{m,k} g^n_{m,k} theta^m D0 theta^k)
-        = (dt K) S,
-    K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 T],
-    S = [D1; D4; R],
-
-with T and R the triad term: an empty block for a linear system, else
-its dense form or its product in z, which `_triad_term` picks.
-
-`_increment_kernel` builds K once per `advance` and binds each stage
-once: `bind(src, base, dt, dest)` makes every view of the padded src,
-scales K by dt, and returns a zero-argument call that writes
-dest = base - (dt K) S.  A dense stage is 7 numpy calls: two
-ghost-column slice assignments; the two differences and the pair
-product, written into the rows of S; the product; and one
-subtract(base, increment, dest).  In z the pair product gives way to
-two synthesis products, one multiply and one subtract: 9 calls.  D1,
-D4, R and the update run over whole padded rows in one contiguous
-pass, so the ghost columns collect junk (differences across the ends of
-two rows, products of ghost values) that never reaches the interior: an
-interior column reads only its own row's columns 0..n+3, which the
-stage refreshes first, every product works column by column, and the
-stage product reads and writes only columns 2..n+1 (at a leading
-dimension of n + 4, so with the bits of the (., n) product).
-At n = 300 a call's fixed cost outweighs its arithmetic, so each is
-issued the cheap way: the output array by position rather than as
-`out=`, slice assignment rather than `np.copyto`.  README, Numerical
-notes, has where each workload's time goes.
-
-`advance` steps in place.  Per call it allocates the padded state
-(L, n + 4), with the state in columns 2..n+1 and the one view of it
-that `advance` keeps, and a padded half-stage buffer (two-stage); the
-kernel allocates, zero-initialised, the padded increment, S and the
-work buffers of the product in z, shared by every stage, so that the
-entries no pass writes read 0.  A step calls its bound stages: the half
-and the full step, or the one-stage step.  Finiteness of the state is
-checked every `_FINITE_CHECK_EVERY` steps, before every observation and
-after the last step, and each passing check copies the state into a
-checkpoint.  A non-finite value stays non-finite through every later
-stage, so a failed check means the first bad stage lies after the
-checkpoint: the same stages replay from it, each followed by a check of
-its destination, and NonFiniteError is raised at the exact step, with
-the last finite state and the stage named in its cause.
-
-`semi_discrete_limit` gives the tau -> 0 limit of either scheme: the
-same D0, D3 and e_n, integrated by ETDRK4 with the linear part exact in
-rfft space and the triad term in the form `_triad_term` picks, and
-returned only once step doubling has settled to LIMIT_RTOL.  It is the
-yardstick of the temporal order study.  Its step allocates no array: the
-fft calls and the ufuncs write into arrays built once per call.
+Each stage computes its increment dt * rhs as one matrix product
+(dt K) S of a stage matrix K and stage rows S = [D1; D4; R], with D1
+and D4 the differences across two and four cells and R the triad
+rows.  Each mechanism is told once, in the docstring that owns it: the
+stage layout and the cost of its calls in `_increment_kernel`, the
+forms of the triad block in `_triad_term`, the in-place stepping and
+the replay that names the exact step of an abort in `advance`, and
+ETDRK4 in `semi_discrete_limit`, the tau -> 0 limit that is the
+yardstick of the temporal order study.
 
 Single-mode periodic runs conserve the discrete mass sum_i theta_i to
 round-off: D0, D3 and theta * D0 theta all telescope on a ring.
@@ -83,6 +39,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -299,31 +256,30 @@ def _transform_matrices(modes, triad_scale):
 
 def _triad_term(coeffs, n):
     """The triad term sum g^n_{m,k} theta^m d^k on rows of n columns, in
-    the one form that this function picks for `coeffs`, as (T, pair).
-    pair(theta, d, r) gives (f, a, b, r), and f(a, b, r) writes the
-    triad rows R of the (L, n) theta and its difference d into r, so
-    that T @ R is the triad term in the units of d.  The forms:
+    the one form that this function picks for `coeffs`, as (T, bind).
+    bind(theta, d, r) gives a zero-argument call that writes the triad
+    rows R of the (L, n) theta and its difference d into r, so that
+    T @ R is the triad term in the units of d.  The forms:
 
     none
         For a linear system (g = 0, as in every single-mode tank), T is
-        (L, 0) and f writes nothing: the term is an empty block.
-
+        (L, 0) and the call writes nothing: the term is an empty block.
     dense
         T = g as a matrix of row n and column m L + k, R the L^2 pair
-        rows theta^m d^k: f is the bare multiply of broadcast views,
-        which spares a caller a Python call (0.1 us at L = 1).
+        rows theta^m d^k: the call is a partial of the bare multiply of
+        broadcast views.
     product in z
         Orszag's transform method (J. Atmos. Sci. 27, 890, 1970) in the
         vertical coordinate.  The closed-form g is the cosine
         coefficient, in z, of a product of two sums over the modes'
         eigenfunctions, so R = F = A'B - CD samples that product at the
         P + 1 points zeta_j and T is the analysis matrix
-        (`_transform_matrices`).  f synthesises [A'; C] from theta and
-        [B; D] from d by two BLAS products into work buffers of its own,
-        built here once and zero-initialised, and takes one multiply
-        and one subtract.  With the mode numbers divided by their gcd
-        and M' the largest, P = floor(3M'/2) + 1, so nothing aliases and
-        the form is exact.  Only a closed-form g has it
+        (`_transform_matrices`).  The call synthesises [A'; C] from
+        theta and [B; D] from d by two BLAS products into work buffers
+        of its own, built here once and zero-initialised, and takes one
+        multiply and one subtract.  With the mode numbers divided by
+        their gcd and M' the largest, P = floor(3M'/2) + 1, so nothing
+        aliases and the form is exact.  Only a closed-form g has it
         (`coeffs.triad_scale`).
 
     `_triad_in_z` picks the form from the mode list alone: the product in
@@ -331,16 +287,16 @@ def _triad_term(coeffs, n):
     single mode."""
     L = coeffs.n_modes
     if not coeffs.g.any():
-        def pair(theta, d, r):
-            return (lambda a, b, r: None), None, None, None
+        def bind(theta, d, r):
+            return lambda: None
 
-        return np.zeros((L, 0)), pair
+        return np.zeros((L, 0)), bind
     if not _triad_in_z(coeffs):
-        def pair(theta, d, r):
-            return (np.multiply, theta[:, None, :], d[None, :, :],
-                    r.reshape(L, L, -1))
+        def bind(theta, d, r):
+            return partial(np.multiply, theta[:, None, :], d[None, :, :],
+                           r.reshape(L, L, -1))
 
-        return coeffs.g.reshape(L, L * L), pair
+        return coeffs.g.reshape(L, L * L), bind
     synth_theta, synth_d1, analysis = _transform_matrices(
         coeffs.mode_indices, coeffs.triad_scale)
     points = analysis.shape[1]
@@ -354,10 +310,10 @@ def _triad_term(coeffs, n):
         multiply(sampled, sampled_d, sampled)
         subtract(sampled[:points], sampled[points:], f)
 
-    def pair(theta, d, r):
-        return product, theta, d, r
+    def bind(theta, d, r):
+        return partial(product, theta, d, r)
 
-    return analysis, pair
+    return analysis, bind
 
 
 def _increment_kernel(coeffs, grid, scheme):
@@ -368,22 +324,28 @@ def _increment_kernel(coeffs, grid, scheme):
     (L, n + 4) C-ordered arrays; `bind` makes every view of src once.
     With D1 = theta_{i+1} - theta_{i-1}, D4 = theta_{i+2} - theta_{i-2},
     s0 = 1/2h and s3 = 1/2h^3 the increment is the one product (dt K) S
-    of the stage matrix K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 T]
-    and the stage rows S = [D1; D4; R], with T and R the triad term of
-    theta and D1 in the form `_triad_term` picks, over whole padded
-    rows.
+    of the stage matrix K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 T],
+    built once and scaled by dt for each binding, and the stage rows
+    S = [D1; D4; R], with T and R the triad term of theta and D1 in the
+    form `_triad_term` picks, over whole padded rows.
 
     A stage refreshes src's four ghost columns from their periodic
     sources, writes D1 and D4 each as one difference of the flat src
-    over its entries 2..L(n+4)-3, writes R, takes the product and
-    subtracts the padded increment from the padded base into the padded
-    dest.  The ghost columns of S so hold junk, which is harmless: an
-    interior column reads only its own row's columns 0..n+3, refreshed
-    first; every product works column by column, and the stage product
-    reads and writes only columns 2..n+1 (at a leading dimension of
-    n + 4, with the bits of the (., n) product); and the increment's
-    ghost columns stay 0, so dest's are base's.  Every stage shares S,
-    the triad term's work buffers and the increment, allocated once and
+    over its entries 2..L(n+4)-3, writes R by the triad term's bound
+    call, takes the product and subtracts the padded increment from the
+    padded base into the padded dest: 7 numpy calls in the dense form,
+    9 in z.  At n = 300 a call's fixed cost outweighs its arithmetic, so
+    each is issued the cheap way, on (1, 300) arrays: the output by
+    position (0.4 us a call, 0.8 us as `out=`), the ghost columns by
+    slice assignment (0.3 us, 0.6 us by `np.copyto`).  The ghost
+    columns of S hold junk (differences across the ends of two
+    rows, products of ghost values), which is harmless: an interior
+    column reads only its own row's columns 0..n+3, refreshed first;
+    every product works column by column, and the stage product reads
+    and writes only columns 2..n+1 (at a leading dimension of n + 4,
+    with the bits of the (., n) product); and the increment's ghost
+    columns stay 0, so dest's are base's.  Every stage shares S, the
+    triad term's work buffers and the increment, allocated once and
     zero-initialised, so the entries no pass writes read 0.  A linear
     system's empty triad block leaves K and S exactly their first 2L
     columns and rows, as it must: theta^m D1^k overflows while theta is
@@ -391,9 +353,9 @@ def _increment_kernel(coeffs, grid, scheme):
     L, n = coeffs.n_modes, grid.n_points
     s0, s3 = 0.5 / grid.h_x, 0.5 / grid.h_x**3
     e = _dispersion_coefficient(coeffs, grid, scheme)
-    triad, pair = _triad_term(coeffs, n + 4)
+    block, bind_triad = _triad_term(coeffs, n + 4)
     stage = np.hstack((np.diag(coeffs.c * s0 - 2.0 * e * s3),
-                       np.diag(e * s3), s0 * triad))
+                       np.diag(e * s3), s0 * block))
     rows = np.zeros((stage.shape[1], n + 4))
     increment = np.zeros((L, n + 4))
     used, product_out = rows[:, 2:n + 2], increment[:, 2:n + 2]
@@ -407,17 +369,15 @@ def _increment_kernel(coeffs, grid, scheme):
         ghost_hi, wrap_hi = src[:, n + 2:], src[:, 2:4]
         # the entries 3.., 1.., 4.. and 0.. that line up with 2..L(n+4)-3
         p3, p1, p4, p0 = flat[3:-1], flat[1:-3], flat[4:], flat[:-4]
-        triad, a, b, r = pair(src, rows[:L], rows[2 * L:])
+        triad = bind_triad(src, rows[:L], rows[2 * L:])
         scaled = dt * stage
 
-        # the output goes by position: as `out=` a call on (1, 300)
-        # arrays costs about 0.8 us instead of 0.4 us
         def call():
             ghost_lo[...] = wrap_lo
             ghost_hi[...] = wrap_hi
             subtract(p3, p1, diff1)
             subtract(p4, p0, diff4)
-            triad(a, b, r)
+            triad()
             matmul(scaled, used, product_out)
             subtract(base, increment, dest)
 
@@ -426,33 +386,28 @@ def _increment_kernel(coeffs, grid, scheme):
     return bind
 
 
-def mass_per_mode(state, grid):
-    """Discrete mass h sum_i theta_i per mode.  A finite row whose sum
-    overflows is summed scaled by its max|theta| instead."""
+def _row_sums(theta, form):
+    """form(rows), a sum along the last axis, per row of theta.  A finite
+    row whose sum is not finite (it overflows, or reads inf - inf) is
+    summed scaled by its max|theta| instead: peak * form(row / peak)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mass = grid.h_x * state.theta.sum(axis=1)
-    for n in np.flatnonzero(~np.isfinite(mass)):
-        row = state.theta[n]
-        peak = np.max(np.abs(row))
-        if np.isfinite(peak):
-            with np.errstate(over="ignore"):
-                mass[n] = peak * (grid.h_x * np.sum(row / peak))
-    return mass
+        sums = form(theta)
+        for n in np.flatnonzero(~np.isfinite(sums)):
+            peak = np.max(np.abs(theta[n]))
+            if np.isfinite(peak):
+                sums[n] = peak * form(theta[n] / peak)
+    return sums
+
+
+def mass_per_mode(state, grid):
+    """Discrete mass h sum_i theta_i per mode (`_row_sums`)."""
+    return _row_sums(state.theta, lambda rows: grid.h_x * rows.sum(axis=-1))
 
 
 def l2_per_mode(state, grid):
-    """Discrete L2 norm (h sum_i theta_i^2)^(1/2) per mode.  A finite
-    row whose sum overflows is summed scaled by its max|theta| instead."""
-    with np.errstate(over="ignore"):
-        l2sq = grid.h_x * (state.theta**2).sum(axis=1)
-    norms = np.sqrt(l2sq)
-    for n in np.flatnonzero(np.isinf(l2sq)):
-        row = state.theta[n]
-        peak = np.max(np.abs(row))
-        if np.isfinite(peak):
-            with np.errstate(over="ignore"):
-                norms[n] = peak * np.sqrt(grid.h_x * np.sum((row / peak) ** 2))
-    return norms
+    """Discrete L2 norm (h sum_i theta_i^2)^(1/2) per mode (`_row_sums`)."""
+    return _row_sums(state.theta,
+                     lambda rows: np.sqrt(grid.h_x * (rows**2).sum(axis=-1)))
 
 
 def discrete_l2_norm(a, b, grid):
@@ -507,6 +462,17 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
     that failed named in its cause.  The time after step j < n is
     t0 + j * tau, never a running sum.  Callers pick params.tau with
     `stable_tau`.
+
+    The state steps in place in columns 2..n+1 of a padded (L, n + 4)
+    buffer, through the stages `_increment_kernel` binds once per call:
+    the half and the full step into and out of a padded half-stage
+    buffer (two-stage), or the one-stage step.  Finiteness is checked
+    every `_FINITE_CHECK_EVERY` steps, before every observation and
+    after the last step, and each passing check copies the state into a
+    checkpoint.  A non-finite value stays non-finite through every later
+    stage, so a failed check means the first bad stage lies after the
+    checkpoint: the same stages replay from it, each followed by a check
+    of its destination, which names the exact step and stage.
     """
     _check_span(state, coeffs, grid, t_end)
     if observe_every < 0:
@@ -569,9 +535,6 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
                 for stage in calls:
                     stage()
         if not np.isfinite(theta).all():
-            # a non-finite value stays non-finite through every later
-            # stage, so the first bad stage lies between the checkpoint
-            # and stop: replay from the checkpoint, checking every stage
             theta[...] = checkpoint
             with np.errstate(over="ignore", invalid="ignore"):
                 for failed in range(checked + 1, stop + 1):
@@ -662,17 +625,17 @@ def semi_discrete_limit(state, coeffs, grid, scheme, t_end):
     nv, na, nb, nc = (np.empty(shape, dtype=complex) for _ in range(4))
     real = np.empty((2, L, n))              # theta, D0 theta
     rows = np.empty((L, n))                 # the triad term in x
-    triad, pair = _triad_term(coeffs, n)
-    pairs = np.empty((triad.shape[1], n))
-    product, theta, d0, pairs_out = pair(real[0], real[1], pairs)
+    block, bind_triad = _triad_term(coeffs, n)
+    pairs = np.empty((block.shape[1], n))
+    product = bind_triad(real[0], real[1], pairs)
 
     def triad_term(stack, out):
         """sum g theta^m D0 theta^k of the spectrum in stack[0], as a
         spectrum in `out`."""
         multiply(sym0, stack[0], stack[1])
         irfft(stack, n, out=real)
-        product(theta, d0, pairs_out)
-        matmul(triad, pairs, rows)
+        product()
+        matmul(block, pairs, rows)
         rfft(rows, out=out)
 
     def solve(n_steps):

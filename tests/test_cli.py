@@ -406,6 +406,29 @@ class TestCoeffs:
         assert (outdir / "c" / "cd_table.dat").exists()
 
 
+@pytest.mark.parametrize("modes", ["2", "2,4"])
+@pytest.mark.parametrize("sigma", [sign * size for size in (
+    1e-320, 1e-300, 1.0, 1e150, 1e300, 1e308) for sign in (1, -1)])
+def test_sigma_across_the_float_range_raises_no_warning(outdir, modes,
+                                                        sigma):
+    # at sigma = 1e-320 the quadrature check compared two subnormal
+    # tensors (exit 1), and at 1e308 with one mode the quadrature's size
+    # and the unused triad_scale overflowed (RuntimeWarning)
+    cfgfile = outdir / "sigma.cfg"
+    cfgfile.write_text(f"[run]\nsigma = {sigma!r}\nmodes = {modes}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tables = run_cli("coeffs", "--config", str(cfgfile),
+                         "--out", str(outdir), "--run-id", "c")
+        run = run_cli("run", "--config", str(cfgfile), "--t-end", "0.0004",
+                      "--out", str(outdir), "--run-id", "r")
+    assert tables in (0, 2)
+    # a triad coupling of 1e150 and more takes the two-mode state past the
+    # float range in its first step: a numerical abort
+    assert run in ((0, 2, 3) if modes == "2,4" and abs(sigma) >= 1e150
+                   else (0, 2))
+
+
 class TestFissionCommand:
     def test_fission_report(self, outdir):
         assert run_cli("fission", "--out", str(outdir), "--run-id", "fi") == 0

@@ -199,6 +199,62 @@ class TestNorm:
         assert mass[1] == 28.0
 
 
+@st.composite
+def wide_rows(draw):
+    """(L, n) rows whose magnitudes run from 1e-300 to 1e308, both signs:
+    each row's entries lie within 20 decades below a decade of its own,
+    so that its plain sum or sum of squares overflows on some rows and
+    not on others."""
+    n = draw(st.integers(8, 24))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        top = draw(st.integers(-280, 307))
+        entry = st.builds(lambda sign, mantissa, decade: sign * mantissa
+                          * 10.0**decade,
+                          st.sampled_from([-1.0, 1.0]),
+                          st.floats(1.0, 10.0, exclude_max=True),
+                          st.integers(max(top - 20, -300), top))
+        rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    return np.array(rows)
+
+
+def exact_row_sums(row, h):
+    """(mass, L2) of one finite row from math.fsum of the row scaled by a
+    power of two, so that only the scaling of entries far below the
+    row's peak rounds; inf when the value lies beyond the float range."""
+    _, exponent = math.frexp(float(np.max(np.abs(row))))
+    scaled = [math.ldexp(float(x), -exponent) for x in row]
+    with np.errstate(over="ignore"):
+        return (np.ldexp(h * math.fsum(scaled), exponent),
+                np.ldexp(math.sqrt(h * math.fsum(x * x for x in scaled)),
+                         exponent))
+
+
+@given(theta=wide_rows(), h=st.floats(0.01, 4.0))
+def test_row_sums_are_plain_where_finite_and_rescued_where_not(theta, h):
+    grid = Grid(h_x=h, n_points=theta.shape[1])
+    state = ModeState(0.0, theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sums = (mass_per_mode(state, grid), l2_per_mode(state, grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = (h * theta.sum(axis=1), np.sqrt(h * (theta**2).sum(axis=1)))
+    n = theta.shape[1]
+    eps = np.finfo(float).eps
+    for i, row in enumerate(theta):
+        peak = np.max(np.abs(row))
+        # round-off of the rescued mass and L2, in units of the peak
+        bounds = (2.0 * n * n * eps * h * peak,
+                  2.0 * (n + 4) * eps * math.sqrt(h * n) * peak)
+        for got, ref, exact, bound in zip(sums, plain,
+                                          exact_row_sums(row, h), bounds):
+            if np.isfinite(ref[i]):
+                assert got[i].tobytes() == ref[i].tobytes()
+            elif abs(exact) < 2.0**1023:
+                assert np.isfinite(got[i])
+                assert abs(got[i] - exact) <= bound
+
+
 def test_import_and_single_mode_run_load_no_scipy():
     # no run loads scipy, the 32-mode product in z included; numpy.fft
     # only semi_discrete_limit does.  The table writer builds its tables
@@ -678,6 +734,40 @@ def kernel_coefficients(case):
     if case == "kdv":
         return single_mode_coefficients(1.0, 6.0, 1.0)
     return tank_coefficients(case)
+
+
+@pytest.mark.parametrize("form, modes", [
+    ("linear", (2,)), ("dense", mcewan_default().modes),
+    ("z", tuple(range(2, 21)))])
+def test_bound_triad_call_writes_its_form_and_repeats(form, modes):
+    coeffs = tank_coefficients(modes)
+    assert (coeffs.g.any(), solver._triad_in_z(coeffs)) == (
+        form != "linear", form == "z")
+    n = 40
+    block, bind = solver._triad_term(coeffs, n)
+    rng = np.random.default_rng(7)
+    theta, d = rng.standard_normal((2, coeffs.n_modes, n))
+    r = np.full((max(block.shape[1], coeffs.n_modes), n), np.nan)
+    call = bind(theta, d, r)
+    call()
+    first = r.copy()
+    if form == "linear":
+        assert block.shape == (coeffs.n_modes, 0)
+        assert np.isnan(first).all()
+    elif form == "dense":
+        L = coeffs.n_modes
+        assert (first.reshape(L, L, n).tobytes()
+                == (theta[:, None] * d[None]).tobytes())
+    else:
+        synth_theta, synth_d1, analysis = solver._transform_matrices(
+            coeffs.mode_indices, coeffs.triad_scale)
+        sampled = (synth_theta @ theta) * (synth_d1 @ d)
+        points = analysis.shape[1]
+        ref = sampled[:points] - sampled[points:]
+        assert (np.max(np.abs(first - ref))
+                <= 1e-15 * np.max(np.abs(first)))
+    call()
+    assert r.tobytes() == first.tobytes()
 
 
 class TestInPlaceKernel:
