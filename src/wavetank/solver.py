@@ -598,21 +598,18 @@ def semi_discrete_limit(state, coeffs, grid, scheme, t_end):
     part is integrated exactly.  The triad term is explicit, applied to
     theta and the spectral D0 theta in the form `_triad_term` picks, as
     in the stepper, but with no factor s0 = 1/2h, since D0 theta carries
-    it.  The integrator is ETDRK4 (Cox & Matthews, J. Comput. Phys. 176,
-    2002).  A step allocates no array: the spectra, the real pair
-    (theta, D0 theta), the triad rows and the four nonlinear terms live
-    in arrays built once per call, and each combination applies the
-    ufuncs of its plain expression to the same operands in the same
-    order, so the dense form keeps the bits of a step with fresh
-    temporaries.  The transforms are the pocketfft gufuncs behind
-    numpy.fft.rfft and irfft (`_real_transforms`), called with their
-    output by position: at n = 120 the numpy.fft wrapper doubles a
-    transform's cost (2-core Xeon, numpy 2.4.6: 2.65 against 1.29 us
-    for rfft, 3.7 against 1.7 us for irfft of a (2, 1, 61) stack), and
-    a nonlinear step makes eight.  A linear system (g = 0) has an empty
-    triad block, so N(v), N(a), N(b) and N(c) are zeros, built once, and
-    its step takes no transform: a level makes only the opening rfft and
-    the closing irfft.
+    it; for a linear system (g = 0) it reads 0.  The integrator is
+    ETDRK4 (Cox & Matthews, J. Comput. Phys. 176, 2002).  A step
+    allocates no array: the spectra, the real pair (theta, D0 theta),
+    the triad rows and the four nonlinear terms live in arrays built
+    once per call, and each combination applies the ufuncs of its plain
+    expression to the same operands in the same order, so the dense
+    form keeps the bits of a step with fresh temporaries.  The
+    transforms are the pocketfft gufuncs behind numpy.fft.rfft and
+    irfft (`_real_transforms`), called with their output by position:
+    at n = 120 the numpy.fft wrapper doubles a transform's cost (2-core
+    Xeon, numpy 2.4.6: 2.65 against 1.29 us for rfft, 3.7 against
+    1.7 us for irfft of a (2, 1, 61) stack), and a step makes eight.
     The result verifies itself by step doubling: from
     `_LIMIT_MIN_STEPS` steps the count doubles until two successive
     results agree within LIMIT_RTOL of max|theta|, and the finer one is
@@ -638,25 +635,21 @@ def semi_discrete_limit(state, coeffs, grid, scheme, t_end):
     v, a, b, c = sv[0], sa[0], sb[0], sc[0]
     e2v, tmp = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
     # the nonlinear terms N(v), N(a), N(b), N(c)
-    nv, na, nb, nc = (np.zeros(shape, dtype=complex) for _ in range(4))
+    nv, na, nb, nc = (np.empty(shape, dtype=complex) for _ in range(4))
     real = np.empty((2, L, n))              # theta, D0 theta
     rows = np.empty((L, n))                 # the triad term in x
     block, bind_triad = _triad_term(coeffs, n)
     pairs = np.empty((block.shape[1], n))
     product = bind_triad(real[0], real[1], pairs)
 
-    if block.shape[1]:
-        def triad_term(stack, out):
-            """sum g theta^m D0 theta^k of the spectrum in stack[0], as a
-            spectrum in `out`."""
-            multiply(sym0, stack[0], stack[1])
-            irfft(stack, inverse, real)
-            product()
-            matmul(block, pairs, rows)
-            rfft(rows, 1.0, out)
-    else:
-        def triad_term(stack, out):
-            """Nothing: a linear system's term is the zeros `out` holds."""
+    def triad_term(stack, out):
+        """sum g theta^m D0 theta^k of the spectrum in stack[0], as a
+        spectrum in `out`."""
+        multiply(sym0, stack[0], stack[1])
+        irfft(stack, inverse, real)
+        product()
+        matmul(block, pairs, rows)
+        rfft(rows, 1.0, out)
 
     def solve(n_steps):
         tau = (t_end - state.time) / n_steps

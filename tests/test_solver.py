@@ -1076,53 +1076,6 @@ def test_limit_transforms_are_numpy_fft_bit_for_bit(n, L, seed):
     assert real.tobytes() == np.fft.irfft(stack, n).tobytes()
 
 
-def count_transforms(monkeypatch):
-    """Calls per pocketfft gufunc and per level of the limit, counted as
-    they happen."""
-    from numpy.fft import _pocketfft_umath as pocketfft
-
-    calls = dict.fromkeys(("rfft_n_even", "rfft_n_odd", "irfft", "levels"), 0)
-
-    def counted(name, call):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return call(*args, **kwargs)
-        return wrapper
-
-    for name in ("rfft_n_even", "rfft_n_odd", "irfft"):
-        monkeypatch.setattr(pocketfft, name,
-                            counted(name, getattr(pocketfft, name)))
-    monkeypatch.setattr(solver, "_phi_weights",
-                        counted("levels", solver._phi_weights))
-    return calls
-
-
-def test_linear_limit_takes_one_transform_each_way_per_level(monkeypatch):
-    cfg = replace(mcewan_default(), modes=(2,))
-    basis = cfg.basis()
-    coeffs = build_coefficients(basis, sigma=cfg.sigma, beta2=cfg.beta2)
-    state, _ = build_initial_state(cfg, basis)
-    calls = count_transforms(monkeypatch)
-    semi_discrete_limit(state, coeffs, cfg.grid, TWO_STAGE, 0.02)
-    assert calls["levels"] >= 2
-    assert calls == dict(rfft_n_even=calls["levels"], rfft_n_odd=0,
-                         irfft=calls["levels"], levels=calls["levels"])
-
-
-def test_nonlinear_limit_takes_four_transforms_each_way_per_step(monkeypatch):
-    wave = build_traveling_pair()
-    grid = Grid(h_x=wave.domain / 97, n_points=97)
-    calls = count_transforms(monkeypatch)
-    semi_discrete_limit(wave.state(grid, 0.0), wave.coeffs, grid, TWO_STAGE,
-                        0.5)
-    levels = calls["levels"]
-    # levels of 32, 64, ... steps, each framed by one rfft and one irfft
-    per_way = levels + 4 * solver._LIMIT_MIN_STEPS * (2**levels - 1)
-    assert levels >= 2
-    assert calls == dict(rfft_n_even=0, rfft_n_odd=per_way, irfft=per_way,
-                         levels=levels)
-
-
 class TestExactAbort:
     """Finiteness is checked only every `_FINITE_CHECK_EVERY` steps; a
     failed check replays from the last checkpoint to the exact stage."""
