@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import reference_tables as ref
-from .modes import simpson_grid
+from .modes import Stratification, build_constant_n_basis, simpson_grid
 
 __all__ = [
     "CoefficientSet",
@@ -171,17 +171,28 @@ def nonlinear_coeffs(basis, method="closed_form", sigma=1.0):
     resonance and the quadrature of the absolute integrand off it (the
     size its round-off scales with; max|g| is no scale when no triad of
     the mode list resonates), or when an off-resonance entry exceeds
-    1e-12 of that size.  A nan deviation, from a quadrature past the
-    float range, fails either check.  The check runs at sigma = 1, and
-    sigma then scales the checked tensor: applied first, a sigma far
-    from 1 pushes both tensors past the float range or into subnormals.
+    1e-12 of that size.  A nan deviation fails either check.
+
+    The check runs on the unit tank (N = 1, depth = 1, the same mode
+    list) at sigma = 1, and the checked tensor is then scaled as
+    sigma * ((K / K_1) * g) with K = `_resonance_scale` of the basis's
+    tank and K_1 that of the unit tank: every entry of g is K times a
+    number of the mode list alone, in the quadrature as in the closed
+    form.  On the tank itself the integrand's factors N^2 c^2 and Z^3
+    leave the float range while g is in it (N = 1e80 or 1e-80 at
+    depth 1, or N = 1e20 at depth 1e50), and a sigma far from 1,
+    applied first, pushes both tensors past the float range or into
+    subnormals; the ratio goes first, so that no finite sigma overflows
+    where sigma g is finite.
     """
     if method == "closed_form":
         return _tensor_closed_form(basis, sigma)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    g_quad, size = _tensor_quadrature(basis, 1.0)
-    g_closed = _tensor_closed_form(basis, 1.0)
+    unit = build_constant_n_basis(Stratification(N=1.0, depth=1.0),
+                                  basis.indices)
+    g_quad, size = _tensor_quadrature(unit, 1.0)
+    g_closed = _tensor_closed_form(unit, 1.0)
     exact_zero = g_closed == 0.0
     # each entry in g's own units, so that the check holds at any N and
     # depth: |g| on resonance, the size of its integrand off it
@@ -202,7 +213,8 @@ def nonlinear_coeffs(basis, method="closed_form", sigma=1.0):
             f"quadrature of their absolute integrand (limit 1e-12)"
         )
     g_quad[exact_zero] = 0.0
-    return sigma * g_quad
+    ratio = _resonance_scale(basis.strat) / _resonance_scale(unit.strat)
+    return sigma * (ratio * g_quad)
 
 
 def build_coefficients(basis, sigma=1.0, beta2=1.0, method="closed_form"):

@@ -327,7 +327,7 @@ def _increment_kernel(coeffs, grid, scheme):
     of the stage matrix K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 T],
     built once and scaled by dt for each binding, and the stage rows
     S = [D1; D4; R], with T and R the triad term of theta and D1 in the
-    form `_triad_term` picks, over whole padded rows.
+    form `_triad_term` picks.
 
     A stage refreshes src's four ghost columns from their periodic
     sources, writes D1 and D4 each as one difference of the flat src
@@ -337,31 +337,65 @@ def _increment_kernel(coeffs, grid, scheme):
     9 in z.  At n = 300 a call's fixed cost outweighs its arithmetic, so
     each is issued the cheap way, on (1, 300) arrays: the output by
     position (0.4 us a call, 0.8 us as `out=`), the ghost columns by
-    slice assignment (0.3 us, 0.6 us by `np.copyto`).  The ghost
-    columns of S hold junk (differences across the ends of two
-    rows, products of ghost values), which is harmless: an interior
-    column reads only its own row's columns 0..n+3, refreshed first;
-    every product works column by column, and the stage product reads
-    and writes only columns 2..n+1 (at a leading dimension of n + 4,
-    with the bits of the (., n) product); and the increment's ghost
-    columns stay 0, so dest's are base's.  Every stage shares S, the
-    triad term's work buffers and the increment, allocated once and
-    zero-initialised, so the entries no pass writes read 0.  A linear
+    slice assignment (0.3 us, 0.6 us by `np.copyto`).  Every stage
+    shares S, the triad term's work buffers and the increment, allocated
+    once and zero-initialised, so the entries no pass writes read 0, and
+    the increment's ghost columns stay 0, so dest's are base's.  A linear
     system's empty triad block leaves K and S exactly their first 2L
     columns and rows, as it must: theta^m D1^k overflows while theta is
-    still finite, and 0 * inf is nan."""
+    still finite, and 0 * inf is nan.
+
+    The layout of S and the product are picked here, from L (2-core
+    Xeon, OpenBLAS 0.3.31 on one thread, medians of 9 rounds):
+
+    L >= 2
+        S holds whole padded rows, (P, n + 4) with P = 2L + T's columns,
+        and the product is `np.matmul` of dt K on S's columns 2..n+1
+        (at a leading dimension of n + 4, with the bits of the (., n)
+        product) into the increment's.  The ghost columns of S hold junk
+        (differences across the ends of two rows, products of ghost
+        values), which is harmless: an interior column reads only its
+        own row's columns 0..n+3, refreshed first, and every product
+        works column by column.  Padded rows keep the gemm fast: packed
+        (P, n) rows take 2.57 against 2.07 us at L = 5, n = 256.
+    L = 1 (the vector stage)
+        S is a C-contiguous (P, n) array, P = 2 for a linear system and
+        3 otherwise: at L = 1 the flat differences are exactly n long,
+        and R is bound on the interior columns 2..n+1 of src.  The
+        product is `np.dot(dt K[0], S, out)`, one BLAS gemv into the
+        contiguous interior of the increment's row, without
+        `np.matmul`'s gufunc dispatch: a two-stage step at n = 300 takes
+        3.79 against 4.31 us.  Both operands must be contiguous and
+        exactly n wide.  `np.dot` copies a strided operand, which costs
+        more than the gufunc (1.01 against 0.98 us at n = 300).  Over
+        the full padded width its gemv rounds a column by where it sits
+        in the call: that product's interior differed from `np.matmul`'s
+        in 208 of 578 (P = 2) and 226 of 622 (P = 3) random draws at
+        n = 8..400, where the (P, n) product matched in every draw and
+        at n = 1024, 4096 and 65536.  From n ~ 8192 the gufunc is the
+        faster again (4.9 against 5.3 us there, 9.6 against 11.9 us at
+        16384); no single-mode study runs past n = 4096.
+    """
     L, n = coeffs.n_modes, grid.n_points
     s0, s3 = 0.5 / grid.h_x, 0.5 / grid.h_x**3
     e = _dispersion_coefficient(coeffs, grid, scheme)
-    block, bind_triad = _triad_term(coeffs, n + 4)
+    width = n if L == 1 else n + 4
+    block, bind_triad = _triad_term(coeffs, width)
     stage = np.hstack((np.diag(coeffs.c * s0 - 2.0 * e * s3),
                        np.diag(e * s3), s0 * block))
-    rows = np.zeros((stage.shape[1], n + 4))
+    rows = np.zeros((stage.shape[1], width))
     increment = np.zeros((L, n + 4))
-    used, product_out = rows[:, 2:n + 2], increment[:, 2:n + 2]
-    diff1 = rows[:L].reshape(-1)[2:-2]
-    diff4 = rows[L:2 * L].reshape(-1)[2:-2]
-    subtract, matmul = np.subtract, np.matmul
+    subtract = np.subtract
+    if L == 1:
+        stage, product, used, product_out = (stage[0], np.dot, rows,
+                                             increment[0, 2:n + 2])
+        diff1, diff4, columns = rows[0], rows[1], slice(2, n + 2)
+    else:
+        product, used, product_out = (np.matmul, rows[:, 2:n + 2],
+                                      increment[:, 2:n + 2])
+        diff1 = rows[:L].reshape(-1)[2:-2]
+        diff4 = rows[L:2 * L].reshape(-1)[2:-2]
+        columns = slice(None)
 
     def bind(src, base, dt, dest):
         flat = src.reshape(-1)
@@ -369,7 +403,7 @@ def _increment_kernel(coeffs, grid, scheme):
         ghost_hi, wrap_hi = src[:, n + 2:], src[:, 2:4]
         # the entries 3.., 1.., 4.. and 0.. that line up with 2..L(n+4)-3
         p3, p1, p4, p0 = flat[3:-1], flat[1:-3], flat[4:], flat[:-4]
-        triad = bind_triad(src, rows[:L], rows[2 * L:])
+        triad = bind_triad(src[:, columns], rows[:L], rows[2 * L:])
         scaled = dt * stage
 
         def call():
@@ -378,7 +412,7 @@ def _increment_kernel(coeffs, grid, scheme):
             subtract(p3, p1, diff1)
             subtract(p4, p0, diff4)
             triad()
-            matmul(scaled, used, product_out)
+            product(scaled, used, product_out)
             subtract(base, increment, dest)
 
         return call

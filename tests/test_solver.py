@@ -771,6 +771,40 @@ def test_bound_triad_call_writes_its_form_and_repeats(form, modes):
 
 
 class TestInPlaceKernel:
+    # the single-mode stage is one gemv on rows exactly n wide, whose
+    # bits depend on n: pin it at the studies' widths as well
+    @example(case="kdv", scheme=TWO_STAGE, n_points=97, steps=3,
+             observe_every=2, seed=0)
+    @example(case="kdv", scheme=TWO_STAGE, n_points=120, steps=3,
+             observe_every=2, seed=1)
+    @example(case="kdv", scheme=TWO_STAGE, n_points=300, steps=3,
+             observe_every=2, seed=2)
+    @example(case="kdv", scheme=TWO_STAGE, n_points=1024, steps=3,
+             observe_every=2, seed=3)
+    @example(case="kdv", scheme=ONE_STAGE, n_points=97, steps=3,
+             observe_every=2, seed=0)
+    @example(case="kdv", scheme=ONE_STAGE, n_points=120, steps=3,
+             observe_every=2, seed=1)
+    @example(case="kdv", scheme=ONE_STAGE, n_points=300, steps=3,
+             observe_every=2, seed=2)
+    @example(case="kdv", scheme=ONE_STAGE, n_points=1024, steps=3,
+             observe_every=2, seed=3)
+    @example(case=(1,), scheme=TWO_STAGE, n_points=97, steps=3,
+             observe_every=2, seed=0)
+    @example(case=(1,), scheme=TWO_STAGE, n_points=120, steps=3,
+             observe_every=2, seed=1)
+    @example(case=(1,), scheme=TWO_STAGE, n_points=300, steps=3,
+             observe_every=2, seed=2)
+    @example(case=(1,), scheme=TWO_STAGE, n_points=1024, steps=3,
+             observe_every=2, seed=3)
+    @example(case=(1,), scheme=ONE_STAGE, n_points=97, steps=3,
+             observe_every=2, seed=0)
+    @example(case=(1,), scheme=ONE_STAGE, n_points=120, steps=3,
+             observe_every=2, seed=1)
+    @example(case=(1,), scheme=ONE_STAGE, n_points=300, steps=3,
+             observe_every=2, seed=2)
+    @example(case=(1,), scheme=ONE_STAGE, n_points=1024, steps=3,
+             observe_every=2, seed=3)
     @given(case=st.sampled_from(KERNEL_CASES),
            scheme=st.sampled_from([TWO_STAGE, ONE_STAGE]),
            n_points=st.integers(8, 64),

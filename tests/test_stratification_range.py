@@ -160,15 +160,22 @@ def test_coeffs_cross_check_holds_at_any_scale(tmp_path, n, depth):
     assert (code, err) == (0, [])
 
 
-def test_coeffs_cross_check_fails_far_out_of_range(tmp_path):
-    # there the quadrature's integrand itself under- or overflows
+@pytest.mark.parametrize("n, depth", [
+    ("1e80", "1"), ("1e-80", "1"), ("1e20", "1e50")])
+def test_coeffs_cross_check_holds_far_out_of_range(tmp_path, n, depth):
+    # the quadrature on the tank itself formed N^2 c^2 and Z^3 past the
+    # float range: RuntimeWarnings and a nan deviation, exit 1
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code, err = run_with_config("[stratification]\nN = 1e20\n"
-                                    "depth = 1e50\n", "coeffs",
-                                    out=str(tmp_path))
-    assert code == 1
-    assert len(err) == 1 and err[0].startswith("check failure: ")
+        warnings.simplefilter("error", RuntimeWarning)
+        code, err = run_with_config(
+            f"[stratification]\nN = {n}\ndepth = {depth}\n", "coeffs",
+            out=str(tmp_path))
+    assert (code, err) == (0, [])
+    for name in ("g_tensor.dat", "cd_table.dat"):
+        table = np.loadtxt(tmp_path / "r" / name)
+        assert np.isfinite(table).all()
+    g = np.loadtxt(tmp_path / "r" / "g_tensor.dat")[:, 3]
+    assert (g != 0).any()
 
 
 def test_steep_paddle_runs_without_a_runtime_warning(tmp_path):
