@@ -5,11 +5,12 @@ Subcommands: run | coeffs | converge | verify | fission.  Exit codes:
 2 usage/config error (including a config file the parser cannot read,
 a non-finite scenario value, a finite scenario with a derived quantity
 outside the float range, named by the keys behind the first such
-quantity, a `--dx` that does not divide the domain, and a snapshot name
-that would overwrite another snapshot of the same run), 3 numerical
-abort (non-finite state).  Data
-files are byte-reproducible; wall-clock information only ever lands in
-the metadata sidecar.
+quantity, a `--dx` that does not divide the domain, a snapshot name
+that would overwrite another snapshot of the same run, and a scenario
+that needs more memory than the process can allocate, reported as
+`config error: out of memory:` and numpy's allocation message), 3
+numerical abort (non-finite state).  Data files are byte-reproducible;
+wall-clock information only ever lands in the metadata sidecar.
 """
 
 from __future__ import annotations
@@ -417,6 +418,11 @@ def main(argv=None):
     except NonFiniteError as err:
         print(f"numerical abort: {err}", file=sys.stderr)
         return 3
+    except MemoryError as err:
+        # a scenario too large for the memory this process may use: exit
+        # 2, as for any other input the run cannot take
+        print(f"config error: out of memory: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

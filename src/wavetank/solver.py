@@ -333,12 +333,14 @@ def _increment_kernel(coeffs, grid, scheme):
     sources, writes D1 and D4 each as one difference of the flat src
     over its entries 2..L(n+4)-3, writes R by the triad term's bound
     call, takes the product and subtracts the padded increment from the
-    padded base into the padded dest: 7 numpy calls in the dense form,
-    9 in z.  At n = 300 a call's fixed cost outweighs its arithmetic, so
-    each is issued the cheap way, on (1, 300) arrays: the output by
-    position (0.4 us a call, 0.8 us as `out=`), the ghost columns by
-    slice assignment (0.3 us, 0.6 us by `np.copyto`).  Every stage
-    shares S, the triad term's work buffers and the increment, allocated
+    padded base into the padded dest: 7 calls in the dense form, 9 in z.
+    All are numpy calls at L >= 2; at L = 1 the two ghost copies are
+    memoryview copies, so a dense stage is 5 numpy calls plus 2.  At
+    n = 300 a call's fixed cost outweighs its arithmetic, so each is
+    issued the cheap way, on (1, 300) arrays: the output by position
+    (0.4 us a call, 0.8 us as `out=`), the ghost columns at L >= 2 by
+    ndarray `[...]` assignment (0.3 us, 0.6 us by `np.copyto`).  Every
+    stage shares S, the triad term's work buffers and the increment, allocated
     once and zero-initialised, so the entries no pass writes read 0, and
     the increment's ghost columns stay 0, so dest's are base's.  A linear
     system's empty triad block leaves K and S exactly their first 2L
@@ -362,19 +364,53 @@ def _increment_kernel(coeffs, grid, scheme):
         S is a C-contiguous (P, n) array, P = 2 for a linear system and
         3 otherwise: at L = 1 the flat differences are exactly n long,
         and R is bound on the interior columns 2..n+1 of src.  The
-        product is `np.dot(dt K[0], S, out)`, one BLAS gemv into the
-        contiguous interior of the increment's row, without
-        `np.matmul`'s gufunc dispatch: a two-stage step at n = 300 takes
-        3.79 against 4.31 us.  Both operands must be contiguous and
+        product is one BLAS gemv of dt K[0] and S into the contiguous
+        interior of the increment's row, without `np.matmul`'s gufunc
+        dispatch: a two-stage step at n = 300 took 3.79 against 4.31 us
+        (medians of 9 rounds).  Both operands must be contiguous and
         exactly n wide.  `np.dot` copies a strided operand, which costs
         more than the gufunc (1.01 against 0.98 us at n = 300).  Over
-        the full padded width its gemv rounds a column by where it sits
+        the full padded width the gemv rounds a column by where it sits
         in the call: that product's interior differed from `np.matmul`'s
         in 208 of 578 (P = 2) and 226 of 622 (P = 3) random draws at
         n = 8..400, where the (P, n) product matched in every draw and
         at n = 1024, 4096 and 65536.  From n ~ 8192 the gufunc is the
         faster again (4.9 against 5.3 us there, 9.6 against 11.9 us at
         16384); no single-mode study runs past n = 4096.
+
+        Two calls of the vector stage skip numpy overhead that their
+        operation does not need (min of 30 interleaved rounds, a Python
+        call included):
+        - the ghost columns are refreshed as `lo[:] = lo_from` and
+          `hi[:] = hi_from` on slices of a memoryview of the flat src,
+          a pair of 16-byte copies in 123 against 282 ns as ndarray
+          `[...]` assignments;
+        - the product is the bound method `(dt K[0]).dot(S, out)`, the
+          C routine `np.dot` reaches, without the Python-level
+          `__array_function__` dispatcher in front of it: 493 against
+          630 ns at n = 300, P = 3, with the same bytes in 2000 of 2000
+          random draws (P = 2..3, n = 8..5000).
+        A two-stage step at n = 300 takes 4.44 against 5.21 us with
+        `np.dot` and ndarray ghost copies (medians of 31 interleaved
+        rounds of 2000 steps in one process, on a host then about 1.4
+        times slower than for the 3.79 us above).  Four traps, each measured:
+        1. A memoryview takes no Ellipsis: `m[...] = x` raises
+           TypeError and `m[()] = x` NotImplementedError.  For ndarrays
+           `[:]` costs more than `[...]` (263 against 151 ns at (1, 2),
+           514 against 409 ns at (5, 2)), so one body shared with
+           L >= 2 would slow it.
+        2. A memoryview has no multi-dimensional sub-views, so L >= 2
+           would need 2L row copies.  They beat the two ndarray copies
+           only at small L (0.63 against 0.90 us at L = 5, even at
+           L = 8, 3.38 against 1.43 us at L = 32), which would take a
+           threshold; L >= 2 keeps ndarray views.
+        3. Each binding makes its own memoryview, of the very flat view
+           its differences read, so that both see the same memory: the
+           full stage refreshes the ghosts of `half`, not of `pad`.
+           The flat slices never overlap, since `Grid` keeps n >= 8.
+        4. The product is bound once per binding as `scaled.dot`:
+           `np.dot`, or a `functools.partial` of it, puts the dispatch
+           or an indirection back.
     """
     L, n = coeffs.n_modes, grid.n_points
     s0, s3 = 0.5 / grid.h_x, 0.5 / grid.h_x**3
@@ -385,26 +421,41 @@ def _increment_kernel(coeffs, grid, scheme):
                        np.diag(e * s3), s0 * block))
     rows = np.zeros((stage.shape[1], width))
     increment = np.zeros((L, n + 4))
-    subtract = np.subtract
+    subtract, matmul = np.subtract, np.matmul
     if L == 1:
-        stage, product, used, product_out = (stage[0], np.dot, rows,
-                                             increment[0, 2:n + 2])
+        stage, used, product_out = stage[0], rows, increment[0, 2:n + 2]
         diff1, diff4, columns = rows[0], rows[1], slice(2, n + 2)
     else:
-        product, used, product_out = (np.matmul, rows[:, 2:n + 2],
-                                      increment[:, 2:n + 2])
+        used, product_out = rows[:, 2:n + 2], increment[:, 2:n + 2]
         diff1 = rows[:L].reshape(-1)[2:-2]
         diff4 = rows[L:2 * L].reshape(-1)[2:-2]
         columns = slice(None)
 
     def bind(src, base, dt, dest):
         flat = src.reshape(-1)
-        ghost_lo, wrap_lo = src[:, :2], src[:, n:n + 2]
-        ghost_hi, wrap_hi = src[:, n + 2:], src[:, 2:4]
         # the entries 3.., 1.., 4.. and 0.. that line up with 2..L(n+4)-3
         p3, p1, p4, p0 = flat[3:-1], flat[1:-3], flat[4:], flat[:-4]
         triad = bind_triad(src[:, columns], rows[:L], rows[2 * L:])
         scaled = dt * stage
+        if L == 1:
+            cells = memoryview(flat)
+            lo, lo_from = cells[:2], cells[n:n + 2]
+            hi, hi_from = cells[n + 2:], cells[2:4]
+            product = scaled.dot
+
+            def call():
+                lo[:] = lo_from
+                hi[:] = hi_from
+                subtract(p3, p1, diff1)
+                subtract(p4, p0, diff4)
+                triad()
+                product(used, product_out)
+                subtract(base, increment, dest)
+
+            return call
+
+        ghost_lo, wrap_lo = src[:, :2], src[:, n:n + 2]
+        ghost_hi, wrap_hi = src[:, n + 2:], src[:, 2:4]
 
         def call():
             ghost_lo[...] = wrap_lo
@@ -412,7 +463,7 @@ def _increment_kernel(coeffs, grid, scheme):
             subtract(p3, p1, diff1)
             subtract(p4, p0, diff4)
             triad()
-            product(scaled, used, product_out)
+            matmul(scaled, used, product_out)
             subtract(base, increment, dest)
 
         return call

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -427,6 +429,51 @@ def test_sigma_across_the_float_range_raises_no_warning(outdir, modes,
     # float range in its first step: a numerical abort
     assert run in ((0, 2, 3) if modes == "2,4" and abs(sigma) >= 1e150
                    else (0, 2))
+
+
+class TestOutOfMemory:
+    """Valid scenarios too large for a 3 GiB address space: exit 2 and one
+    `config error` line, never a traceback.  The cap makes every such
+    allocation fail, whatever memory the host has."""
+
+    CAP = 3 << 30
+
+    def run_capped(self, outdir, *argv):
+        resource = pytest.importorskip("resource")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (self.CAP, self.CAP))
+
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        env.pop("CKDV_OUT", None)
+        return subprocess.run(
+            [sys.executable, "-m", "wavetank.cli", *argv,
+             "--out", str(outdir), "--run-id", "oom"],
+            preexec_fn=cap, env=env, capture_output=True, text=True,
+            timeout=300)
+
+    def assert_one_line(self, done, size):
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        [line] = done.stderr.splitlines()
+        assert line.startswith(
+            f"config error: out of memory: Unable to allocate {size} ")
+
+    def test_field_synthesis(self, outdir):
+        # steps to the end, then psi of shape (20000001, 256) fails; a dt
+        # below stable_tau keeps the run's own warning off stderr
+        done = self.run_capped(outdir, "run", "--modes", "1,10000000",
+                               "--t-end", "0.0004", "--dt", "1e-5")
+        self.assert_one_line(done, "38.1 GiB")
+
+    def test_coefficient_tensor_in_the_preflight(self, outdir):
+        # the dense (1500, 1500, 1500) tensor that validate builds
+        modes = ",".join(str(m) for m in range(1, 1501))
+        done = self.run_capped(outdir, "run", "--modes", modes)
+        self.assert_one_line(done, "25.1 GiB")
 
 
 class TestFissionCommand:
