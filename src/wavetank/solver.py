@@ -340,12 +340,12 @@ def _increment_kernel(coeffs, grid, scheme):
     issued the cheap way, on (1, 300) arrays: the output by position
     (0.4 us a call, 0.8 us as `out=`), the ghost columns at L >= 2 by
     ndarray `[...]` assignment (0.3 us, 0.6 us by `np.copyto`).  Every
-    stage shares S, the triad term's work buffers and the increment, allocated
-    once and zero-initialised, so the entries no pass writes read 0, and
-    the increment's ghost columns stay 0, so dest's are base's.  A linear
-    system's empty triad block leaves K and S exactly their first 2L
-    columns and rows, as it must: theta^m D1^k overflows while theta is
-    still finite, and 0 * inf is nan.
+    stage shares S, the triad term's work buffers and the increment,
+    allocated once and zero-initialised, so the entries no pass writes
+    read 0, and the increment's ghost columns stay 0, so dest's are
+    base's.  A linear system's empty triad block leaves K and S exactly
+    their first 2L columns and rows, as it must: theta^m D1^k overflows
+    while theta is still finite, and 0 * inf is nan.
 
     The layout of S and the product are picked here, from L (2-core
     Xeon, OpenBLAS 0.3.31 on one thread, medians of 9 rounds):
@@ -393,7 +393,8 @@ def _increment_kernel(coeffs, grid, scheme):
         A two-stage step at n = 300 takes 4.44 against 5.21 us with
         `np.dot` and ndarray ghost copies (medians of 31 interleaved
         rounds of 2000 steps in one process, on a host then about 1.4
-        times slower than for the 3.79 us above).  Four traps, each measured:
+        times slower than for the 3.79 us above).  Four traps, each
+        measured:
         1. A memoryview takes no Ellipsis: `m[...] = x` raises
            TypeError and `m[()] = x` NotImplementedError.  For ndarrays
            `[:]` costs more than `[...]` (263 against 151 ns at (1, 2),
