@@ -448,7 +448,6 @@ class TestOutOfMemory:
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join(
                        filter(None, (src, os.environ.get("PYTHONPATH")))))
-        env.pop("CKDV_OUT", None)
         return subprocess.run(
             [sys.executable, "-m", "wavetank.cli", *argv,
              "--out", str(outdir), "--run-id", "oom"],
