@@ -127,7 +127,8 @@ def _tensor_closed_form(basis, sigma):
         a = order[np.searchsorted(idx, n, sorter=order).clip(max=L - 1)]
         hit = idx[a] == n
         g[a[hit], b[hit], c_[hit]] = kappa * m[hit] * weight[hit] / n[hit]
-    return sigma * g
+    g *= sigma
+    return g
 
 
 def _tensor_quadrature(basis, sigma):
@@ -136,16 +137,24 @@ def _tensor_quadrature(basis, sigma):
     The integrand is the (m, k) factor
     F = (1/c_m^2 + 3/c_k^2) Z^k dZ^m/dz + (4/c_m^2) Z^m dZ^k/dz, formed
     once, times Z^n; each n sums the weighted terms of every (m, k) pair
-    at once, as rows of one array."""
+    at once, as rows of one array.
+
+    Mode n is sampled at node j of the q + 1 at its exact angle
+    n pi j / q, reduced in integers to pi ((n mod 2q) j mod 2q) / q.
+    The float angle n (pi z_j / h) is off by up to about n pi times the
+    double epsilon, and at n = 2e5 left 1.4e-12 of the absolute
+    integrand on entries that vanish exactly.  Each mode is reduced as
+    a Python int, so that a mode past int64 never forms an array."""
     strat = basis.strat
     z, w, dz = simpson_grid(strat.depth)
-    zeta = np.pi * z / strat.depth
+    q = z.size - 1
+    turns = np.array([n % (2 * q) for n in basis.indices])
+    angle = np.pi * (turns[:, None] * np.arange(q + 1) % (2 * q)) / q
 
     nidx = np.asarray(basis.indices, dtype=float)
-    S = basis.amplitudes[:, None] * np.sin(nidx[:, None] * zeta[None, :])
-    Sz = (basis.amplitudes * nidx * np.pi / strat.depth)[:, None] * np.cos(
-        nidx[:, None] * zeta[None, :]
-    )
+    S = basis.amplitudes[:, None] * np.sin(angle)
+    Sz = ((basis.amplitudes * nidx * np.pi / strat.depth)[:, None]
+          * np.cos(angle))
     c = basis.speeds
     cm, ck = c[:, None, None], c[None, :, None]
     pair = ((1.0 / cm**2 + 3.0 / ck**2) * S[None, :] * Sz[:, None]
@@ -213,8 +222,9 @@ def nonlinear_coeffs(basis, method="closed_form", sigma=1.0):
             f"quadrature of their absolute integrand (limit 1e-12)"
         )
     g_quad[exact_zero] = 0.0
-    ratio = _resonance_scale(basis.strat) / _resonance_scale(unit.strat)
-    return sigma * (ratio * g_quad)
+    g_quad *= _resonance_scale(basis.strat) / _resonance_scale(unit.strat)
+    g_quad *= sigma
+    return g_quad
 
 
 def build_coefficients(basis, sigma=1.0, beta2=1.0, method="closed_form"):

@@ -12,6 +12,9 @@ The reference tank is 0.50 m long, 0.25 m deep, N = 1.23 1/s, modes
 (2, 4, 6, 8, 10) (`reference_tables.MCEWAN_*`).  The pulse constants a, l, b, z0 are qualitative
 paddle parameters, not reference values; the defaults below centre the
 paddle at mid-depth, which kills every odd mode by symmetry.
+
+The config file's keys are named once, in `_KEYS`; configparser writes
+them in lower case, while the pre-flight's messages print N and dx.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import configparser
 import functools
 import io
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,24 +146,48 @@ def mcewan_default():
     )
 
 
-# the config-file name of a key, where it is not the key's last part
-_FILE_NAMES = {"grid.h_x": "dx"}
+# The config file's keys in file order, each named here only: (section,
+# file key, field), the field a ScenarioConfig attribute or part.attribute.
+_KEYS = (
+    ("stratification", "N", "strat.N"),
+    ("stratification", "depth", "strat.depth"),
+    ("paddle", "a", "paddle.a"), ("paddle", "l", "paddle.l"),
+    ("paddle", "b", "paddle.b"), ("paddle", "z0", "paddle.z0"),
+    ("grid", "dx", "grid.h_x"), ("grid", "n_points", "grid.n_points"),
+    ("grid", "x0", "grid.x0"),
+    ("scheme", "scheme", "scheme.scheme"), ("scheme", "dt", "scheme.tau"),
+    ("run", "t_end", "t_end"), ("run", "snapshot_every", "snapshot_every"),
+    ("run", "modes", "modes"), ("run", "sigma", "sigma"),
+    ("run", "beta2", "beta2"),
+)
+
+
+def _rows():
+    """(section, file key, part, attribute, getter, type) of each key,
+    the type that of its value in `mcewan_default()`."""
+    default = mcewan_default()
+    for section, key, field in _KEYS:
+        part, _, attr = field.rpartition(".")
+        get = operator.attrgetter(field)
+        yield section, key, part, attr, get, type(get(default))
+
+
+_ROWS = tuple(_rows())
+# each float key's pre-flight name: section.attribute, or a top attribute
+_FLOAT_ROWS = tuple((f"{section}.{attr}" if part else attr, key, get)
+                    for section, key, part, attr, get, kind in _ROWS
+                    if kind is float)
 
 
 def _float_keys(cfg):
-    """{key: value} of each float key of a scenario."""
-    paddle, grid = cfg.paddle, cfg.grid
-    return {"stratification.N": cfg.strat.N,
-            "stratification.depth": cfg.strat.depth,
-            "paddle.a": paddle.a, "paddle.l": paddle.l, "paddle.b": paddle.b,
-            "paddle.z0": paddle.z0, "grid.h_x": grid.h_x, "grid.x0": grid.x0,
-            "t_end": cfg.t_end, "sigma": cfg.sigma, "beta2": cfg.beta2}
+    """{name: (file key, value)} of each float key of a scenario."""
+    return {name: (key, get(cfg)) for name, key, get in _FLOAT_ROWS}
 
 
 def _non_finite(values):
-    """A violation for each non-finite entry of {name: value}."""
+    """A violation for each non-finite entry of {name: (key, value)}."""
     return [f"{name}: must be finite, got {value}"
-            for name, value in values.items() if not math.isfinite(value)]
+            for name, (_, value) in values.items() if not math.isfinite(value)]
 
 
 def _mode_rules(cfg):
@@ -183,7 +211,6 @@ def _system_rows(cfg):
         (strat, "the phase speed", True, lambda: basis().speeds),
         (strat, "the coupling scale", True,
          lambda: _resonance_scale(cfg.strat)),
-        (strat, "c", False, lambda: coeffs().c),
         (strat + ("beta2",), "beta2 d", False, lambda: coeffs().d),
         (strat + ("sigma",), "sigma g", False, lambda: coeffs().g),
     ]
@@ -212,8 +239,7 @@ def _out_of_range(cfg, rows):
             except ArithmeticError:
                 value = np.asarray(np.nan)
             if not np.isfinite(value).all() or nonzero and not value.all():
-                named = ", ".join(f"{_FILE_NAMES.get(k, k.split('.')[-1])}"
-                                  f" = {values[k]}" for k in keys)
+                named = ", ".join("%s = %s" % values[k] for k in keys)
                 return [f"{', '.join(keys)}: {named} put {quantity} "
                         f"outside the float range"]
     return []
@@ -260,22 +286,17 @@ def validate(cfg):
     if not cfg.paddle.b > 0:
         out.append(f"paddle.b: must be > 0, got {cfg.paddle.b}")
     if not 0 < cfg.paddle.z0 < cfg.strat.depth:
-        out.append(
-            f"paddle.z0: must lie inside (0, {cfg.strat.depth}), got {cfg.paddle.z0}"
-        )
+        out.append(f"paddle.z0: must lie inside (0, {cfg.strat.depth}), "
+                   f"got {cfg.paddle.z0}")
     if cfg.paddle.l < MIN_POINTS_PER_PULSE * cfg.grid.h_x:
-        out.append(
-            f"grid.h_x: pulse width l = {cfg.paddle.l} under-resolved; "
-            f"need l >= {MIN_POINTS_PER_PULSE} * h_x = "
-            f"{MIN_POINTS_PER_PULSE * cfg.grid.h_x}"
-        )
+        out.append(f"grid.h_x: pulse width l = {cfg.paddle.l} under-resolved; "
+                   f"need l >= {MIN_POINTS_PER_PULSE} * h_x = "
+                   f"{MIN_POINTS_PER_PULSE * cfg.grid.h_x}")
     if cfg.grid.length < MIN_DOMAIN_PULSE_RATIO * cfg.paddle.l:
-        out.append(
-            f"grid.length: domain {cfg.grid.length} shorter than "
-            f"{MIN_DOMAIN_PULSE_RATIO} pulse widths "
-            f"({MIN_DOMAIN_PULSE_RATIO * cfg.paddle.l}); wrap-around would "
-            f"contaminate the run"
-        )
+        out.append(f"grid.length: domain {cfg.grid.length} shorter than "
+                   f"{MIN_DOMAIN_PULSE_RATIO} pulse widths "
+                   f"({MIN_DOMAIN_PULSE_RATIO * cfg.paddle.l}); wrap-around "
+                   f"would contaminate the run")
     if cfg.t_end < 0:
         out.append(f"t_end: must be >= 0, got {cfg.t_end}")
     elif not cfg.t_end / cfg.scheme.tau < MAX_STEPS:
@@ -317,40 +338,26 @@ def build_initial_state(cfg, basis=None):
 # -- flat key = value config files -----------------------------------------
 
 
-def serialize_config(cfg):
-    """Render a ScenarioConfig as the sectioned key = value text format."""
-    cp = configparser.ConfigParser()
-    cp["stratification"] = {"N": FMT % cfg.strat.N, "depth": FMT % cfg.strat.depth}
-    cp["paddle"] = {
-        "a": FMT % cfg.paddle.a,
-        "l": FMT % cfg.paddle.l,
-        "b": FMT % cfg.paddle.b,
-        "z0": FMT % cfg.paddle.z0,
-    }
-    cp["grid"] = {
-        "dx": FMT % cfg.grid.h_x,
-        "n_points": str(cfg.grid.n_points),
-        "x0": FMT % cfg.grid.x0,
-    }
-    cp["scheme"] = {
-        "scheme": cfg.scheme.scheme,
-        "dt": FMT % cfg.scheme.tau,
-    }
-    cp["run"] = {
-        "t_end": FMT % cfg.t_end,
-        "snapshot_every": str(cfg.snapshot_every),
-        "modes": ",".join(str(n) for n in cfg.modes),
-        "sigma": FMT % cfg.sigma,
-        "beta2": FMT % cfg.beta2,
-    }
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
-
-
 def parse_modes(text):
     """Mode list "2, 4,6" -> (2, 4, 6); ValueError on a non-integer entry."""
     return tuple(int(v) for v in text.replace(" ", "").split(",") if v)
+
+
+# how a value of each type is written and read, if not by str and the type
+_FORMATS = {float: FMT.__mod__, tuple: lambda modes: ",".join(map(str, modes))}
+_CONVERTERS = {tuple: parse_modes}
+
+
+def serialize_config(cfg):
+    """Render a ScenarioConfig as the sectioned key = value text format."""
+    out = {}
+    for section, key, _, _, get, kind in _ROWS:
+        out.setdefault(section, {})[key] = _FORMATS.get(kind, str)(get(cfg))
+    cp = configparser.ConfigParser()
+    cp.read_dict(out)
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
 
 
 def parse_config(text):
@@ -362,9 +369,11 @@ def parse_config(text):
     [DEFAULT] section, is rejected.  A file the parser cannot read
     (duplicate keys or sections, no section header, a line without
     `=`, a bad `%(name)s` reference) raises ValueError, as does a value
-    that does not convert, naming its section, key and text."""
+    that does not convert, naming its section, key and text; the values
+    convert in file order, each to the type of the default's."""
+    default = mcewan_default()
     cp = configparser.ConfigParser()
-    cp.read_string(serialize_config(mcewan_default()))
+    cp.read_string(serialize_config(default))
     known = {section: set(cp[section]) for section in cp.sections()}
     try:
         cp.read_string(text)
@@ -383,28 +392,18 @@ def parse_config(text):
             if key not in known[section]:
                 raise ValueError(f"unknown key {key!r} in section [{section}]")
 
-    def get(section, key, conv=float):
+    parts = {}
+    for section, key, part, attr, _, kind in _ROWS:
+        key = cp.optionxform(key)
         raw = values[section, key]
         try:
-            return conv(raw)
+            parts.setdefault(part, {})[attr] = _CONVERTERS.get(kind, kind)(raw)
         except ValueError as err:
             raise ValueError(f"[{section}] {key} = {raw!r}: {err}") from err
-
     return ScenarioConfig(
-        strat=Stratification(N=get("stratification", "n"),
-                             depth=get("stratification", "depth")),
-        modes=get("run", "modes", parse_modes),
-        paddle=PaddleProfile(a=get("paddle", "a"), l=get("paddle", "l"),
-                             b=get("paddle", "b"), z0=get("paddle", "z0")),
-        grid=Grid(h_x=get("grid", "dx"), n_points=get("grid", "n_points", int),
-                  x0=get("grid", "x0")),
-        scheme=SchemeParams(tau=get("scheme", "dt"),
-                            scheme=get("scheme", "scheme", str)),
-        t_end=get("run", "t_end"),
-        snapshot_every=get("run", "snapshot_every", int),
-        sigma=get("run", "sigma"),
-        beta2=get("run", "beta2"),
-    )
+        **parts.pop(""),
+        **{part: type(getattr(default, part))(**fields)
+           for part, fields in parts.items()})
 
 
 def load_config(path):

@@ -12,6 +12,7 @@ from wavetank.coefficients import (
     reconcile_with_reference,
 )
 from wavetank import modes
+from wavetank.cli import main
 from wavetank.modes import Stratification, build_constant_n_basis, simpson_grid
 from wavetank import reference_tables as ref
 
@@ -56,14 +57,17 @@ class TestDispersion:
 
 def entrywise_quadrature(basis, sigma):
     """(g, size) of `_tensor_quadrature`, one Simpson sum per entry
-    (n, m, k) over the nodes of `simpson_grid`."""
+    (n, m, k) over the nodes of `simpson_grid`, mode n at node j of q + 1
+    sampled at the angle pi (n j mod 2q) / q, reduced in Python ints."""
     strat = basis.strat
     z, w, dz = simpson_grid(strat.depth)
-    zeta = np.pi * z / strat.depth
+    q = len(z) - 1
+    angle = np.array([[np.pi * (n * j % (2 * q)) / q for j in range(q + 1)]
+                      for n in basis.indices])
     nidx = np.asarray(basis.indices, dtype=float)
-    S = basis.amplitudes[:, None] * np.sin(nidx[:, None] * zeta[None, :])
+    S = basis.amplitudes[:, None] * np.sin(angle)
     Sz = (basis.amplitudes * nidx * np.pi / strat.depth)[:, None] * np.cos(
-        nidx[:, None] * zeta[None, :])
+        angle)
     c = basis.speeds
     L = basis.n_modes
     g = np.zeros((L, L, L))
@@ -132,6 +136,16 @@ class TestNonlinearTensor:
         idx = {n: i for i, n in enumerate((1, 2, 3))}
         assert abs(g[idx[2], idx[2], idx[2]]) <= 1e-12
         assert abs(g[idx[1], idx[2], idx[2]]) <= 1e-12
+
+    def test_far_mode_quadrature_is_the_zero_tensor(self, tmp_path):
+        # sampled at the float angles n (pi z_j / h), mode 200000 left
+        # 1.4e-12 of the absolute integrand on these vanishing entries,
+        # and coeffs failed its check on a tensor that is exactly zero
+        basis = build_constant_n_basis(MCEWAN, (1, 200000))
+        g = nonlinear_coeffs(basis, method="quadrature")
+        assert g.shape == (2, 2, 2) and not g.any()
+        assert main(["coeffs", "--modes", "1,200000",
+                     "--out", str(tmp_path)]) == 0
 
     def test_accidental_zero_at_3k_equals_m(self, coeffs):
         # (n, m, k) = (4, 6, 2) is resonant but the closed form vanishes

@@ -1,9 +1,13 @@
+import configparser
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from wavetank.modes import Stratification
 from wavetank.scenario import (
+    _KEYS,
     MAX_AXIS_CELLS,
     PaddleProfile,
     ScenarioConfig,
@@ -264,6 +268,25 @@ class TestConfigRoundTrip:
         section = text.split("[scheme]")[1].split("[run]")[0]
         keys = [l.split(" = ")[0] for l in section.splitlines() if " = " in l]
         assert keys == ["scheme", "dt"]
+
+
+def test_key_table_names_every_field_once():
+    # a new field without a key, or a key without a field, fails here
+    def leaves(obj, prefix=""):
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if dataclasses.is_dataclass(value):
+                yield from leaves(value, f"{prefix}{f.name}.")
+            else:
+                yield prefix + f.name
+
+    cfg = mcewan_default()
+    assert sorted(field for _, _, field in _KEYS) == sorted(leaves(cfg))
+    cp = configparser.ConfigParser()
+    cp.read_string(serialize_config(cfg))
+    assert ([(section, key.lower()) for section, key, _ in _KEYS]
+            == [(section, key) for section in cp.sections()
+                for key in cp[section]])
 
 
 def test_parse_modes():
