@@ -66,7 +66,8 @@ GROWTH_BUDGET = 10.0
 # steps between finiteness checks of the state in `advance`
 _FINITE_CHECK_EVERY = 100
 # semi_discrete_limit accepts a step-doubled result once it agrees with
-# the one before to this share of max|theta|
+# the one before to this share of max|theta|, unless its call names
+# another share
 LIMIT_RTOL = 1e-8
 # the step counts semi_discrete_limit tries: 32, 64, ..., 2**13
 _LIMIT_MIN_STEPS, _LIMIT_MAX_STEPS = 32, 2**13
@@ -674,7 +675,7 @@ def _real_transforms(n):
     return rfft, pocketfft.irfft, 1.0 / n
 
 
-def semi_discrete_limit(state, coeffs, grid, scheme, t_end):
+def semi_discrete_limit(state, coeffs, grid, scheme, t_end, rtol=None):
     """The tau -> 0 solution at exactly t_end of the finite-difference
     system that `scheme` integrates: theta_t = -(c D0 theta + e D3 theta
     + sum g theta^m D0 theta^k) with that scheme's e_n.
@@ -698,12 +699,22 @@ def semi_discrete_limit(state, coeffs, grid, scheme, t_end):
     1.7 us for irfft of a (2, 1, 61) stack), and a step makes eight.
     The result verifies itself by step doubling: from
     `_LIMIT_MIN_STEPS` steps the count doubles until two successive
-    results agree within LIMIT_RTOL of max|theta|, and the finer one is
-    returned.  A non-finite result raises NonFiniteError, and no
-    agreement by `_LIMIT_MAX_STEPS` steps raises RuntimeError: an
-    unverified limit is never returned as a yardstick.
+    results agree within `rtol` of max|theta| (LIMIT_RTOL, read at call
+    time, when None), and the finer one is returned.  A non-finite
+    result disagrees with its neighbours, so a coarse level that
+    overflows is refined like one that is inaccurate.  A non-finite
+    initial state raises NonFiniteError before the first level, as does
+    a non-finite result at `_LIMIT_MAX_STEPS` steps; a finite one that
+    has not settled by then raises RuntimeError: an unverified limit is
+    never returned as a yardstick.
     """
     _check_span(state, coeffs, grid, t_end)
+    if rtol is None:
+        rtol = LIMIT_RTOL
+    if not np.isfinite(state.theta).all():
+        raise NonFiniteError(
+            f"semi-discrete limit refuses a non-finite state at "
+            f"t = {state.time:.6g}")
     L, n = state.theta.shape
     h = grid.h_x
     kh = 2.0 * np.pi * np.arange(n // 2 + 1) / n
@@ -775,15 +786,17 @@ def semi_discrete_limit(state, coeffs, grid, scheme, t_end):
     with np.errstate(over="ignore", invalid="ignore"):
         while n_steps <= _LIMIT_MAX_STEPS:
             fine = solve(n_steps)
-            if not np.isfinite(fine).all():
-                raise NonFiniteError(
-                    f"semi-discrete limit at t = {t_end:.6g} went non-finite "
-                    f"at {n_steps} steps", step=n_steps)
-            if (coarse is not None and np.max(np.abs(fine - coarse))
-                    <= LIMIT_RTOL * np.max(np.abs(fine))):
+            finite = np.isfinite(fine).all()
+            if (finite and coarse is not None
+                    and np.max(np.abs(fine - coarse))
+                    <= rtol * np.max(np.abs(fine))):
                 return ModeState(time=t_end, theta=fine)
-            coarse, n_steps = fine, 2 * n_steps
+            coarse, n_steps = (fine if finite else None), 2 * n_steps
+    if not finite:
+        raise NonFiniteError(
+            f"semi-discrete limit at t = {t_end:.6g} went non-finite "
+            f"at {_LIMIT_MAX_STEPS} steps", step=_LIMIT_MAX_STEPS)
     raise RuntimeError(
         f"semi-discrete limit at t = {t_end:.6g} did not settle to "
-        f"{LIMIT_RTOL:.0e} by {_LIMIT_MAX_STEPS} steps; refusing to use it "
+        f"{rtol:.0e} by {_LIMIT_MAX_STEPS} steps; refusing to use it "
         f"as a yardstick")

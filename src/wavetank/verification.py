@@ -74,6 +74,11 @@ FIT_RESIDUAL_LIMIT = 0.1   # log2 units
 # accuracy cap, not a growth budget: it binds below `stable_tau` at 12
 # and 24 points per width, for 100 transits and for 40.
 SPATIAL_TAU_CAP_FRACTION = 0.02
+# The temporal study settles its tau -> 0 yardstick to this share of
+# max|theta|, not to the tighter `solver.LIMIT_RTOL`: the smallest error
+# the study measures is 1.26e-2 (L2), so the yardstick's own error stays
+# more than 1e4 below anything the study resolves
+TEMPORAL_LIMIT_RTOL = 1e-6
 # A crest is a local maximum at or above this share of its row's maximum
 CREST_FLOOR = 0.05
 
@@ -365,13 +370,18 @@ def measure_temporal_convergence():
     The O(h^2) spatial bias does not refine with tau, so the pure
     time-stepping error is isolated against the tau -> 0 limit of the
     same one-stage system on the same grid (`semi_discrete_limit`); the
-    norms against the exact oracle are reported alongside."""
+    norms against the exact oracle are reported alongside.  The limit
+    settles to TEMPORAL_LIMIT_RTOL = 1e-6 of max|theta|, at 128 steps:
+    the smallest error the study measures is 1.26e-2 (L2), and the limit
+    lies 2.2e-8 from the one settled to `solver.LIMIT_RTOL`, which takes
+    512 steps."""
     orc = _unit_width_soliton(amplitude=1.0, g=1.2, speed=30.0)
     grid = orc.grid(10)
     horizon = 5 * orc.width / abs(orc.speed)
     tau0 = stable_tau(orc.coeffs, grid, ONE_STAGE, horizon)
     reference = semi_discrete_limit(orc.state(grid, 0.0), orc.coeffs, grid,
-                                    ONE_STAGE, horizon)
+                                    ONE_STAGE, horizon,
+                                    rtol=TEMPORAL_LIMIT_RTOL)
     return _convergence_study("temporal", ONE_STAGE, orc,
                               [(grid, tau0 / div) for div in (1, 2, 4)],
                               horizon, reference)

@@ -1222,6 +1222,38 @@ class TestSemiDiscreteLimit:
         with pytest.raises(RuntimeError, match="did not settle"):
             semi_discrete_limit(state, coeffs, grid, TWO_STAGE, 0.1)
 
+    def test_names_the_tolerance_of_the_call(self):
+        grid = Grid(h_x=0.5, n_points=16)
+        coeffs = single_mode_coefficients(1.0, 6.0, 1.0)
+        state = ModeState(0.0, np.cos(2 * np.pi * np.arange(16) / 16)[None, :])
+        with pytest.raises(RuntimeError, match=r"did not settle to 0e\+00 by"):
+            semi_discrete_limit(state, coeffs, grid, TWO_STAGE, 0.1, rtol=0.0)
+
+    def test_refines_past_a_coarse_level_that_overflows(self, monkeypatch):
+        # a small wave on the uniform current theta = 1: the triad term
+        # carries the advection g theta D0 explicitly, so at 32 steps
+        # (tau = 4) the grid-scale symbol tau g max|theta| / h = 4 lies
+        # past ETDRK4's stability bound and the level overflows; from 64
+        # steps the levels are finite, and the limit settles at 1024
+        grid = Grid(h_x=1.0, n_points=32)
+        coeffs = single_mode_coefficients(0.0, 1.0, 0.01)
+        state = ModeState(
+            0.0, 1.0 + 1e-3 * np.cos(2 * np.pi * np.arange(32) / 32)[None, :])
+        limit = semi_discrete_limit(state, coeffs, grid, TWO_STAGE, 128.0)
+        monkeypatch.setattr(solver, "_LIMIT_MAX_STEPS", 32)
+        with pytest.raises(NonFiniteError, match="non-finite at 32 steps"):
+            semi_discrete_limit(state, coeffs, grid, TWO_STAGE, 128.0)
+        monkeypatch.setattr(solver, "_LIMIT_MIN_STEPS", 64)
+        monkeypatch.setattr(solver, "_LIMIT_MAX_STEPS", 512)
+        with pytest.raises(RuntimeError, match="did not settle"):
+            semi_discrete_limit(state, coeffs, grid, TWO_STAGE, 128.0)
+        # doubled from the first finite level, the same levels settle on
+        # the same bits
+        monkeypatch.setattr(solver, "_LIMIT_MAX_STEPS", 1024)
+        from_finite = semi_discrete_limit(state, coeffs, grid, TWO_STAGE,
+                                          128.0)
+        assert np.array_equal(limit.theta, from_finite.theta)
+
     def test_refuses_a_non_finite_limit(self):
         grid = Grid(h_x=0.5, n_points=16)
         coeffs = single_mode_coefficients(1.0, 6.0, 1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from wavetank import verification
+from wavetank import solver, verification
 from wavetank.solver import (
     Grid,
     ModeState,
@@ -12,6 +12,8 @@ from wavetank.solver import (
     SchemeParams,
     TWO_STAGE,
     advance,
+    discrete_l2_norm,
+    semi_discrete_limit,
     stable_tau,
     step_count,
 )
@@ -157,6 +159,31 @@ class TestConvergence:
         # reference of the same grid
         oracle_norms = [lv.oracle_norm for lv in rep.levels]
         assert oracle_norms[-1] > 0.3 * oracle_norms[0]
+
+    def test_temporal_yardstick_lies_below_its_smallest_error(self,
+                                                              monkeypatch):
+        # the study settles its limit to TEMPORAL_LIMIT_RTOL; that limit
+        # lies within 1e-4 of the study's smallest level norm of the one
+        # settled to solver.LIMIT_RTOL (2.2e-8 against 1.26e-2 when
+        # measured), and the fitted order stays put
+        calls = []
+
+        def recording(state, coeffs, grid, scheme, t_end, rtol=None):
+            limit = semi_discrete_limit(state, coeffs, grid, scheme, t_end,
+                                        rtol=rtol)
+            calls.append((grid, rtol, limit))
+            return limit
+
+        monkeypatch.setattr(verification, "semi_discrete_limit", recording)
+        study = measure_temporal_convergence()
+        monkeypatch.setattr(verification, "TEMPORAL_LIMIT_RTOL",
+                            solver.LIMIT_RTOL)
+        tight = measure_temporal_convergence()
+        (grid, loose_rtol, loose), (_, tight_rtol, limit) = calls
+        assert loose_rtol > tight_rtol == solver.LIMIT_RTOL
+        smallest = min(lv.norm for lv in study.levels)
+        assert discrete_l2_norm(loose, limit, grid) <= 1e-4 * smallest
+        assert abs(study.fitted_order - tight.fitted_order) <= 1e-6
 
 
 class TestConservation:
@@ -428,7 +455,7 @@ def test_every_study_steps_within_stable_tau_onto_its_end(monkeypatch,
         return final, RunReport(params.scheme, params.tau,
                                 step_count(state.time, t_end, params.tau))
 
-    def shifted_limit(state, coeffs, grid, scheme, t_end):
+    def shifted_limit(state, coeffs, grid, scheme, t_end, rtol=None):
         return ModeState(t_end, np.roll(state.theta, 1, axis=1))
 
     monkeypatch.setattr(verification, "advance", recording)
