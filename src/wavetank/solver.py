@@ -786,13 +786,13 @@ def semi_discrete_limit(state, coeffs, grid, scheme, t_end, rtol=None):
     with np.errstate(over="ignore", invalid="ignore"):
         while n_steps <= _LIMIT_MAX_STEPS:
             fine = solve(n_steps)
-            finite = np.isfinite(fine).all()
-            if (finite and coarse is not None
-                    and np.max(np.abs(fine - coarse))
+            if not np.isfinite(fine).all():
+                fine = None
+            elif (coarse is not None and np.max(np.abs(fine - coarse))
                     <= rtol * np.max(np.abs(fine))):
                 return ModeState(time=t_end, theta=fine)
-            coarse, n_steps = (fine if finite else None), 2 * n_steps
-    if not finite:
+            coarse, n_steps = fine, 2 * n_steps
+    if coarse is None:
         raise NonFiniteError(
             f"semi-discrete limit at t = {t_end:.6g} went non-finite "
             f"at {_LIMIT_MAX_STEPS} steps", step=_LIMIT_MAX_STEPS)
