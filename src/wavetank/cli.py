@@ -6,9 +6,11 @@ Subcommands: run | coeffs | converge | verify | fission.  Exit codes:
 a non-finite scenario value, a finite scenario with a derived quantity
 outside the float range, named by the keys behind the first such
 quantity, a `--dx` that does not divide the domain, a snapshot name
-that would overwrite another snapshot of the same run, and a scenario
-that needs more memory than the process can allocate, reported as
-`config error: out of memory:` and numpy's allocation message), 3
+that would overwrite another snapshot of the same run, a mode list
+whose coefficient cross-check fails because the quadrature grid aliases
+it, and a scenario that needs more memory than the process can
+allocate, reported as `config error: out of memory:` and numpy's
+allocation message), 3
 numerical abort (non-finite state).  Data files are byte-reproducible;
 wall-clock information only ever lands in the metadata sidecar.
 """
@@ -244,10 +246,10 @@ def cmd_coeffs(args):
     cfg = _load_scenario(args)
     if _rejected(scenario.validate_coefficients(cfg)):
         return 2
-    out = _out_dir(args)
     basis = cfg.basis()
     coeffs = build_coefficients(basis, sigma=cfg.sigma, beta2=cfg.beta2,
                                 method="quadrature")
+    out = _out_dir(args)
 
     idx = np.asarray(basis.indices, dtype=float)
     fields.write_table(os.path.join(out, "cd_table.dat"),
@@ -410,6 +412,8 @@ def main(argv=None):
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as err:
+        # before ConsistencyError: a mode list the quadrature grid cannot
+        # resolve (UnresolvedModesError) is both, and an input error
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except ConsistencyError as err:

@@ -36,6 +36,7 @@ from .modes import Stratification, build_constant_n_basis, simpson_grid
 __all__ = [
     "CoefficientSet",
     "ConsistencyError",
+    "UnresolvedModesError",
     "dispersion_coeffs",
     "nonlinear_coeffs",
     "nonlinear_coeff_closed_form",
@@ -51,6 +52,50 @@ CONFIRM_RTOL = 0.05
 
 class ConsistencyError(RuntimeError):
     """Quadrature and closed-form coefficient paths disagree."""
+
+
+class UnresolvedModesError(ConsistencyError, ValueError):
+    """The paths disagree on a mode list that the quadrature grid aliases:
+    the check cannot test the closed form there, so the list is an input
+    the quadrature cannot take (a ValueError) rather than a failed
+    check."""
+
+
+def _aliased_triad(indices, q):
+    """The terms (n, +-m, +-k) of the first triad of the mode list whose
+    combination p = n +- m +- k is a nonzero multiple of q, else None.
+    The quadrature's integrands are sums of cos(p pi z / h) over these p,
+    and composite Simpson on an even number q of intervals sums
+    cos(p pi j / q) to its integral, 0, unless p is a nonzero multiple
+    of q.  The modes are Python ints, grouped by their residue mod q, so
+    that the search is O(L^2)."""
+    by_residue = {}
+    for n in indices:
+        by_residue.setdefault(n % q, []).append(n)
+    for m in indices:
+        for k in indices:
+            for terms in ((m, k), (m, -k), (-m, k), (-m, -k)):
+                u = sum(terms)
+                for n in by_residue.get(-u % q, ()):
+                    if n + u != 0:
+                        return (n,) + terms
+    return None
+
+
+def _failed_check(indices, message):
+    """The error a failed cross-check raises: UnresolvedModesError when
+    `simpson_grid` aliases the mode list, else ConsistencyError with
+    `message`."""
+    q = simpson_grid(1.0)[0].size - 1
+    terms = _aliased_triad(indices, q)
+    if terms is None:
+        return ConsistencyError(message)
+    n, m, k = terms
+    return UnresolvedModesError(
+        f"the {q + 1}-node quadrature grid cannot resolve modes "
+        f"{tuple(indices)}: {n} {'-' if m < 0 else '+'} {abs(m)} "
+        f"{'-' if k < 0 else '+'} {abs(k)} = {n + m + k} is a nonzero "
+        f"multiple of its {q} intervals")
 
 
 @dataclass(frozen=True)
@@ -180,7 +225,10 @@ def nonlinear_coeffs(basis, method="closed_form", sigma=1.0):
     resonance and the quadrature of the absolute integrand off it (the
     size its round-off scales with; max|g| is no scale when no triad of
     the mode list resonates), or when an off-resonance entry exceeds
-    1e-12 of that size.  A nan deviation fails either check.
+    1e-12 of that size.  A nan deviation fails either check.  A failed
+    check on a mode list that `simpson_grid` aliases (`_aliased_triad`)
+    raises UnresolvedModesError, which is also a ValueError: there the
+    check cannot test the closed form.
 
     The check runs on the unit tank (N = 1, depth = 1, the same mode
     list) at sigma = 1, and the checked tensor is then scaled as
@@ -208,19 +256,19 @@ def nonlinear_coeffs(basis, method="closed_form", sigma=1.0):
     scale = np.where(exact_zero, np.maximum(size, 1e-300), np.abs(g_closed))
     worst = float(np.max(np.abs(g_quad - g_closed) / scale))
     if not worst <= CONSISTENCY_RTOL:
-        raise ConsistencyError(
+        raise _failed_check(
+            unit.indices,
             f"quadrature/closed-form tensor mismatch: worst relative "
-            f"deviation {worst:.3e} exceeds {CONSISTENCY_RTOL:.0e}"
-        )
+            f"deviation {worst:.3e} exceeds {CONSISTENCY_RTOL:.0e}")
     # off-resonance entries vanish identically; confirm the quadrature
     # only carries round-off there, then return the exact zeros
     stray = np.abs(g_quad[exact_zero]) / scale[exact_zero]
     worst = float(np.max(stray, initial=0.0))
     if not worst <= 1e-12:
-        raise ConsistencyError(
+        raise _failed_check(
+            unit.indices,
             f"off-resonance quadrature entries reach {worst:.3e} of the "
-            f"quadrature of their absolute integrand (limit 1e-12)"
-        )
+            f"quadrature of their absolute integrand (limit 1e-12)")
     g_quad[exact_zero] = 0.0
     g_quad *= _resonance_scale(basis.strat) / _resonance_scale(unit.strat)
     g_quad *= sigma

@@ -20,15 +20,16 @@ picks tau for both: `stable_tau` bounds the round-off growth of the
 grid-scale mode over the run's horizon by a fixed budget.  `advance`
 lands every run on its t_end, in steps no longer than the tau given.
 
-Each stage computes its increment dt * rhs as one matrix product
-(dt K) S of a stage matrix K and stage rows S = [D1; D4; R], with D1
-and D4 the differences across two and four cells and R the triad
-rows.  Each mechanism is told once, in the docstring that owns it: the
-stage layout and the cost of its calls in `_increment_kernel`, the
-forms of the triad block in `_triad_term`, the in-place stepping and
-the replay that names the exact step of an abort in `advance`, and
-ETDRK4 in `semi_discrete_limit`, the tau -> 0 limit that is the
-yardstick of the temporal order study.
+Each stage writes base - dt * rhs, the increment dt * rhs being one
+matrix product (dt K) S of a stage matrix K and stage rows
+S = [D1; D4; R], with D1 and D4 the differences across two and four
+cells and R the triad rows; a single mode folds the base into that
+product.  Each mechanism is told once, in the docstring that owns it:
+the stage layout and the cost of its calls in `_increment_kernel`, the
+forms of the triad block in `_triad_term`, the two state buffers that
+alternate every step and the replay that names the exact step of an
+abort in `advance`, and ETDRK4 in `semi_discrete_limit`, the tau -> 0
+limit that is the yardstick of the temporal order study.
 
 Single-mode periodic runs conserve the discrete mass sum_i theta_i to
 round-off: D0, D3 and theta * D0 theta all telescope on a ring.
@@ -40,6 +41,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -318,66 +320,73 @@ def _triad_term(coeffs, n):
 
 
 def _increment_kernel(coeffs, grid, scheme):
-    """bind(src, base, dt, dest) -> stage: a zero-argument call that
-    writes dest = base - dt (c D0 theta + e D3 theta
-    + sum g theta^m D0 theta^k), per mode, with `scheme`'s e_n and theta
-    the state in columns 2..n+1 of src.  src, base and dest are padded
-    (L, n + 4) C-ordered arrays; `bind` makes every view of src once.
-    With D1 = theta_{i+1} - theta_{i-1}, D4 = theta_{i+2} - theta_{i-2},
-    s0 = 1/2h and s3 = 1/2h^3 the increment is the one product (dt K) S
-    of the stage matrix K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 T],
-    built once and scaled by dt for each binding, and the stage rows
-    S = [D1; D4; R], with T and R the triad term of theta and D1 in the
+    """(pads, bind): the two padded (L, n + 4) C-ordered state buffers
+    that the kernel owns, zero-initialised, and bind(src, base, dt, dest)
+    -> stage, a zero-argument call that writes dest = base - dt (c D0
+    theta + e D3 theta + sum g theta^m D0 theta^k), per mode, with
+    `scheme`'s e_n and theta the state in columns 2..n+1 of src.  base
+    is one of `pads`, dest another padded (L, n + 4) C-ordered array
+    that is not base, and src may be dest; `bind` makes every view of
+    src once.  With D1 = theta_{i+1} - theta_{i-1},
+    D4 = theta_{i+2} - theta_{i-2}, s0 = 1/2h and s3 = 1/2h^3 the
+    increment is the one product (dt K) S of the stage matrix
+    K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 T], built once and scaled
+    by dt for each binding, and the stage rows S = [D1; D4; R], P rows
+    of n + 4 columns, with T and R the triad term of theta and D1 in the
     form `_triad_term` picks.
 
     A stage refreshes src's four ghost columns from their periodic
     sources, writes D1 and D4 each as one difference of the flat src
-    over its entries 2..L(n+4)-3, writes R by the triad term's bound
-    call, takes the product and subtracts the padded increment from the
-    padded base into the padded dest: 7 calls in the dense form, 9 in z.
-    All are numpy calls at L >= 2; at L = 1 the two ghost copies are
-    memoryview copies, so a dense stage is 5 numpy calls plus 2.  At
-    n = 300 a call's fixed cost outweighs its arithmetic, so each is
-    issued the cheap way, on (1, 300) arrays: the output by position
-    (0.4 us a call, 0.8 us as `out=`), the ghost columns at L >= 2 by
-    ndarray `[...]` assignment (0.3 us, 0.6 us by `np.copyto`).  Every
-    stage shares S, the triad term's work buffers and the increment,
-    allocated once and zero-initialised, so the entries no pass writes
-    read 0, and the increment's ghost columns stay 0, so dest's are
-    base's.  A linear system's empty triad block leaves K and S exactly
-    their first 2L columns and rows, as it must: theta^m D1^k overflows
-    while theta is still finite, and 0 * inf is nan.
+    over its entries 2..L(n+4)-3, into the same entries of the flat rows
+    of S, writes R by the triad term's bound call on whole padded rows,
+    and takes the product.  At n = 300 a call's fixed cost outweighs its
+    arithmetic, so each is issued the cheap way, on (1, 300) arrays: the
+    output by position (0.4 us a call, 0.8 us as `out=`), the ghost
+    columns at L >= 2 by ndarray `[...]` assignment (0.3 us, 0.6 us by
+    `np.copyto`).  S, the triad term's work buffers and the
+    increment are allocated once and zero-initialised, so the entries no
+    pass writes read 0.  The ghost columns of S hold junk at L >= 2
+    (differences across the ends of two rows, products of ghost values)
+    and 0 at L = 1, where the flat differences are exactly the n interior
+    entries: harmless either way, since an interior column reads only its
+    own row's columns 0..n+3, refreshed first, and every product works
+    column by column.  dest's ghost columns are base's, as the
+    increment's ghost columns stay 0 (L >= 2) or S's do (L = 1).  A
+    linear system's empty triad block leaves K and S exactly their first
+    2L columns and rows, as it must: theta^m D1^k overflows while theta
+    is still finite, and 0 * inf is nan.
 
-    The layout of S and the product are picked here, from L (2-core
-    Xeon, OpenBLAS 0.3.31 on one thread, medians of 9 rounds):
+    The product is picked here, from L (2-core Xeon, OpenBLAS 0.3.31 on
+    one thread):
 
     L >= 2
-        S holds whole padded rows, (P, n + 4) with P = 2L + T's columns,
-        and the product is `np.matmul` of dt K on S's columns 2..n+1
-        (at a leading dimension of n + 4, with the bits of the (., n)
-        product) into the increment's.  The ghost columns of S hold junk
-        (differences across the ends of two rows, products of ghost
-        values), which is harmless: an interior column reads only its
-        own row's columns 0..n+3, refreshed first, and every product
-        works column by column.  Padded rows keep the gemm fast: packed
-        (P, n) rows take 2.57 against 2.07 us at L = 5, n = 256.
+        One S serves every stage.  The product is `np.matmul` of dt K on
+        S's columns 2..n+1 (at a leading dimension of n + 4, with the
+        bits of the (., n) product) into the increment's, and the stage
+        ends by subtracting the padded increment from the padded base
+        into the padded dest: 7 numpy calls in the dense form, 9 in z.
+        Padded rows keep the gemm fast: packed (P, n) rows take 2.57
+        against 2.07 us at L = 5, n = 256.
     L = 1 (the vector stage)
-        S is a C-contiguous (P, n) array, P = 2 for a linear system and
-        3 otherwise: at L = 1 the flat differences are exactly n long,
-        and R is bound on the interior columns 2..n+1 of src.  The
-        product is one BLAS gemv of dt K[0] and S into the contiguous
-        interior of the increment's row, without `np.matmul`'s gufunc
-        dispatch: a two-stage step at n = 300 took 3.79 against 4.31 us
-        (medians of 9 rounds).  Both operands must be contiguous and
-        exactly n wide.  `np.dot` copies a strided operand, which costs
-        more than the gufunc (1.01 against 0.98 us at n = 300).  Over
-        the full padded width the gemv rounds a column by where it sits
-        in the call: that product's interior differed from `np.matmul`'s
-        in 208 of 578 (P = 2) and 226 of 622 (P = 3) random draws at
-        n = 8..400, where the (P, n) product matched in every draw and
-        at n = 1024, 4096 and 65536.  From n ~ 8192 the gufunc is the
-        faster again (4.9 against 5.3 us there, 9.6 against 11.9 us at
-        16384); no single-mode study runs past n = 4096.
+        Each of `pads` is row 0 of a C-contiguous (1 + P, n + 4) operand
+        whose rows 1..P hold S of every stage based on that buffer, P = 2
+        for a linear system and 3 otherwise.  The product folds the base
+        in: one BLAS gemv writes dest = [1, -dt K[0]] . [base; S] over
+        the padded width straight into dest's row, so that a stage is 4
+        numpy calls plus 2 memoryview copies.  The gemv cannot write over
+        its own operand, hence dest is never base (`advance` steps
+        between the two buffers).  It rounds base + (-dt K[0]) S in its
+        own order, within round-off of base - (dt K[0] S), and it rounds
+        a column by where it sits in the call: only a product over the
+        same padded width keeps its bits.  Against the earlier stage, a
+        gemv of dt K[0] on an n-wide S and then a subtract from the base,
+        and its stepping loop, the census's 14,245 two-stage steps at
+        n = 300 took 47.7, 44.0 and 42.9 against 58.6, 55.8 and 50.6 ms
+        in `advance` (medians of 15 interleaved rounds in each of three
+        runs, faster in all 45).  The fold wins from n = 120 (3.16 against 3.89 us a
+        step) to 4096 (24.7 against 28.5 us) and loses from n ~ 8192
+        (39.2 against 35.5 us, 76.5 against 70.4 us at 16384); no
+        single-mode study runs past n = 576.
 
         Two calls of the vector stage skip numpy overhead that their
         operation does not need (min of 30 interleaved rounds, a Python
@@ -386,16 +395,15 @@ def _increment_kernel(coeffs, grid, scheme):
           `hi[:] = hi_from` on slices of a memoryview of the flat src,
           a pair of 16-byte copies in 123 against 282 ns as ndarray
           `[...]` assignments;
-        - the product is the bound method `(dt K[0]).dot(S, out)`, the
-          C routine `np.dot` reaches, without the Python-level
-          `__array_function__` dispatcher in front of it: 493 against
-          630 ns at n = 300, P = 3, with the same bytes in 2000 of 2000
-          random draws (P = 2..3, n = 8..5000).
-        A two-stage step at n = 300 takes 4.44 against 5.21 us with
-        `np.dot` and ndarray ghost copies (medians of 31 interleaved
-        rounds of 2000 steps in one process, on a host then about 1.4
-        times slower than for the 3.79 us above).  Four traps, each
-        measured:
+        - the product is the bound method `[1, -dt K[0]].dot(operand,
+          out)`, the C routine `np.dot` reaches, without the
+          Python-level `__array_function__` dispatcher in front of it:
+          373 against 503 ns on a (4, 304) operand, with the same
+          bytes in 2000 of 2000 random draws (3..4 rows, n = 8..5000).
+          Both operands and the output must be contiguous, as the
+          stacked rows and a state row are: `np.dot` copies a strided
+          operand.
+        Four traps, each measured:
         1. A memoryview takes no Ellipsis: `m[...] = x` raises
            TypeError and `m[()] = x` NotImplementedError.  For ndarrays
            `[:]` costs more than `[...]` (263 against 151 ns at (1, 2),
@@ -408,7 +416,7 @@ def _increment_kernel(coeffs, grid, scheme):
            threshold; L >= 2 keeps ndarray views.
         3. Each binding makes its own memoryview, of the very flat view
            its differences read, so that both see the same memory: the
-           full stage refreshes the ghosts of `half`, not of `pad`.
+           full stage refreshes the ghosts of its src, not of its base.
            The flat slices never overlap, since `Grid` keeps n >= 8.
         4. The product is bound once per binding as `scaled.dot`:
            `np.dot`, or a `functools.partial` of it, puts the dispatch
@@ -417,33 +425,39 @@ def _increment_kernel(coeffs, grid, scheme):
     L, n = coeffs.n_modes, grid.n_points
     s0, s3 = 0.5 / grid.h_x, 0.5 / grid.h_x**3
     e = _dispersion_coefficient(coeffs, grid, scheme)
-    width = n if L == 1 else n + 4
-    block, bind_triad = _triad_term(coeffs, width)
+    block, bind_triad = _triad_term(coeffs, n + 4)
     stage = np.hstack((np.diag(coeffs.c * s0 - 2.0 * e * s3),
                        np.diag(e * s3), s0 * block))
-    rows = np.zeros((stage.shape[1], width))
-    increment = np.zeros((L, n + 4))
+    P = stage.shape[1]
     subtract, matmul = np.subtract, np.matmul
     if L == 1:
-        stage, used, product_out = stage[0], rows, increment[0, 2:n + 2]
-        diff1, diff4, columns = rows[0], rows[1], slice(2, n + 2)
+        # per buffer, the gemv's operand [state; S]
+        operands = tuple(np.zeros((1 + P, n + 4)) for _ in range(2))
+        pads = tuple(operand[:1] for operand in operands)
     else:
-        used, product_out = rows[:, 2:n + 2], increment[:, 2:n + 2]
-        diff1 = rows[:L].reshape(-1)[2:-2]
-        diff4 = rows[L:2 * L].reshape(-1)[2:-2]
-        columns = slice(None)
+        pads = (np.zeros((L, n + 4)), np.zeros((L, n + 4)))
+        shared = np.zeros((P, n + 4))
+        increment = np.zeros((L, n + 4))
+        used, product_out = shared[:, 2:n + 2], increment[:, 2:n + 2]
 
     def bind(src, base, dt, dest):
+        if L == 1:
+            operand = operands[[pad is base for pad in pads].index(True)]
+            S = operand[1:]
+        else:
+            S = shared
         flat = src.reshape(-1)
         # the entries 3.., 1.., 4.. and 0.. that line up with 2..L(n+4)-3
         p3, p1, p4, p0 = flat[3:-1], flat[1:-3], flat[4:], flat[:-4]
-        triad = bind_triad(src[:, columns], rows[:L], rows[2 * L:])
-        scaled = dt * stage
+        diff1 = S[:L].reshape(-1)[2:-2]
+        diff4 = S[L:2 * L].reshape(-1)[2:-2]
+        triad = bind_triad(src, S[:L], S[2 * L:])
         if L == 1:
             cells = memoryview(flat)
             lo, lo_from = cells[:2], cells[n:n + 2]
             hi, hi_from = cells[n + 2:], cells[2:4]
-            product = scaled.dot
+            product = np.concatenate(([1.0], -dt * stage[0])).dot
+            out = dest.reshape(-1)
 
             def call():
                 lo[:] = lo_from
@@ -451,11 +465,11 @@ def _increment_kernel(coeffs, grid, scheme):
                 subtract(p3, p1, diff1)
                 subtract(p4, p0, diff4)
                 triad()
-                product(used, product_out)
-                subtract(base, increment, dest)
+                product(operand, out)
 
             return call
 
+        scaled = dt * stage
         ghost_lo, wrap_lo = src[:, :2], src[:, n:n + 2]
         ghost_hi, wrap_hi = src[:, n + 2:], src[:, 2:4]
 
@@ -470,7 +484,7 @@ def _increment_kernel(coeffs, grid, scheme):
 
         return call
 
-    return bind
+    return pads, bind
 
 
 def _row_sums(theta, form):
@@ -543,23 +557,27 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
     observers are callables (step_index, state) invoked at step 0,
     every `observe_every` steps (0 = only first/last) and after the
     final step, each with a state of its own (never a view of the
-    buffers stepped in place).  Conserved-quantity series are recorded
+    buffers stepped in).  Conserved-quantity series are recorded
     at the same instants.  On instability raises NonFiniteError
     carrying the step index and the last finite state, with the stage
     that failed named in its cause.  The time after step j < n is
     t0 + j * tau, never a running sum.  Callers pick params.tau with
     `stable_tau`.
 
-    The state steps in place in columns 2..n+1 of a padded (L, n + 4)
-    buffer, through the stages `_increment_kernel` binds once per call:
-    the half and the full step into and out of a padded half-stage
-    buffer (two-stage), or the one-stage step.  Finiteness is checked
-    every `_FINITE_CHECK_EVERY` steps, before every observation and
-    after the last step, and each passing check copies the state into a
-    checkpoint.  A non-finite value stays non-finite through every later
-    stage, so a failed check means the first bad stage lies after the
-    checkpoint: the same stages replay from it, each followed by a check
-    of its destination, which names the exact step and stage.
+    The state lives in columns 2..n+1 of the two padded (L, n + 4)
+    buffers that `_increment_kernel` owns, and each step writes it from
+    one into the other, through the stages that the kernel binds once
+    per call: after j steps it is in buffer j % 2.  A two-stage step
+    writes its half stage into the other buffer and then its full stage
+    over it there, which the full stage's product does not read; a
+    one-stage step writes its one stage into the other buffer.
+    Finiteness is checked every `_FINITE_CHECK_EVERY` steps, before
+    every observation and after the last step, and each passing check
+    copies the state into a checkpoint.  A non-finite value stays
+    non-finite through every later stage, so a failed check means the
+    first bad stage lies after the checkpoint: the same stages replay
+    from it, each followed by a check of its destination, which names
+    the exact step and stage.
     """
     _check_span(state, coeffs, grid, t_end)
     if observe_every < 0:
@@ -571,26 +589,28 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
     if t0 + n_steps * tau != t_end:
         tau = (t_end - t0) / n_steps
     L, n = state.theta.shape
-    bind = _increment_kernel(coeffs, grid, params.scheme)
-    pad = np.empty((L, n + 4))
-    theta = pad[:, 2:n + 2]        # the state, advanced in place
-    theta[...] = state.theta
-    # (stage, its padded destination, name): every stage is based on the
-    # padded theta
-    if params.scheme == TWO_STAGE:
-        half = np.empty((L, n + 4))
-        stages = ((bind(pad, pad, tau / 2.0, half), half, "half step"),
-                  (bind(half, pad, tau, pad), pad, "full step"))
-    else:
-        stages = ((bind(pad, pad, tau, pad), pad, "one-stage step"),)
-    calls = tuple(stage for stage, _, _ in stages)
+    pads, bind = _increment_kernel(coeffs, grid, params.scheme)
+    thetas = tuple(pad[:, 2:n + 2] for pad in pads)  # by parity of the step
+    thetas[0][...] = state.theta
+    # per parity, the step's (stage, its padded destination, name), from
+    # the state in buffer `a` into buffer `b`
+    steps = []
+    for a, b in (pads, pads[::-1]):
+        if params.scheme == TWO_STAGE:
+            steps.append(((bind(a, a, tau / 2.0, b), b, "half step"),
+                          (bind(b, a, tau, b), b, "full step")))
+        else:
+            steps.append(((bind(a, a, tau, b), b, "one-stage step"),))
+    per_step = len(steps[0])
+    calls = tuple(stage for step in steps for stage, _, _ in step)
 
-    def checked_step():
-        """One step in place: the name of the first stage that produced
-        non-finite values, else None.  A stage's destination keeps the
-        ghost columns of its base, copied from the finite state the step
-        started from, so all of it is finite where its state is."""
-        for stage, dest, what in stages:
+    def checked_step(j):
+        """Step j + 1, from the state after j steps: the name of the
+        first stage that produced non-finite values, else None.  A
+        stage's destination keeps the ghost columns of its base, copied
+        from the finite state the step started from, so all of it is
+        finite where its state is."""
+        for stage, dest, what in steps[j % 2]:
             stage()
             if not np.isfinite(dest).all():
                 return what
@@ -603,7 +623,7 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
     report = RunReport(scheme=params.scheme, tau=tau)
 
     def observe(j):
-        snap = at_step(j, theta)
+        snap = at_step(j, thetas[j % 2])
         report.times.append(snap.time)
         report.mass.append(mass_per_mode(snap, grid))
         report.l2.append(l2_per_mode(snap, grid))
@@ -612,21 +632,24 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
 
     started = time.perf_counter()
     observe(0)
-    checkpoint, checked = theta.copy(), 0
+    checkpoint, checked = thetas[0].copy(), 0
     while checked < n_steps:
         stop = min(checked + _FINITE_CHECK_EVERY, n_steps)
         if observe_every:
             stop = min(stop, (checked // observe_every + 1) * observe_every)
+        # the stages of steps checked + 1..stop, one flat run through the
+        # cycle of both parities' stages
+        first = checked % 2 * per_step
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(checked, stop):
-                for stage in calls:
-                    stage()
-        if not np.isfinite(theta).all():
-            theta[...] = checkpoint
+            for stage in islice(cycle(calls), first,
+                                first + (stop - checked) * per_step):
+                stage()
+        if not np.isfinite(thetas[stop % 2]).all():
+            thetas[checked % 2][...] = checkpoint
             with np.errstate(over="ignore", invalid="ignore"):
                 for failed in range(checked + 1, stop + 1):
-                    checkpoint[...] = theta
-                    what = checked_step()
+                    checkpoint[...] = thetas[(failed - 1) % 2]
+                    what = checked_step(failed - 1)
                     if what:
                         break
             last = at_step(failed - 1, checkpoint)
@@ -635,13 +658,13 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
                 step=failed,
                 last_state=last,
             ) from NonFiniteError(f"{what} produced non-finite values")
-        checkpoint[...] = theta
+        checkpoint[...] = thetas[stop % 2]
         checked = stop
         if stop == n_steps or (observe_every and stop % observe_every == 0):
             observe(stop)
     report.steps = n_steps
     report.wall_time = time.perf_counter() - started
-    return at_step(n_steps, theta), report
+    return at_step(n_steps, thetas[n_steps % 2]), report
 
 
 def _phi_weights(z):

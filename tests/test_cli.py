@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import wavetank.cli as cli
-from wavetank import verification
+from wavetank import coefficients, verification
 from wavetank.cli import main
 from wavetank.coefficients import ConsistencyError
 from wavetank.fields import read_state_file
@@ -396,6 +396,40 @@ class TestCoeffs:
         assert len(err) == 1
         assert err[0].startswith(f"config error: {field}")
         assert not (outdir / "bad").exists()
+
+    @pytest.mark.parametrize("modes, combination", [
+        ("1023,1025,2048", "2048 + 1023 - 1023 = 2048"),
+        ("512,1024,1536", "1024 + 512 + 512 = 2048")])
+    def test_list_the_quadrature_grid_aliases_exits_2(self, outdir, capsys,
+                                                      modes, combination):
+        # some n +- m +- k is a nonzero multiple of the grid's 1024
+        # intervals, so the cross-check fails on a closed form it cannot
+        # test: that was exit 1, "check failure"
+        assert run_cli("coeffs", "--modes", modes, "--out", str(outdir),
+                       "--run-id", "al") == 2
+        listed = modes.replace(",", ", ")
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: the 1025-node quadrature grid cannot resolve "
+            f"modes ({listed}): {combination} is a nonzero multiple of its "
+            f"1024 intervals"]
+        assert not (outdir / "al").exists()
+
+    def test_mismatch_on_a_list_the_grid_resolves_exits_1(self, outdir,
+                                                          capsys,
+                                                          monkeypatch):
+        quadrature = coefficients._tensor_quadrature
+
+        def off_by_a_percent(basis, sigma):
+            g, size = quadrature(basis, sigma)
+            return 1.01 * g, size
+
+        monkeypatch.setattr(coefficients, "_tensor_quadrature",
+                            off_by_a_percent)
+        assert run_cli("coeffs", "--out", str(outdir), "--run-id", "off") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "check failure: quadrature/closed-form tensor mismatch")
 
     def test_paddle_and_grid_rules_do_not_apply(self, outdir):
         # a pulse far below the grid spacing stops `run`, not the tables

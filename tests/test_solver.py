@@ -624,12 +624,11 @@ class TestMassProperty:
 
 def bound_increment(pad, coeffs, grid, scheme, dt):
     """The padded increment dt rhs of the state in columns 2..n+1 of
-    `pad`, from one stage bound with a zero base: it writes 0 - inc,
-    which negates inc exactly."""
-    dest = np.empty_like(pad)
-    _increment_kernel(coeffs, grid, scheme)(pad, np.zeros_like(pad), dt,
-                                            dest)()
-    return -dest
+    `pad`, from one stage bound on the kernel's zero-initialised first
+    buffer as its base: it writes 0 - inc, which negates inc exactly."""
+    pads, bind = _increment_kernel(coeffs, grid, scheme)
+    bind(pad, pads[0], dt, pads[1])()
+    return -pads[1]
 
 
 def kernel_increment(theta, coeffs, grid, scheme, dt):
@@ -640,15 +639,14 @@ def kernel_increment(theta, coeffs, grid, scheme, dt):
     return bound_increment(pad, coeffs, grid, scheme, dt)[:, 2:n + 2]
 
 
-def reference_increment(theta, coeffs, grid, e, dt):
-    """dt times the right-hand side with fresh arrays for every
-    intermediate: the stage matrix K = [diag(c s0 - 2 e s3) | diag(e s3)
-    | s0 T] and the stage rows S = [D1; D4; R] built from a padded copy,
-    and the one product (dt K) S, in the form `solver._triad_in_z` picks,
-    as in the in-place kernel: T = g and R the pair rows
-    theta^m D1 theta^k (dense), or T the analysis matrix and R = A'B - CD
-    of the synthesised rows (product in z).  At g = 0 only the first 2L
-    columns of K and rows of S enter."""
+def reference_operands(theta, coeffs, grid, e):
+    """The stage matrix K = [diag(c s0 - 2 e s3) | diag(e s3) | s0 T] and
+    the stage rows S = [D1; D4; R] with fresh arrays for every
+    intermediate, built from a padded copy, in the form
+    `solver._triad_in_z` picks, as in the in-place kernel: T = g and R
+    the pair rows theta^m D1 theta^k (dense), or T the analysis matrix
+    and R = A'B - CD of the synthesised rows (product in z).  At g = 0
+    only the first 2L columns of K and rows of S enter."""
     s0, s3 = 0.5 / grid.h_x, 0.5 / grid.h_x**3
     L, n = theta.shape
     pad = np.concatenate((theta[:, -2:], theta, theta[:, :2]), axis=1)
@@ -666,23 +664,51 @@ def reference_increment(theta, coeffs, grid, e, dt):
     elif coeffs.g.any():
         blocks.append(s0 * coeffs.g.reshape(L, L * L))
         rows.append((theta[:, None, :] * diff1[None, :, :]).reshape(L * L, n))
-    return (dt * np.hstack(blocks)) @ np.concatenate(rows)
+    return np.hstack(blocks), np.concatenate(rows)
+
+
+def reference_increment(theta, coeffs, grid, e, dt):
+    """dt times the right-hand side, as the in-place kernel forms it: the
+    one product (dt K) S of `reference_operands`.  A single mode's
+    kernel folds its base into that product (`reference_stage`); on a
+    zero base it negates the increment exactly, and so it is taken
+    here."""
+    if theta.shape[0] == 1:
+        return -reference_stage(np.zeros_like(theta), theta, coeffs, grid,
+                                e, dt)
+    stage, rows = reference_operands(theta, coeffs, grid, e)
+    return (dt * stage) @ rows
+
+
+def reference_stage(base, theta, coeffs, grid, e, dt):
+    """base - dt rhs(theta), as the in-place kernel forms it:
+    base - (dt K) S for several modes, and for a single mode the one
+    product [1, -dt K[0]] . [base; S] over the padded width n + 4, the
+    ghost columns of its rows 0, with its interior taken."""
+    L, n = theta.shape
+    if L > 1:
+        return base - reference_increment(theta, coeffs, grid, e, dt)
+    stage, rows = reference_operands(theta, coeffs, grid, e)
+    operand = np.zeros((1 + rows.shape[0], n + 4))
+    operand[0, 2:n + 2] = base
+    operand[1:, 2:n + 2] = rows
+    product = np.dot(np.concatenate(([1.0], -dt * stage[0])), operand)
+    return product[None, 2:n + 2]
 
 
 def reference_trajectory(theta, coeffs, grid, tau, scheme, steps):
     """theta after 0..steps steps, one stage at a time:
-    theta <- theta - inc_tau(theta - inc_tau/2(theta)) (two-stage) or
-    theta <- theta - inc_tau(theta) (one-stage), inc_dt the fused
-    increment dt rhs."""
+    theta <- stage(theta, stage(theta, theta, tau/2), tau) (two-stage)
+    or theta <- stage(theta, theta, tau) (one-stage), stage(base, u, dt)
+    the fused base - dt rhs(u) of `reference_stage`."""
     e = _dispersion_coefficient(coeffs, grid, scheme)
     out = [theta]
     for _ in range(steps):
         if scheme == TWO_STAGE:
-            half = theta - reference_increment(theta, coeffs, grid, e,
-                                               tau / 2.0)
-            theta = theta - reference_increment(half, coeffs, grid, e, tau)
+            half = reference_stage(theta, theta, coeffs, grid, e, tau / 2.0)
+            theta = reference_stage(theta, half, coeffs, grid, e, tau)
         else:
-            theta = theta - reference_increment(theta, coeffs, grid, e, tau)
+            theta = reference_stage(theta, theta, coeffs, grid, e, tau)
         out.append(theta)
     return out
 
@@ -902,28 +928,58 @@ class TestInPlaceKernel:
 
     def test_no_buffer_aliasing(self):
         # snapshots and the returned state are copies, never views of the
-        # buffers the kernel goes on writing
-        coeffs = tank_coefficients((1, 2, 3))
+        # buffers the kernel goes on writing.  The state alternates
+        # between two buffers, so the single mode's odd interval and odd
+        # step count take snapshots, and the result, from both
         grid = Grid(h_x=0.5 / 32, n_points=32)
         x = 2.0 * np.pi * np.arange(32) / 32
-        theta = np.array([np.sin(x), 0.5 * np.cos(2 * x), 0.2 * np.sin(3 * x)])
-        state = ModeState(0.0, theta.copy())
-        params = SchemeParams(finite_tau(coeffs, grid, TWO_STAGE, theta))
-        kept = []
-        final, _ = advance(state, coeffs, grid, params, 250 * params.tau,
-                           observers=[lambda j, s: kept.append((j, s))],
-                           observe_every=60)
-        assert [j for j, _ in kept] == [0, 60, 120, 180, 240, 250]
-        assert np.array_equal(state.theta, theta)
-        for j, snap in kept:
-            alone, _ = advance(state, coeffs, grid, params, j * params.tau)
-            assert np.array_equal(snap.theta, alone.theta)
-            assert snap.time == alone.time
-            assert not np.shares_memory(snap.theta, final.theta)
-        for (_, a), (_, b) in zip(kept, kept[1:]):
-            assert not np.shares_memory(a.theta, b.theta)
-            assert not np.array_equal(a.theta, b.theta)
-        assert np.array_equal(final.theta, kept[-1][1].theta)
+        cases = [
+            ((1, 2, 3), [np.sin(x), 0.5 * np.cos(2 * x), 0.2 * np.sin(3 * x)],
+             60, 250, [0, 60, 120, 180, 240, 250]),
+            ("kdv", [np.sin(x)], 61, 251, [0, 61, 122, 183, 244, 251])]
+        for case, rows, every, steps, expected in cases:
+            coeffs = kernel_coefficients(case)
+            theta = np.array(rows)
+            state = ModeState(0.0, theta.copy())
+            params = SchemeParams(finite_tau(coeffs, grid, TWO_STAGE, theta))
+            kept = []
+            final, _ = advance(state, coeffs, grid, params,
+                               steps * params.tau,
+                               observers=[lambda j, s: kept.append((j, s))],
+                               observe_every=every)
+            assert [j for j, _ in kept] == expected
+            assert np.array_equal(state.theta, theta)
+            for j, snap in kept:
+                alone, _ = advance(state, coeffs, grid, params,
+                                   j * params.tau)
+                assert np.array_equal(snap.theta, alone.theta)
+                assert snap.time == alone.time
+                assert not np.shares_memory(snap.theta, final.theta)
+            for (_, a), (_, b) in zip(kept, kept[1:]):
+                assert not np.shares_memory(a.theta, b.theta)
+                assert not np.array_equal(a.theta, b.theta)
+            assert np.array_equal(final.theta, kept[-1][1].theta)
+
+    @pytest.mark.parametrize("scheme", [TWO_STAGE, ONE_STAGE])
+    def test_single_mode_tracks_the_textbook_step_over_a_long_horizon(
+            self, scheme):
+        # 1001 steps, an odd count, end in the second of the alternating
+        # buffers, each step read from ghost columns refreshed in its own
+        # buffer.  The state moves by 0.93 (two-stage) and 0.11
+        # (one-stage) of max|theta|, so a stale ghost column or a lost
+        # last step would read some 1e-4 of it away; the fold into one
+        # gemv reads 3.5e-15 and 4.1e-15
+        coeffs = kernel_coefficients("kdv")
+        n, steps = 16, 1001
+        grid = Grid(h_x=0.5 / n, n_points=n)
+        theta = np.random.default_rng(11).standard_normal((1, n))
+        tau = finite_tau(coeffs, grid, scheme, theta)
+        final, report = advance(ModeState(0.0, theta), coeffs, grid,
+                                SchemeParams(tau, scheme), steps * tau)
+        ref = textbook_trajectory(theta, coeffs, grid, tau, scheme, steps)
+        assert report.steps == steps
+        assert (np.max(np.abs(final.theta - ref))
+                <= 1e-13 * np.max(np.abs(ref)))
 
 
 @pytest.fixture(scope="module")
