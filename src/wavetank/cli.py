@@ -165,12 +165,14 @@ def cmd_run(args):
     cfg = _load_scenario(args)
     if _rejected(scenario.validate(cfg)):
         return 2
-    out = _out_dir(args)
-    _write(os.path.join(out, "config.cfg"), scenario.serialize_config(cfg))
-
+    # the run's arrays before its output: a scenario too large for memory
+    # leaves no output directory
     basis = cfg.basis()
     coeffs = build_coefficients(basis, sigma=cfg.sigma, beta2=cfg.beta2)
     state, projection = scenario.build_initial_state(cfg, basis)
+    out = _out_dir(args)
+    _write(os.path.join(out, "config.cfg"), scenario.serialize_config(cfg))
+
     limit = stable_tau(coeffs, cfg.grid, cfg.scheme.scheme, cfg.t_end)
     if cfg.scheme.tau > limit:
         warnings.warn(
@@ -283,10 +285,10 @@ def cmd_converge(args):
         # reduced horizon keeps the command interactive; the acceptance
         # suite runs the full 100-transit study through the library
         report = verification.measure_spatial_convergence(n_transits=40)
-        window = (1.8, 2.2)
+        window = verification.SECOND_ORDER_WINDOW
     else:
         report = verification.measure_temporal_convergence()
-        window = (0.8, 1.2)
+        window = verification.FIRST_ORDER_WINDOW
     _write(os.path.join(out, f"convergence_{report.kind}_{args.scheme}.dat"),
            report.to_text())
     order = report.fitted_order
@@ -346,7 +348,8 @@ def cmd_verify(args):
 
     pair = verification.integrable_pair_check()
     order = pair.convergence.fitted_order
-    checks.append(("coupled travelling pair order in [1.8, 2.2], "
+    lo, hi = verification.SECOND_ORDER_WINDOW
+    checks.append((f"coupled travelling pair order in [{lo}, {hi}], "
                    "reversal <= 2x forward error", pair.ok,
                    f"order {None if order is None else round(order, 3)} "
                    f"reversal {pair.reversal_error:.3e} "

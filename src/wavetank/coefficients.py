@@ -154,24 +154,38 @@ def nonlinear_coeff_closed_form(basis, n, m, k, sigma=1.0):
     return sigma * val
 
 
-def _tensor_closed_form(basis, sigma):
-    """The whole tensor from the resonance rule, bit-identical to
-    `nonlinear_coeff_closed_form` entry by entry: each (m, k) pair is
-    placed on its sum branch n = m + k and its difference branch
+def _closed_form_triads(basis):
+    """((a, b, c), values): the positions [n, m, k] in the mode list of
+    each triad on a branch of the resonance rule, and its value
+    K m (3k +- m) / n at sigma = 1: O(L^2) numbers.  Each (m, k) pair
+    lies on its sum branch n = m + k and its difference branch
     n = |m - k| when that n is in the mode list (mode numbers are
     distinct and >= 1, so the two branches never meet and n = 0 never
-    occurs)."""
+    occurs); the sum branch's triads come first."""
     idx = np.asarray(basis.indices)
     L = idx.size
     kappa = _resonance_scale(basis.strat)
     order = np.argsort(idx)
     b, c_ = np.indices((L, L))
     m, k = idx[b], idx[c_]
-    g = np.zeros((L, L, L))
+    positions, values = [], []
     for n, weight in ((m + k, 3 * k + m), (np.abs(m - k), 3 * k - m)):
         a = order[np.searchsorted(idx, n, sorter=order).clip(max=L - 1)]
         hit = idx[a] == n
-        g[a[hit], b[hit], c_[hit]] = kappa * m[hit] * weight[hit] / n[hit]
+        positions.append((a[hit], b[hit], c_[hit]))
+        values.append(kappa * m[hit] * weight[hit] / n[hit])
+    return (tuple(map(np.concatenate, zip(*positions))),
+            np.concatenate(values))
+
+
+def _tensor_closed_form(basis, sigma):
+    """The whole tensor from the resonance rule, its triads
+    (`_closed_form_triads`) scattered into zeros and scaled by sigma:
+    bit-identical to `nonlinear_coeff_closed_form` entry by entry."""
+    L = basis.n_modes
+    positions, values = _closed_form_triads(basis)
+    g = np.zeros((L, L, L))
+    g[positions] = values
     g *= sigma
     return g
 

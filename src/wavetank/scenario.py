@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reference_tables as ref
-from .coefficients import _resonance_scale, build_coefficients
+from .coefficients import (_closed_form_triads, _resonance_scale,
+                           dispersion_coeffs)
 from .fields import FMT
 from .modes import Stratification, build_constant_n_basis, project_profile
 from .solver import Grid, ModeState, SchemeParams, TWO_STAGE
@@ -200,19 +201,23 @@ def _mode_rules(cfg):
 
 def _system_rows(cfg):
     """The range table's rows for the coefficient tables: (keys,
-    quantity, nonzero, form), each quantity formed by the code a run
-    forms it with, in the order the run forms them."""
+    quantity, nonzero, form), each quantity formed by the products a run
+    forms it with, in the order the run forms them.  sigma g is its
+    closed-form triad values times sigma, the only entries of the dense
+    tensor that are not 0 * sigma (0, for the finite sigma the table
+    sees), so that the pre-flight holds O(L^2) numbers, never the
+    O(L^3) tensor."""
     strat = ("stratification.N", "stratification.depth")
     basis = functools.cache(cfg.basis)
-    coeffs = functools.cache(lambda: build_coefficients(
-        basis(), sigma=cfg.sigma, beta2=cfg.beta2))
     return [
         (strat, "the mode amplitude", True, lambda: basis().amplitudes),
         (strat, "the phase speed", True, lambda: basis().speeds),
         (strat, "the coupling scale", True,
          lambda: _resonance_scale(cfg.strat)),
-        (strat + ("beta2",), "beta2 d", False, lambda: coeffs().d),
-        (strat + ("sigma",), "sigma g", False, lambda: coeffs().g),
+        (strat + ("beta2",), "beta2 d", False,
+         lambda: cfg.beta2 * dispersion_coeffs(basis())),
+        (strat + ("sigma",), "sigma g", False,
+         lambda: _closed_form_triads(basis())[1] * cfg.sigma),
     ]
 
 

@@ -340,24 +340,26 @@ def _increment_kernel(coeffs, grid, scheme):
     over its entries 2..L(n+4)-3, into the same entries of the flat rows
     of S, writes R by the triad term's bound call on whole padded rows,
     and takes the product.  At n = 300 a call's fixed cost outweighs its
-    arithmetic, so each is issued the cheap way, on (1, 300) arrays: the
-    output by position (0.4 us a call, 0.8 us as `out=`), the ghost
-    columns at L >= 2 by ndarray `[...]` assignment (0.3 us, 0.6 us by
-    `np.copyto`).  S, the triad term's work buffers and the
-    increment are allocated once and zero-initialised, so the entries no
-    pass writes read 0.  The ghost columns of S hold junk at L >= 2
-    (differences across the ends of two rows, products of ghost values)
-    and 0 at L = 1, where the flat differences are exactly the n interior
-    entries: harmless either way, since an interior column reads only its
-    own row's columns 0..n+3, refreshed first, and every product works
-    column by column.  dest's ghost columns are base's, as the
-    increment's ghost columns stay 0 (L >= 2) or S's do (L = 1).  A
-    linear system's empty triad block leaves K and S exactly their first
-    2L columns and rows, as it must: theta^m D1^k overflows while theta
-    is still finite, and 0 * inf is nan.
+    arithmetic, so each is issued the cheap way: the output by position,
+    not as `out=`, and the ghost columns at L >= 2 by ndarray `[...]`
+    assignment, not `np.copyto`, each about half the cost.  S, the
+    triad term's work buffers and the increment are allocated once and
+    zero-initialised, so the entries no pass writes read 0.  The ghost
+    columns of S hold junk at L >= 2 (differences across the ends of two
+    rows, products of ghost values) and 0 at L = 1, where the flat
+    differences are exactly the n interior entries: harmless either way,
+    since an interior column reads only its own row's columns 0..n+3,
+    refreshed first, and every product works column by column.  dest's
+    ghost columns are base's, as the increment's ghost columns stay 0
+    (L >= 2) or S's do (L = 1).  A linear system's empty triad block
+    leaves K and S exactly their first 2L columns and rows, as it must:
+    theta^m D1^k overflows while theta is still finite, and 0 * inf is
+    nan.
 
-    The product is picked here, from L (2-core Xeon, OpenBLAS 0.3.31 on
-    one thread):
+    The product is picked here, from L.  The timings behind each choice
+    are in BENCH_pr31.json and BENCH_pr34.json; the L = 32 ones below
+    were taken the same way (2-core Xeon, OpenBLAS 0.3.31 on one
+    thread, medians of interleaved rounds).
 
     L >= 2
         One S serves every stage.  The product is `np.matmul` of dt K on
@@ -365,8 +367,16 @@ def _increment_kernel(coeffs, grid, scheme):
         bits of the (., n) product) into the increment's, and the stage
         ends by subtracting the padded increment from the padded base
         into the padded dest: 7 numpy calls in the dense form, 9 in z.
-        Padded rows keep the gemm fast: packed (P, n) rows take 2.57
-        against 2.07 us at L = 5, n = 256.
+        Padded rows keep the gemm fast.  The base is not folded into
+        the product as at L = 1: its identity block costs L
+        multiply-adds an entry where the subtract costs one.  At L = 32,
+        n = 256 the folded (32 x 146) (146 x 260) product took 59 us
+        against 37 us for this (32 x 114) product and its subtract, and
+        the folded stage took 316-326 against 269-275 us a step in
+        `advance` on a 32-mode tank, faster in 0-1 of 31 interleaved
+        rounds.  At L = 5 it was faster in 24-31 of 31, but a threshold
+        in L would take a third stage layout, and the fold moves the
+        bits of L >= 2 at round-off.
     L = 1 (the vector stage)
         Each of `pads` is row 0 of a C-contiguous (1 + P, n + 4) operand
         whose rows 1..P hold S of every stage based on that buffer, P = 2
@@ -378,36 +388,26 @@ def _increment_kernel(coeffs, grid, scheme):
         between the two buffers).  It rounds base + (-dt K[0]) S in its
         own order, within round-off of base - (dt K[0] S), and it rounds
         a column by where it sits in the call: only a product over the
-        same padded width keeps its bits.  Against the earlier stage, a
-        gemv of dt K[0] on an n-wide S and then a subtract from the base,
-        and its stepping loop, the census's 14,245 two-stage steps at
-        n = 300 took 47.7, 44.0 and 42.9 against 58.6, 55.8 and 50.6 ms
-        in `advance` (medians of 15 interleaved rounds in each of three
-        runs, faster in all 45).  The fold wins from n = 120 (3.16 against 3.89 us a
-        step) to 4096 (24.7 against 28.5 us) and loses from n ~ 8192
-        (39.2 against 35.5 us, 76.5 against 70.4 us at 16384); no
-        single-mode study runs past n = 576.
+        same padded width keeps its bits.  It beats a gemv and then a
+        subtract at every n a single-mode study runs (up to 576) and
+        loses from n ~ 8192.
 
         Two calls of the vector stage skip numpy overhead that their
-        operation does not need (min of 30 interleaved rounds, a Python
-        call included):
+        operation does not need:
         - the ghost columns are refreshed as `lo[:] = lo_from` and
           `hi[:] = hi_from` on slices of a memoryview of the flat src,
-          a pair of 16-byte copies in 123 against 282 ns as ndarray
-          `[...]` assignments;
+          a pair of 16-byte copies at less than half the cost of
+          ndarray `[...]` assignments;
         - the product is the bound method `[1, -dt K[0]].dot(operand,
           out)`, the C routine `np.dot` reaches, without the
-          Python-level `__array_function__` dispatcher in front of it:
-          373 against 503 ns on a (4, 304) operand, with the same
-          bytes in 2000 of 2000 random draws (3..4 rows, n = 8..5000).
-          Both operands and the output must be contiguous, as the
-          stacked rows and a state row are: `np.dot` copies a strided
-          operand.
+          Python-level `__array_function__` dispatcher in front of it,
+          with the same bytes as `np.dot`.  Both operands and the
+          output must be contiguous, as the stacked rows and a state
+          row are: `np.dot` copies a strided operand.
         Four traps, each measured:
         1. A memoryview takes no Ellipsis: `m[...] = x` raises
            TypeError and `m[()] = x` NotImplementedError.  For ndarrays
-           `[:]` costs more than `[...]` (263 against 151 ns at (1, 2),
-           514 against 409 ns at (5, 2)), so one body shared with
+           `[:]` costs more than `[...]`, so one body shared with
            L >= 2 would slow it.
         2. A memoryview has no multi-dimensional sub-views, so L >= 2
            would need 2L row copies.  They beat the two ndarray copies

@@ -81,6 +81,11 @@ SPATIAL_TAU_CAP_FRACTION = 0.02
 TEMPORAL_LIMIT_RTOL = 1e-6
 # A crest is a local maximum at or above this share of its row's maximum
 CREST_FLOOR = 0.05
+# The windows a fitted order must lie in: a second-order study (the
+# two-stage scheme in h, the coupled pair) and a first-order one (the
+# one-stage scheme in tau)
+SECOND_ORDER_WINDOW = (1.8, 2.2)
+FIRST_ORDER_WINDOW = (0.8, 1.2)
 
 
 # -- the exact travelling wave -------------------------------------------------
@@ -555,7 +560,7 @@ class PairCheckReport:
 
     @property
     def ok(self):
-        return (self.convergence.order_within(1.8, 2.2)
+        return (self.convergence.order_within(*SECOND_ORDER_WINDOW)
                 and self.reversal_error <= 2.0 * self.forward_error)
 
 

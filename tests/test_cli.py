@@ -339,6 +339,21 @@ class TestRun:
         assert err.startswith("config error:") and "0.501" in err
         assert not (outdir / "dx").exists()
 
+    def test_default_run_builds_one_dense_tensor(self, outdir, monkeypatch):
+        # the pre-flight reads the closed-form triads, so the run's own
+        # coefficient set is its one dense tensor; a pre-flight that
+        # built it would add one for each of validate's two calls
+        calls = []
+        build = coefficients._tensor_closed_form
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(coefficients, "_tensor_closed_form", counted)
+        assert run_cli("run", "--out", str(outdir), "--run-id", "one") == 0
+        assert len(calls) == 1
+
     def test_state_files_readable(self, outdir):
         assert run_cli("run", "--t-end", "0.001", "--out", str(outdir),
                        "--run-id", "rd") == 0
@@ -472,11 +487,13 @@ class TestOutOfMemory:
 
     CAP = 3 << 30
 
-    def run_capped(self, outdir, *argv):
+    def run_capped(self, outdir, *argv, cap_bytes=CAP):
+        """The CLI in a subprocess whose address space is capped at
+        cap_bytes, or not capped when cap_bytes is None."""
         resource = pytest.importorskip("resource")
 
         def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (self.CAP, self.CAP))
+            resource.setrlimit(resource.RLIMIT_AS, (cap_bytes, cap_bytes))
 
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
@@ -485,8 +502,8 @@ class TestOutOfMemory:
         return subprocess.run(
             [sys.executable, "-m", "wavetank.cli", *argv,
              "--out", str(outdir), "--run-id", "oom"],
-            preexec_fn=cap, env=env, capture_output=True, text=True,
-            timeout=300)
+            preexec_fn=None if cap_bytes is None else cap, env=env,
+            capture_output=True, text=True, timeout=300)
 
     def assert_one_line(self, done, size):
         assert done.returncode == 2, done.stderr
@@ -503,10 +520,33 @@ class TestOutOfMemory:
         self.assert_one_line(done, "38.1 GiB")
 
     def test_coefficient_tensor_in_the_preflight(self, outdir):
-        # the dense (1500, 1500, 1500) tensor that validate builds
+        # the dense (1500, 1500, 1500) tensor that the run builds, before
+        # it makes its output directory
         modes = ",".join(str(m) for m in range(1, 1501))
         done = self.run_capped(outdir, "run", "--modes", modes)
         self.assert_one_line(done, "25.1 GiB")
+        assert not (outdir / "oom").exists()
+
+    def test_400_modes_run_in_1_gib(self, outdir):
+        # the run builds its one dense (400, 400, 400) tensor, 488 MiB,
+        # and peaks at 680 MB of address space; a pre-flight that built
+        # its own copies would take the run past 1 GiB
+        argv = ("run", "--modes", ",".join(map(str, range(1, 401))),
+                "--t-end", "4e-5", "--dt", "1e-5")
+        capped, free = outdir / "capped" / "oom", outdir / "free" / "oom"
+        done = self.run_capped(capped.parent, *argv, cap_bytes=1 << 30)
+        assert done.returncode == 0, done.stderr
+        done = self.run_capped(free.parent, *argv, cap_bytes=None)
+        assert done.returncode == 0, done.stderr
+        # the same data bytes; the sidecar holds the wall time
+        data = sorted(f.name for f in capped.iterdir()
+                      if not f.name.endswith("_meta.txt"))
+        assert data == sorted(f.name for f in free.iterdir()
+                              if not f.name.endswith("_meta.txt"))
+        # config, two snapshots, 400 mode files, the field and its section
+        assert len(data) == 1 + 2 + 400 + 2
+        for name in data:
+            assert (capped / name).read_bytes() == (free / name).read_bytes(), name
 
 
 class TestFissionCommand:

@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from wavetank.scenario import (
     parse_modes,
     serialize_config,
     validate,
+    validate_coefficients,
 )
 from wavetank.solver import Grid, ONE_STAGE, SchemeParams, TWO_STAGE
 from dataclasses import replace
@@ -122,6 +124,22 @@ class TestValidate:
         bad = replace(cfg, paddle=replace(cfg.paddle, l=cfg.grid.h_x))
         with pytest.raises(ValueError):
             build_initial_state(bad)
+
+    @pytest.mark.parametrize("check", [validate, validate_coefficients])
+    def test_preflight_holds_no_dense_tensor(self, check):
+        # the sigma g row reads the closed-form triads, about 1.5 L^2
+        # numbers: a peak of 24.5 MB measured on modes 1..400, where the
+        # dense (400, 400, 400) tensor alone is 512 MB (a pre-flight that
+        # builds it peaks at 576 MB)
+        cfg = replace(mcewan_default(), modes=tuple(range(1, 401)))
+        assert check(cfg) == []   # warm imports and caches
+        tracemalloc.start()
+        try:
+            assert check(cfg) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
 
 class TestInitialState:
