@@ -128,8 +128,13 @@ def mcewan_default():
     a, l, b are qualitative defaults (pulse one tenth of the tank,
     vertical structure confined to the paddle region, stream-function
     amplitude of order 1e-4 m^2/s).  tau = 4e-5 s lies below the
-    solver's `stable_tau` for this horizon (4.9e-5 s); a run continued
-    at it goes non-finite in the half stage of step 4427 (t = 0.1771 s).
+    solver's `stable_tau` for this horizon (4.9e-5 s).  Continued at
+    it, a run goes non-finite where round-off sets: over a horizon of
+    4500 tau (0.18000000000000002 in floating point, so tau stays
+    exact) in the half stage of step 4427, while `wavetank run
+    --t-end 0.18` spans 0.18 with a tau one rounding away and goes
+    non-finite in the full stage of step 4463 (last finite states at
+    t = 0.17704 and 0.17848 s).
     """
     strat = Stratification(N=ref.MCEWAN_N, depth=ref.MCEWAN_DEPTH)
     paddle = PaddleProfile(a=4e-4, l=0.05, b=40.0, z0=strat.depth / 2.0)

@@ -335,62 +335,68 @@ def _increment_kernel(coeffs, grid, scheme):
     of n + 4 columns, with T and R the triad term of theta and D1 in the
     form `_triad_term` picks.
 
-    A stage refreshes src's four ghost columns from their periodic
-    sources, writes D1 and D4 each as one difference of the flat src
-    over its entries 2..L(n+4)-3, into the same entries of the flat rows
-    of S, writes R by the triad term's bound call on whole padded rows,
-    and takes the product.  At n = 300 a call's fixed cost outweighs its
-    arithmetic, so each is issued the cheap way: the output by position,
-    not as `out=`, and the ghost columns at L >= 2 by ndarray `[...]`
-    assignment, not `np.copyto`, each about half the cost.  S, the
-    triad term's work buffers and the increment are allocated once and
-    zero-initialised, so the entries no pass writes read 0.  The ghost
-    columns of S hold junk at L >= 2 (differences across the ends of two
-    rows, products of ghost values) and 0 at L = 1, where the flat
-    differences are exactly the n interior entries: harmless either way,
-    since an interior column reads only its own row's columns 0..n+3,
-    refreshed first, and every product works column by column.  dest's
-    ghost columns are base's, as the increment's ghost columns stay 0
-    (L >= 2) or S's do (L = 1).  A linear system's empty triad block
-    leaves K and S exactly their first 2L columns and rows, as it must:
-    theta^m D1^k overflows while theta is still finite, and 0 * inf is
-    nan.
+    One layout serves every L.  Each of `pads` is rows 0..L-1 of a
+    C-contiguous (L + P, n + 4) operand [state; S], whose rows L.. hold
+    S of every stage based on that buffer: both stages of a two-stage
+    step write theirs into the operand of the state the step started
+    from.  A stage refreshes src's four ghost columns from their
+    periodic sources, writes D1 and D4 each as one difference of the
+    flat src over its entries 2..L(n+4)-3, into the same entries of the
+    flat rows of S, writes R by the triad term's bound call on whole
+    padded rows, and takes the product.  At n = 300 a call's fixed cost
+    outweighs its arithmetic, so each is issued the cheap way: the
+    output by position, not as `out=`, and the ghost columns at L >= 2
+    by ndarray `[...]` assignment, not `np.copyto`, each about half the
+    cost.  The operands and the triad term's work buffers are allocated
+    once and zero-initialised, so the entries no pass writes read 0.
+    The ghost columns of S hold junk at L >= 2 (differences across the
+    ends of two rows, products of ghost values) and 0 at L = 1, where
+    the flat differences are exactly the n interior entries: harmless
+    either way, since an interior column reads only its own row's
+    columns 0..n+3, refreshed first, and every product works column by
+    column.  A linear system's empty triad block leaves K and S exactly
+    their first 2L columns and rows, as it must: theta^m D1^k overflows
+    while theta is still finite, and 0 * inf is nan.
 
-    The product is picked here, from L.  The timings behind each choice
-    are in BENCH_pr31.json and BENCH_pr34.json; the L = 32 ones below
-    were taken the same way (2-core Xeon, OpenBLAS 0.3.31 on one
-    thread, medians of interleaved rounds).
+    Only the stage body depends on L: its product and its ghost copy.
+    The timings behind each choice are in BENCH_pr31.json and
+    BENCH_pr34.json; the L = 32 ones below were taken the same way
+    (2-core Xeon, OpenBLAS 0.3.31 on one thread, medians of interleaved
+    rounds).
 
     L >= 2
-        One S serves every stage.  The product is `np.matmul` of dt K on
-        S's columns 2..n+1 (at a leading dimension of n + 4, with the
-        bits of the (., n) product) into the increment's, and the stage
-        ends by subtracting the padded increment from the padded base
-        into the padded dest: 7 numpy calls in the dense form, 9 in z.
-        Padded rows keep the gemm fast.  The base is not folded into
-        the product as at L = 1: its identity block costs L
+        The product is `np.matmul` of dt K on S's columns 2..n+1 (at a
+        leading dimension of n + 4, with the bits of the (., n) product)
+        straight into dest's, and the stage ends with
+        `subtract(base, dest, dest)` over the whole padded rows: 7 numpy
+        calls in the dense form, 9 in z.  Padded rows keep the gemm and
+        the subtract fast: at L = 5, n = 256 the in-place subtract over
+        whole rows took 0.58-0.98 us, one from a separate increment
+        buffer 0.63-1.10 us and one on the interiors alone 2.6-3.5 us
+        (medians of three runs of 31 interleaved rounds).  dest's ghost
+        columns are left junk, base's ghost columns minus dest's old
+        ones, up to about 3 max|theta|, until a stage that reads dest
+        refreshes them.  The base is not folded
+        into the product as at L = 1: its identity block costs L
         multiply-adds an entry where the subtract costs one.  At L = 32,
         n = 256 the folded (32 x 146) (146 x 260) product took 59 us
         against 37 us for this (32 x 114) product and its subtract, and
         the folded stage took 316-326 against 269-275 us a step in
         `advance` on a 32-mode tank, faster in 0-1 of 31 interleaved
         rounds.  At L = 5 it was faster in 24-31 of 31, but a threshold
-        in L would take a third stage layout, and the fold moves the
-        bits of L >= 2 at round-off.
+        in L would take a second product at L >= 2, and the fold moves
+        the bits of L >= 2 at round-off.
     L = 1 (the vector stage)
-        Each of `pads` is row 0 of a C-contiguous (1 + P, n + 4) operand
-        whose rows 1..P hold S of every stage based on that buffer, P = 2
-        for a linear system and 3 otherwise.  The product folds the base
-        in: one BLAS gemv writes dest = [1, -dt K[0]] . [base; S] over
-        the padded width straight into dest's row, so that a stage is 4
-        numpy calls plus 2 memoryview copies.  The gemv cannot write over
-        its own operand, hence dest is never base (`advance` steps
-        between the two buffers).  It rounds base + (-dt K[0]) S in its
-        own order, within round-off of base - (dt K[0] S), and it rounds
-        a column by where it sits in the call: only a product over the
-        same padded width keeps its bits.  It beats a gemv and then a
-        subtract at every n a single-mode study runs (up to 576) and
-        loses from n ~ 8192.
+        S is P = 2 rows for a linear system and 3 otherwise.  The
+        product folds the base in: one BLAS gemv writes
+        dest = [1, -dt K[0]] . [base; S] over the padded width straight
+        into dest's row, so that a stage is 4 numpy calls plus 2
+        memoryview copies, and dest's ghost columns are base's, as S's
+        stay 0.  It rounds base + (-dt K[0]) S in its own order, within
+        round-off of base - (dt K[0] S), and it rounds a column by where
+        it sits in the call: only a product over the same padded width
+        keeps its bits.  It beats a gemv and then a subtract at every n
+        a single-mode study runs (up to 576) and loses from n ~ 8192.
 
         Two calls of the vector stage skip numpy overhead that their
         operation does not need:
@@ -402,8 +408,8 @@ def _increment_kernel(coeffs, grid, scheme):
           out)`, the C routine `np.dot` reaches, without the
           Python-level `__array_function__` dispatcher in front of it,
           with the same bytes as `np.dot`.  Both operands and the
-          output must be contiguous, as the stacked rows and a state
-          row are: `np.dot` copies a strided operand.
+          output must be contiguous, as the operand and a state row
+          are: `np.dot` copies a strided operand.
         Four traps, each measured:
         1. A memoryview takes no Ellipsis: `m[...] = x` raises
            TypeError and `m[()] = x` NotImplementedError.  For ndarrays
@@ -421,6 +427,10 @@ def _increment_kernel(coeffs, grid, scheme):
         4. The product is bound once per binding as `scaled.dot`:
            `np.dot`, or a `functools.partial` of it, puts the dispatch
            or an indirection back.
+
+    The gemv cannot write over its own operand, and at L >= 2 the
+    product would overwrite the base that the subtract then reads, hence
+    dest is never base (`advance` steps between the two buffers).
     """
     L, n = coeffs.n_modes, grid.n_points
     s0, s3 = 0.5 / grid.h_x, 0.5 / grid.h_x**3
@@ -430,22 +440,13 @@ def _increment_kernel(coeffs, grid, scheme):
                        np.diag(e * s3), s0 * block))
     P = stage.shape[1]
     subtract, matmul = np.subtract, np.matmul
-    if L == 1:
-        # per buffer, the gemv's operand [state; S]
-        operands = tuple(np.zeros((1 + P, n + 4)) for _ in range(2))
-        pads = tuple(operand[:1] for operand in operands)
-    else:
-        pads = (np.zeros((L, n + 4)), np.zeros((L, n + 4)))
-        shared = np.zeros((P, n + 4))
-        increment = np.zeros((L, n + 4))
-        used, product_out = shared[:, 2:n + 2], increment[:, 2:n + 2]
+    # per buffer, the operand [state; S]
+    operands = tuple(np.zeros((L + P, n + 4)) for _ in range(2))
+    pads = tuple(operand[:L] for operand in operands)
 
     def bind(src, base, dt, dest):
-        if L == 1:
-            operand = operands[[pad is base for pad in pads].index(True)]
-            S = operand[1:]
-        else:
-            S = shared
+        operand = operands[[pad is base for pad in pads].index(True)]
+        S = operand[L:]
         flat = src.reshape(-1)
         # the entries 3.., 1.., 4.. and 0.. that line up with 2..L(n+4)-3
         p3, p1, p4, p0 = flat[3:-1], flat[1:-3], flat[4:], flat[:-4]
@@ -470,6 +471,7 @@ def _increment_kernel(coeffs, grid, scheme):
             return call
 
         scaled = dt * stage
+        columns, out = S[:, 2:n + 2], dest[:, 2:n + 2]
         ghost_lo, wrap_lo = src[:, :2], src[:, n:n + 2]
         ghost_hi, wrap_hi = src[:, n + 2:], src[:, 2:4]
 
@@ -479,8 +481,8 @@ def _increment_kernel(coeffs, grid, scheme):
             subtract(p3, p1, diff1)
             subtract(p4, p0, diff4)
             triad()
-            matmul(scaled, used, product_out)
-            subtract(base, increment, dest)
+            matmul(scaled, columns, out)
+            subtract(base, dest, dest)
 
         return call
 
@@ -576,8 +578,8 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
     copies the state into a checkpoint.  A non-finite value stays
     non-finite through every later stage, so a failed check means the
     first bad stage lies after the checkpoint: the same stages replay
-    from it, each followed by a check of its destination, which names
-    the exact step and stage.
+    from it, each followed by a check of its destination's state
+    columns, which names the exact step and stage.
     """
     _check_span(state, coeffs, grid, t_end)
     if observe_every < 0:
@@ -606,13 +608,15 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
 
     def checked_step(j):
         """Step j + 1, from the state after j steps: the name of the
-        first stage that produced non-finite values, else None.  A
-        stage's destination keeps the ghost columns of its base, copied
-        from the finite state the step started from, so all of it is
-        finite where its state is."""
+        first stage that produced non-finite values, else None.  It
+        checks the state columns 2..n+1 of a stage's destination, the
+        cells the periodic check reads through `thetas`, and not its
+        ghost columns: from L = 2 on they hold junk of up to about
+        3 max|theta| (`_increment_kernel`), which can overflow while the
+        state is still finite and so name a step before the real one."""
         for stage, dest, what in steps[j % 2]:
             stage()
-            if not np.isfinite(dest).all():
+            if not np.isfinite(dest[:, 2:n + 2]).all():
                 return what
         return None
 

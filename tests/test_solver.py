@@ -886,9 +886,10 @@ class TestInPlaceKernel:
     def test_stage_reads_no_ghost_column_before_refreshing_it(self, case,
                                                               scheme):
         # every pass of a stage runs over whole padded rows, so the ghost
-        # columns of S and of the increment hold junk; with the input's
-        # ghost columns NaN, a pass that read one before the stage
-        # refreshed it would carry NaN into the interior
+        # columns of S hold junk, and from L = 2 on those of the stage's
+        # destination too; with the input's ghost columns NaN, a pass
+        # that read one before the stage refreshed it would carry NaN
+        # into the interior
         coeffs = kernel_coefficients(case)
         L, n = coeffs.n_modes, 16
         grid = Grid(h_x=0.5 / n, n_points=n)
@@ -905,9 +906,12 @@ class TestInPlaceKernel:
         assert np.isfinite(padded).all()
 
     def test_two_stage_work_buffers_are_shared(self):
-        # both stages share one set of work buffers of the product in z,
-        # S and the two (2(P + 1), n + 4) sampled rows: a second set would
-        # take the peak past 1.5 sets and the eight state-sized arrays
+        # each state buffer heads its own operand [state; S], and both
+        # stages of a step read the S of the buffer the step starts from;
+        # they share one set of the product in z's work buffers, the two
+        # (2(P + 1), n + 4) sampled rows.  The two S and one set of rows
+        # come to 1.36 `work`; a set of rows for each stage would take
+        # the peak past 1.5 `work` and the eight state-sized arrays
         L, n = 32, 256
         coeffs = tank_coefficients(tuple(range(2, 2 * L + 1, 2)))
         assert solver._triad_in_z(coeffs)
@@ -1004,6 +1008,30 @@ def test_z_form_tracks_the_dense_trajectory(mcewan_tank, monkeypatch):
     assert report.steps == 500
     assert (np.max(np.abs(in_z.theta - dense.theta))
             <= 1e-13 * np.max(np.abs(dense.theta)))
+
+
+@pytest.mark.parametrize("form, modes", [
+    ("dense", mcewan_default().modes), ("z", tuple(range(2, 21, 2)))],
+    ids=["dense", "z"])
+def test_several_modes_keep_the_per_stage_bits_over_a_long_horizon(form,
+                                                                   modes):
+    # from L = 2 on a stage leaves junk in its destination's ghost
+    # columns, a different junk every step, and the next stage must
+    # refresh them before any pass reads them.  1001 two-stage steps of
+    # the McEwan tank, an odd count that ends in the second buffer,
+    # equal the per-stage reference bit for bit
+    cfg = replace(mcewan_default(), modes=modes)
+    basis = cfg.basis()
+    coeffs = build_coefficients(basis, sigma=cfg.sigma, beta2=cfg.beta2)
+    assert solver._triad_in_z(coeffs) == (form == "z")
+    state, _ = build_initial_state(cfg, basis)
+    tau, steps = cfg.scheme.tau, 1001
+    final, report = advance(state, coeffs, cfg.grid, cfg.scheme,
+                            state.time + steps * tau)
+    ref = reference_trajectory(state.theta, coeffs, cfg.grid, tau,
+                               TWO_STAGE, steps)
+    assert report.steps == steps
+    assert np.array_equal(final.theta, ref[steps])
 
 
 def test_mcewan_tank_lies_on_its_semi_discrete_limit(mcewan_tank):
