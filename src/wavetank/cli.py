@@ -5,14 +5,14 @@ Subcommands: run | coeffs | converge | verify | fission.  Exit codes:
 2 usage/config error (including a config file the parser cannot read,
 a non-finite scenario value, a finite scenario with a derived quantity
 outside the float range, named by the keys behind the first such
-quantity, a `--dx` that does not divide the domain, a snapshot name
-that would overwrite another snapshot of the same run, a mode list
-whose coefficient cross-check fails because the quadrature grid aliases
-it, and a scenario that needs more memory than the process can
-allocate, reported as `config error: out of memory:` and numpy's
-allocation message), 3
-numerical abort (non-finite state).  Data files are byte-reproducible;
-wall-clock information only ever lands in the metadata sidecar.
+quantity, a `--dx` that does not divide the domain, a mode list whose
+coefficient cross-check fails because the quadrature grid aliases it,
+and a scenario that needs more memory than the process can allocate,
+reported as `config error: out of memory:` and numpy's allocation
+message), 3 numerical abort (non-finite state).  Data files are
+byte-reproducible; wall-clock information only ever lands in the
+metadata sidecar.  A rerun of `run` replaces the earlier run's files in
+its output directory.
 """
 
 from __future__ import annotations
@@ -171,6 +171,10 @@ def cmd_run(args):
     coeffs = build_coefficients(basis, sigma=cfg.sigma, beta2=cfg.beta2)
     state, projection = scenario.build_initial_state(cfg, basis)
     out = _out_dir(args)
+    # a rerun replaces the earlier run's files rather than mixing with them
+    for name in os.listdir(out):
+        if name == "config.cfg" or name.startswith(args.run_id + "_"):
+            os.remove(os.path.join(out, name))
     _write(os.path.join(out, "config.cfg"), scenario.serialize_config(cfg))
 
     limit = stable_tau(coeffs, cfg.grid, cfg.scheme.scheme, cfg.t_end)
@@ -183,15 +187,10 @@ def cmd_run(args):
         )
 
     last_step = step_count(state.time, cfg.t_end, cfg.scheme.tau)
-    written = {}
 
     def snapshot(step, st):
+        # `advance` observes each step at most once, so no name repeats
         name = fields.state_filename(args.run_id, step, last_step)
-        if name in written:  # would overwrite an earlier snapshot
-            raise FileExistsError(
-                f"snapshot {name} of step {step} would overwrite the one "
-                f"of step {written[name]}")
-        written[name] = step
         fields.write_state_file(os.path.join(out, name), st, cfg.grid,
                                 cfg.scheme.scheme, step)
 

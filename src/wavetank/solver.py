@@ -558,8 +558,10 @@ def advance(state, coeffs, grid, params, t_end, observers=(), observe_every=0):
 
     observers are callables (step_index, state) invoked at step 0,
     every `observe_every` steps (0 = only first/last) and after the
-    final step, each with a state of its own (never a view of the
-    buffers stepped in).  Conserved-quantity series are recorded
+    final step, each step at most once, in increasing order, and each
+    with a state of its own (never a view of the buffers stepped in).
+    A run of no steps (t_end equal to state.time) observes step 0
+    alone.  Conserved-quantity series are recorded
     at the same instants.  On instability raises NonFiniteError
     carrying the step index and the last finite state, with the stage
     that failed named in its cause.  The time after step j < n is

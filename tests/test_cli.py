@@ -317,19 +317,32 @@ class TestRun:
             t, _, _ = read_state_file(d / name)
             assert t == j * 1e-7
 
-    def test_snapshot_name_collision_exits_2(self, outdir, capsys,
-                                             monkeypatch):
-        def observe_twice(state, coeffs, grid, params, t_end, observers=(),
-                          observe_every=0):
-            for obs in observers:
-                obs(0, state)
-                obs(0, state)
-        monkeypatch.setattr(cli, "advance", observe_twice)
+    def test_rerun_replaces_the_earlier_run(self, outdir):
+        # a shorter rerun into the same directory kept the first run's
+        # later snapshots and its t = 0.02 field, mode and section files
+        # next to its own: 27 files, and a _meta.txt of the second run
+        assert run_cli("run", "--out", str(outdir / "a"), "--run-id", "r") == 0
+        (outdir / "a" / "r" / "notes.txt").write_text("kept\n")
+        for root in ("a", "fresh"):
+            assert run_cli("run", "--t-end", "0.01", "--out",
+                           str(outdir / root), "--run-id", "r") == 0
+        rerun = sorted(os.listdir(outdir / "a" / "r"))
+        fresh = sorted(os.listdir(outdir / "fresh" / "r"))
+        assert len(fresh) == 15
+        assert rerun == sorted(fresh + ["notes.txt"])
+        for name in fresh:
+            if not name.endswith("_meta.txt"):
+                assert ((outdir / "a" / "r" / name).read_bytes()
+                        == (outdir / "fresh" / "r" / name).read_bytes()), name
+
+    def test_rejected_rerun_keeps_the_earlier_run(self, outdir):
         assert run_cli("run", "--t-end", "0", "--out", str(outdir),
-                       "--run-id", "twice") == 2
-        err = capsys.readouterr().err
-        assert "twice_step0_state.dat" in err and "overwrite" in err
-        assert "Traceback" not in err
+                       "--run-id", "keep") == 0
+        before = sorted(os.listdir(outdir / "keep"))
+        # the pre-flight rejects the rerun before anything is removed
+        assert run_cli("run", "--t-end=inf", "--out", str(outdir),
+                       "--run-id", "keep") == 2
+        assert sorted(os.listdir(outdir / "keep")) == before
 
     def test_dx_must_divide_the_domain(self, outdir, capsys):
         # 0.5 m / 0.003 m is 166.67 cells; rounding ran a 0.501 m tank
@@ -338,6 +351,25 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "0.501" in err
         assert not (outdir / "dx").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--dx", "-1"), "config error: --dx must be positive, got -1"),
+        (("--snapshot-every", "-1"),
+         "config error: snapshot_every: must be >= 0, got -1")])
+    def test_negative_flag_exits_2(self, outdir, capsys, flags, message):
+        assert run_cli("run", *flags, "--t-end", "0", "--out", str(outdir),
+                       "--run-id", "neg") == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not (outdir / "neg").exists()
+
+    def test_scheme_flag_overrides(self, outdir):
+        assert run_cli("run", "--scheme", "one-stage", "--t-end", "0",
+                       "--out", str(outdir), "--run-id", "one") == 0
+        d = outdir / "one"
+        assert "scheme = one-stage" in (d / "config.cfg").read_text().splitlines()
+        assert "scheme = one-stage" in (d / "one_meta.txt").read_text().splitlines()
+        [state] = [f for f in os.listdir(d) if f.endswith("_state.dat")]
+        assert (d / state).read_text().splitlines()[2] == "# scheme = one-stage"
 
     def test_default_run_builds_one_dense_tensor(self, outdir, monkeypatch):
         # the pre-flight reads the closed-form triads, so the run's own

@@ -246,6 +246,23 @@ class TestReconciliation:
         text = reconcile_with_reference(coeffs).to_text()
         assert "CONFIRMED" in text and "DISCREPANT" in text
 
+    def test_zero_g_mismatches_every_nonzero_reference_entry(self, basis):
+        # sigma = 0 makes every computed g read zero
+        report = reconcile_with_reference(build_coefficients(basis, sigma=0.0))
+        nonzero = [(n, m, k) for n in MODES
+                   for j, m in enumerate(MODES) for l, k in enumerate(MODES)
+                   if ref.REFERENCE_G[n][j][l] != 0]
+        assert not report.mask_matches
+        assert [mm[:3] for mm in report.mask_mismatches] == nonzero
+        assert all(mm[3] == 0.0 for mm in report.mask_mismatches)
+        lines = report.to_text().splitlines()
+        assert "# zero/nonzero mask matches reference: False" in lines
+        n, m, k, _, refv = report.mask_mismatches[0]
+        assert (f"# mask mismatch at g[{n}][{m},{k}]: computed 0 vs "
+                f"reference {refv:.6g}") in lines
+        assert sum(line.startswith("# mask mismatch") for line in lines) \
+            == len(nonzero)
+
     def test_rejects_wrong_mode_list(self):
         b = build_constant_n_basis(MCEWAN, (1, 2))
         with pytest.raises(ValueError):

@@ -486,13 +486,24 @@ class TestAdvance:
         assert np.all(np.isfinite(err.value.last_state.theta))
 
     def test_observers_called_at_intervals(self):
+        # each step at most once, in increasing order: snapshot names by
+        # step index rest on it
         grid = Grid(h_x=0.1, n_points=128)
         state, coeffs, _ = soliton_state(grid)
-        seen = []
-        advance(state, coeffs, grid, SchemeParams(tau=1e-4),
-                10 * 1e-4, observers=[lambda s, st: seen.append(s)],
-                observe_every=2)
-        assert seen == [0, 2, 4, 6, 8, 10]
+        for scheme in (TWO_STAGE, ONE_STAGE):
+            for n_steps, every, expected in (
+                    (10, 2, [0, 2, 4, 6, 8, 10]),
+                    (10, 3, [0, 3, 6, 9, 10]),
+                    (10, 0, [0, 10]),
+                    (10, 25, [0, 10]),
+                    (0, 2, [0])):
+                seen = []
+                _, report = advance(
+                    state, coeffs, grid, SchemeParams(1e-4, scheme),
+                    n_steps * 1e-4, observers=[lambda s, st: seen.append(s)],
+                    observe_every=every)
+                assert seen == expected, (scheme, n_steps, every)
+                assert report.times == [j * 1e-4 for j in expected]
 
     def test_rejects_negative_observe_every(self):
         grid = Grid(h_x=0.05, n_points=64)

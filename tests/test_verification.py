@@ -5,9 +5,11 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from wavetank import solver, verification
+from wavetank.coefficients import CoefficientSet
 from wavetank.solver import (
     Grid,
     ModeState,
+    ONE_STAGE,
     RunReport,
     SchemeParams,
     TWO_STAGE,
@@ -20,6 +22,8 @@ from wavetank.solver import (
 from wavetank.verification import (
     build_traveling_pair,
     canonical_pulse_strength,
+    _convergence_study,
+    _count_crests,
     conservation_audit,
     fission_census,
     fit_order,
@@ -139,6 +143,23 @@ class TestConvergence:
     def test_fit_residual_flags_non_powerlaw(self):
         p, resid = fit_order([0.1, 0.05, 0.025], [1.0, 0.9, 0.1])
         assert resid > 0.1
+
+    def test_non_finite_level_is_kept_out_of_the_fit(self):
+        # 8 stable_tau goes non-finite at step 14 of 67: that level is
+        # kept as unstable, and two stable levels are too few for a fit
+        orc = kdv_soliton_oracle(c=0.0, g=6.0, d=1.0, amplitude=2.0,
+                                 x0=8.0, domain=16.0)
+        grid = orc.grid(8)
+        horizon = 0.25
+        tau0 = stable_tau(orc.coeffs, grid, TWO_STAGE, horizon)
+        rep = _convergence_study("temporal", TWO_STAGE, orc,
+                                 [(grid, 8 * tau0), (grid, tau0),
+                                  (grid, tau0 / 2)], horizon)
+        assert [lv.stable for lv in rep.levels] == [False, True, True]
+        bad = rep.levels[0]
+        assert bad.n_steps == 0 and np.isnan(bad.norm)
+        assert rep.fitted_order is rep.fit_residual is None
+        assert not rep.asymptotic and not rep.order_within(0.0, 10.0)
 
     @pytest.mark.slow
     def test_reduced_horizon_spatial_order(self):
@@ -360,6 +381,10 @@ class TestFission:
         with pytest.raises(ValueError):
             fission_census(pair.coeffs, 1.0, 1.0, 0.1)
 
+    @pytest.mark.parametrize("row", [np.zeros(16), -np.ones(16)])
+    def test_no_positive_value_has_no_crest(self, row):
+        assert _count_crests(row) == (0, ())
+
 
 class TestTravelingPair:
     def test_construction_satisfies_constraints(self):
@@ -419,7 +444,6 @@ class TestTravelingPair:
         # zero the cross terms and give each mode its own soliton
         g = np.zeros((2, 2, 2))
         g[0, 0, 0], g[1, 1, 1] = 3.0, 2.0
-        from wavetank.coefficients import CoefficientSet
         coeffs = CoefficientSet(mode_indices=(1, 2),
                                 c=np.array([1.0, 0.8]),
                                 d=np.array([0.1, 0.05]), g=g)
@@ -467,3 +491,101 @@ def test_every_study_steps_within_stable_tau_onto_its_end(monkeypatch,
     assert len(runs) == 3 + 3 + 1 + 5
     for tau, limit in runs:
         assert tau <= limit
+
+
+# -- the integrable case: the census pulse as the KdV two-soliton ------------
+
+def hirota_two_soliton(x, t):
+    """The two-soliton of u_t + 6 u u_x + u_xxx = 0 that the census
+    pulse 6 sech^2 x starts (Hirota, Phys. Rev. Lett. 27, 1192, 1971):
+    amplitudes 8 and 2, speeds 16 and 4."""
+    return (12.0 * (3.0 + 4.0 * np.cosh(2.0 * x - 8.0 * t)
+                    + np.cosh(4.0 * x - 64.0 * t))
+            / (3.0 * np.cosh(x - 28.0 * t) + np.cosh(3.0 * x - 36.0 * t)) ** 2)
+
+
+def centred_ring(widths, points_per_width):
+    """Ring of `widths` unit widths centred on x = 0."""
+    n = widths * points_per_width
+    return Grid(h_x=widths / n, n_points=n, x0=-widths / 2.0)
+
+
+def census_pulse(grid):
+    return 6.0 / np.cosh(grid.x) ** 2
+
+
+class TestIntegrableCase:
+    """The abstract's test "by means of explicit solutions for integrable
+    case of the system", at L = 1 and L = 2.  The single-mode equation
+    with (c, g, d, w) = (0, 6, 1, 1) is canonical KdV."""
+
+    # max|error| / max|u| of two-stage `advance` at stable_tau to T = 0.25
+    # on a 64-width ring, measured at 8, 16 and 32 points per width (535,
+    # 8,556 and 136,881 steps)
+    HIROTA_ERRORS = {8: 8.94e-2, 16: 2.16e-2, 32: 5.32e-3}
+    T = 0.25
+
+    def hirota_error(self, points_per_width):
+        coeffs = single_mode_coefficients(0.0, 6.0, 1.0)
+        grid = centred_ring(64, points_per_width)
+        tau = stable_tau(coeffs, grid, TWO_STAGE, self.T)
+        final, _ = advance(ModeState(0.0, census_pulse(grid)[None, :]),
+                           coeffs, grid, SchemeParams(tau), self.T)
+        exact = hirota_two_soliton(grid.x, final.time)
+        return float(np.max(np.abs(final.theta[0] - exact))
+                     / np.max(np.abs(exact)))
+
+    def test_closed_form_starts_as_the_census_pulse(self):
+        grid = centred_ring(64, 8)
+        np.testing.assert_allclose(hirota_two_soliton(grid.x, 0.0),
+                                   census_pulse(grid), rtol=0, atol=1e-14)
+
+    def check_level(self, coarse, fine):
+        errors = {ppw: self.hirota_error(ppw) for ppw in (coarse, fine)}
+        for ppw, error in errors.items():
+            assert error == pytest.approx(self.HIROTA_ERRORS[ppw], rel=0.05)
+        # second order in h at stable_tau (tau ~ h^4)
+        assert 2**1.8 <= errors[coarse] / errors[fine] <= 2**2.2
+
+    def test_census_pulse_is_hirotas_two_soliton(self):
+        # 8 -> 16 points per width: 4.14, order 2.05
+        self.check_level(8, 16)
+
+    @pytest.mark.slow
+    def test_census_pulse_order_holds_at_32_points_per_width(self):
+        # 16 -> 32 points per width: 4.06, order 2.02
+        self.check_level(16, 32)
+
+    @pytest.mark.parametrize("points_per_width", [8, 16])
+    @pytest.mark.parametrize("scheme", [TWO_STAGE, ONE_STAGE])
+    def test_coupled_pair_reduces_to_one_mode(self, scheme,
+                                              points_per_width):
+        # equal c and d, and a g with sum_{m,k} g^n_{m,k} A_m A_k = 6 A_n:
+        # theta^n = A_n u solves the system for every KdV solution u, and
+        # every discrete stage maps A_n u_h to A_n times the L = 1 stage.
+        # Measured, as a share of max|theta|: 5.4e-14 and 8.2e-13
+        # (two-stage, 63 and 1,001 steps), 6.5e-13 and 4.4e-12 (one-stage,
+        # 222 and 14,155 steps).  This g has no closed form, so the run
+        # takes the dense pair rows.
+        A = np.array([1.0, 0.8])
+        g = np.array([[[2.0, 0.9], [0.9, 4.0]],
+                      [[0.5, 1.7], [1.7, 2.46875]]])   # rows m, columns k
+        np.testing.assert_allclose(np.einsum("nmk,m,k->n", g, A, A),
+                                   6.0 * A, rtol=1e-15)
+        pair = CoefficientSet(mode_indices=(1, 2), c=np.zeros(2),
+                              d=np.ones(2), g=g)
+        one = single_mode_coefficients(0.0, 6.0, 1.0)
+        grid = centred_ring(40, points_per_width)
+        t_end = 0.05
+        tau = stable_tau(pair, grid, scheme, t_end)
+        assert tau == stable_tau(one, grid, scheme, t_end)
+        u = census_pulse(grid)
+        coupled, _ = advance(ModeState(0.0, A[:, None] * u), pair, grid,
+                             SchemeParams(tau, scheme), t_end)
+        single, _ = advance(ModeState(0.0, u[None, :]), one, grid,
+                            SchemeParams(tau, scheme), t_end)
+        scale = np.max(np.abs(coupled.theta))
+        assert np.max(np.abs(coupled.theta - A[:, None] * single.theta)) \
+            <= 1e-10 * scale
+        # the pulse has moved: the bound is not met by standing still
+        assert np.max(np.abs(single.theta[0] - u)) > 0.1 * scale
