@@ -11,8 +11,8 @@ and a scenario that needs more memory than the process can allocate,
 reported as `config error: out of memory:` and numpy's allocation
 message), 3 numerical abort (non-finite state).  Data files are
 byte-reproducible; wall-clock information only ever lands in the
-metadata sidecar.  A rerun of `run` replaces the earlier run's files in
-its output directory.
+metadata sidecar.  A rerun of `run` or `coeffs` replaces the earlier
+run's files in its output directory.
 """
 
 from __future__ import annotations
@@ -175,7 +175,8 @@ def cmd_run(args):
     for name in os.listdir(out):
         if name == "config.cfg" or name.startswith(args.run_id + "_"):
             os.remove(os.path.join(out, name))
-    _write(os.path.join(out, "config.cfg"), scenario.serialize_config(cfg))
+    config_text = scenario.serialize_config(cfg)
+    _write(os.path.join(out, "config.cfg"), config_text)
 
     limit = stable_tau(coeffs, cfg.grid, cfg.scheme.scheme, cfg.t_end)
     if cfg.scheme.tau > limit:
@@ -233,8 +234,7 @@ def cmd_run(args):
         + (FMT % projection.residual_fraction),
         "resolved config:",
     ]
-    meta.extend("  " + line for line in
-                scenario.serialize_config(cfg).splitlines())
+    meta.extend("  " + line for line in config_text.splitlines())
     meta.append("conserved series (time, mass per mode, l2 per mode):")
     fields.write_table(os.path.join(out, f"{args.run_id}_meta.txt"), meta,
                        np.column_stack([report.times, report.mass, report.l2]))
@@ -251,6 +251,10 @@ def cmd_coeffs(args):
     coeffs = build_coefficients(basis, sigma=cfg.sigma, beta2=cfg.beta2,
                                 method="quadrature")
     out = _out_dir(args)
+    # a rerun replaces the earlier run's tables rather than mixing with them
+    for name in os.listdir(out):
+        if name in ("cd_table.dat", "g_tensor.dat", "reconciliation.dat"):
+            os.remove(os.path.join(out, name))
 
     idx = np.asarray(basis.indices, dtype=float)
     fields.write_table(os.path.join(out, "cd_table.dat"),

@@ -358,13 +358,19 @@ _FORMATS = {float: FMT.__mod__, tuple: lambda modes: ",".join(map(str, modes))}
 _CONVERTERS = {tuple: parse_modes}
 
 
-def serialize_config(cfg):
-    """Render a ScenarioConfig as the sectioned key = value text format."""
+def _sections(cfg):
+    """{section: {key: text}} of a ScenarioConfig, each value as its
+    config file writes it."""
     out = {}
     for section, key, _, _, get, kind in _ROWS:
         out.setdefault(section, {})[key] = _FORMATS.get(kind, str)(get(cfg))
+    return out
+
+
+def serialize_config(cfg):
+    """Render a ScenarioConfig as the sectioned key = value text format."""
     cp = configparser.ConfigParser()
-    cp.read_dict(out)
+    cp.read_dict(_sections(cfg))
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
@@ -373,17 +379,19 @@ def serialize_config(cfg):
 def parse_config(text):
     """Parse the sectioned key = value format back into a ScenarioConfig.
 
-    The file is read over `serialize_config(mcewan_default())`, so
-    missing keys keep the reference defaults and partial files are
-    usable; a section or key the default does not have, or a
-    [DEFAULT] section, is rejected.  A file the parser cannot read
-    (duplicate keys or sections, no section header, a line without
-    `=`, a bad `%(name)s` reference) raises ValueError, as does a value
-    that does not convert, naming its section, key and text; the values
-    convert in file order, each to the type of the default's."""
+    The file is read over `_sections(mcewan_default())`, the values
+    `serialize_config` writes for the default, not over that text
+    written out and parsed back, so missing keys keep the reference
+    defaults and partial files are usable; a section or key the default
+    does not have, or a [DEFAULT] section, is rejected.  A file the
+    parser cannot read (duplicate keys or sections, no section header, a
+    line without `=`, a bad `%(name)s` reference) raises ValueError, as
+    does a value that does not convert, naming its section, key and
+    text; the values convert in file order, each to the type of the
+    default's."""
     default = mcewan_default()
     cp = configparser.ConfigParser()
-    cp.read_string(serialize_config(default))
+    cp.read_dict(_sections(default))
     known = {section: set(cp[section]) for section in cp.sections()}
     try:
         cp.read_string(text)

@@ -44,6 +44,7 @@ from functools import partial
 from itertools import cycle, islice
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 __all__ = [
     "Grid",
@@ -269,8 +270,19 @@ def _triad_term(coeffs, n):
         (L, 0) and the call writes nothing: the term is an empty block.
     dense
         T = g as a matrix of row n and column m L + k, R the L^2 pair
-        rows theta^m d^k: the call is a partial of the bare multiply of
-        broadcast views.
+        rows theta^m d^k.  At L = 1 the call is a partial of the bare
+        multiply of the one row; at L >= 2 it is a partial of numpy's C
+        einsum, `numpy._core.multiarray.c_einsum("mi,ki->mki", theta,
+        d, out=R as (L, L, n))`, bound once.  Both write each entry as
+        one product, so the bits are the multiply's.  Per call at
+        n = 260 (2-core Xeon, medians of 5 interleaved rounds) the
+        multiply of broadcast views took 8.3 us at L = 5 and 10.8 us at
+        L = 6, c_einsum 6.7 and 7.6 us; at L = 2 the multiply is ahead,
+        1.7 against 2.2 us, too little to take a third branch for.  At
+        L = 1 the multiply takes 0.39 us and c_einsum 1.5, and the
+        public `np.einsum`, whose Python wrapper parses its arguments on
+        every call, 2.6: that wrapper doubled the `single-mode`
+        benchmark's wall time (0.22 -> 0.49-0.54 s, 3 of 3 pairs).
     product in z
         Orszag's transform method (J. Atmos. Sci. 27, 890, 1970) in the
         vertical coordinate.  The closed-form g is the cosine
@@ -295,9 +307,13 @@ def _triad_term(coeffs, n):
 
         return np.zeros((L, 0)), bind
     if not _triad_in_z(coeffs):
-        def bind(theta, d, r):
-            return partial(np.multiply, theta[:, None, :], d[None, :, :],
-                           r.reshape(L, L, -1))
+        if L == 1:
+            def bind(theta, d, r):
+                return partial(np.multiply, theta, d, r)
+        else:
+            def bind(theta, d, r):
+                return partial(c_einsum, "mi,ki->mki", theta, d,
+                               out=r.reshape(L, L, -1))
 
         return coeffs.g.reshape(L, L * L), bind
     synth_theta, synth_d1, analysis = _transform_matrices(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import wavetank.cli as cli
-from wavetank import coefficients, verification
+from wavetank import coefficients, scenario, verification
 from wavetank.cli import main
 from wavetank.coefficients import ConsistencyError
 from wavetank.fields import read_state_file
@@ -386,6 +386,29 @@ class TestRun:
         assert run_cli("run", "--out", str(outdir), "--run-id", "one") == 0
         assert len(calls) == 1
 
+    def test_config_run_serializes_its_config_once(self, outdir,
+                                                   monkeypatch):
+        # config.cfg and _meta.txt share one text, and the file is read
+        # over the default's sections, not over the default's text
+        assert run_cli("run", "--t-end", "0", "--out", str(outdir),
+                       "--run-id", "src") == 0
+        calls = []
+        serialize = scenario.serialize_config
+
+        def counted(cfg):
+            calls.append(cfg)
+            return serialize(cfg)
+
+        monkeypatch.setattr(scenario, "serialize_config", counted)
+        assert run_cli("run", "--config", str(outdir / "src" / "config.cfg"),
+                       "--t-end", "0", "--out", str(outdir),
+                       "--run-id", "again") == 0
+        assert len(calls) == 1
+        meta = (outdir / "again" / "again_meta.txt").read_text()
+        config = (outdir / "again" / "config.cfg").read_text()
+        assert "".join("  " + line + "\n"
+                       for line in config.splitlines()) in meta
+
     def test_state_files_readable(self, outdir):
         assert run_cli("run", "--t-end", "0.001", "--out", str(outdir),
                        "--run-id", "rd") == 0
@@ -424,6 +447,22 @@ class TestCoeffs:
         assert run_cli("coeffs", "--modes", "1,2,3", "--out", str(outdir),
                        "--run-id", "m3") == 0
         assert not (outdir / "m3" / "reconciliation.dat").exists()
+
+    def test_rerun_replaces_the_earlier_tables(self, outdir):
+        # a rerun on a mode list other than the reference's kept the first
+        # run's five-mode reconciliation next to its own tables
+        assert run_cli("coeffs", "--out", str(outdir / "a"),
+                       "--run-id", "c") == 0
+        (outdir / "a" / "c" / "notes.txt").write_text("kept\n")
+        for root in ("a", "fresh"):
+            assert run_cli("coeffs", "--modes", "2,4", "--out",
+                           str(outdir / root), "--run-id", "c") == 0
+        fresh = sorted(os.listdir(outdir / "fresh" / "c"))
+        assert fresh == ["cd_table.dat", "g_tensor.dat"]
+        assert sorted(os.listdir(outdir / "a" / "c")) == fresh + ["notes.txt"]
+        for name in fresh:
+            assert ((outdir / "a" / "c" / name).read_bytes()
+                    == (outdir / "fresh" / "c" / name).read_bytes()), name
 
     @pytest.mark.parametrize("section, key, value, field", [
         ("stratification", "N", "inf", "stratification.N"),

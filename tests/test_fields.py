@@ -265,6 +265,8 @@ class TestWriteTable:
     @example(rows=np.empty((0, 1)))
     @example(rows=np.array([[-0.0], [5e-324], [np.nan], [-np.inf]]))
     @example(rows=np.array([[3, -2**63], [0, 2**53 + 1]]))
+    # a transposed table, not C-contiguous, whose rows span three blocks
+    @example(rows=(np.arange(-2050.0, 2050.0).reshape(2, -1) / 7.0).T)
     def test_bytes_equal_savetxt(self, tmp_path_factory, rows):
         # the format every byte-identity check of the run outputs relies on
         path = tmp_path_factory.getbasetemp() / "savetxt.dat"

@@ -1022,8 +1022,9 @@ def test_z_form_tracks_the_dense_trajectory(mcewan_tank, monkeypatch):
 
 
 @pytest.mark.parametrize("form, modes", [
-    ("dense", mcewan_default().modes), ("z", tuple(range(2, 21, 2)))],
-    ids=["dense", "z"])
+    ("dense", mcewan_default().modes), ("dense", (2, 4)),
+    ("z", tuple(range(2, 21, 2)))],
+    ids=["dense", "dense-L2", "z"])
 def test_several_modes_keep_the_per_stage_bits_over_a_long_horizon(form,
                                                                    modes):
     # from L = 2 on a stage leaves junk in its destination's ghost
