@@ -273,16 +273,21 @@ def _triad_term(coeffs, n):
         rows theta^m d^k.  At L = 1 the call is a partial of the bare
         multiply of the one row; at L >= 2 it is a partial of numpy's C
         einsum, `numpy._core.multiarray.c_einsum("mi,ki->mki", theta,
-        d, out=R as (L, L, n))`, bound once.  Both write each entry as
-        one product, so the bits are the multiply's.  Per call at
+        d, out=R as (L, L, n))`, bound once.  Both form each entry as
+        one product.  c_einsum adds it to a zeroed output, so a -0
+        product reads +0 in R; R only feeds a matmul, whose sums start
+        from +0 and cannot tell the two apart, so every stage keeps the
+        multiply's bits (checked on all -0, constant negative and mixed
+        signed-zero states at L = 2 and 5).  Per call at
         n = 260 (2-core Xeon, medians of 5 interleaved rounds) the
         multiply of broadcast views took 8.3 us at L = 5 and 10.8 us at
         L = 6, c_einsum 6.7 and 7.6 us; at L = 2 the multiply is ahead,
         1.7 against 2.2 us, too little to take a third branch for.  At
         L = 1 the multiply takes 0.39 us and c_einsum 1.5, and the
         public `np.einsum`, whose Python wrapper parses its arguments on
-        every call, 2.6: that wrapper doubled the `single-mode`
-        benchmark's wall time (0.22 -> 0.49-0.54 s, 3 of 3 pairs).
+        every call, 2.6: with it at every L the `single-mode`
+        benchmark's wall time doubled (0.227 -> 0.483 s, one run; 0.22
+        -> 0.49-0.54 s in three earlier pairs).
     product in z
         Orszag's transform method (J. Atmos. Sci. 27, 890, 1970) in the
         vertical coordinate.  The closed-form g is the cosine
