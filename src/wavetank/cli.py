@@ -9,9 +9,10 @@ quantity, a `--dx` that does not divide the domain, a mode list whose
 coefficient cross-check fails because the quadrature grid aliases it,
 and a scenario that needs more memory than the process can allocate,
 reported as `config error: out of memory:` and numpy's allocation
-message), 3 numerical abort (non-finite state).  Data files are
-byte-reproducible; wall-clock information only ever lands in the
-metadata sidecar.  A rerun of `run` or `coeffs` replaces the earlier
+message; `run` forms its coefficient tensor, initial state and field
+before it writes a file), 3 numerical abort (non-finite state).  Data
+files are byte-reproducible; wall-clock information only ever lands in
+the metadata sidecar.  A rerun of `run` or `coeffs` replaces the earlier
 run's files in its output directory.
 """
 
@@ -27,7 +28,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import fields, scenario, verification
+from . import fields, modes, scenario, verification
 from . import reference_tables as ref
 from .coefficients import (
     ConsistencyError,
@@ -117,10 +118,10 @@ def _load_scenario(args):
     # an empty --modes "" must reach `validate`, not run the default modes
     if getattr(args, "modes", None) is not None:
         try:
-            modes = scenario.parse_modes(args.modes)
+            parsed = scenario.parse_modes(args.modes)
         except ValueError:
             raise UsageError(f"cannot parse --modes {args.modes!r}")
-        cfg = replace(cfg, modes=modes)
+        cfg = replace(cfg, modes=parsed)
     if getattr(args, "t_end", None) is not None:
         cfg = replace(cfg, t_end=args.t_end)
     if getattr(args, "dx", None) is not None:
@@ -170,6 +171,9 @@ def cmd_run(args):
     basis = cfg.basis()
     coeffs = build_coefficients(basis, sigma=cfg.sigma, beta2=cfg.beta2)
     state, projection = scenario.build_initial_state(cfg, basis)
+    # psi at t = 0 has the shape of the field written last, so a field
+    # too large for memory fails here too and not after the stepping
+    fields.synthesize(basis, state, cfg.grid)
     out = _out_dir(args)
     # a rerun replaces the earlier run's files rather than mixing with them
     for name in os.listdir(out):
@@ -305,19 +309,15 @@ def cmd_converge(args):
 
 
 def cmd_verify(args):
-    from .modes import (Stratification, build_constant_n_basis, simpson_grid,
-                        weighted_inner_product)
-
     out = _out_dir(args)
     checks = []
 
-    strat = Stratification(N=ref.MCEWAN_N, depth=ref.MCEWAN_DEPTH)
-    basis = build_constant_n_basis(strat, ref.MCEWAN_MODES)
+    basis = scenario.mcewan_default().basis()
     worst = 0.0
-    zmat = basis.evaluate(simpson_grid(strat.depth)[0])
+    zmat = basis.evaluate(modes.simpson_grid(basis.strat.depth)[0])
     for i in range(basis.n_modes):
         for j in range(basis.n_modes):
-            val = weighted_inner_product(zmat[i], zmat[j], strat)
+            val = modes.weighted_inner_product(zmat[i], zmat[j], basis.strat)
             worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
     checks.append(("orthonormality <= 1e-10", worst <= 1e-10, f"worst {worst:.3e}"))
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import reference_tables as ref
+from .fields import FMT
 from .modes import Stratification, build_constant_n_basis, simpson_grid
 
 __all__ = [
@@ -330,8 +331,8 @@ class ReconciliationReport:
         lines = ["quantity\tlabel\tcomputed\treference\trel_diff\tstatus"]
         for e in self.entries:
             lines.append(
-                f"{e.quantity}\t{e.label}\t{e.computed:.17g}\t"
-                f"{e.reference:.17g}\t{e.rel_diff:.3e}\t{e.status}"
+                f"{e.quantity}\t{e.label}\t{FMT % e.computed}\t"
+                f"{FMT % e.reference}\t{e.rel_diff:.3e}\t{e.status}"
             )
         lines.append(f"# zero/nonzero mask matches reference: {self.mask_matches}")
         for n, m, k, comp, refv in self.mask_mismatches:

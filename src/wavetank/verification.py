@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coefficients import CoefficientSet
+from .fields import FMT
 from .solver import (
     Grid,
     ModeState,
@@ -288,8 +289,8 @@ class ConvergenceReport:
                  "h_x\ttau\tsteps\tnorm\trel_norm\toracle_norm\tstable"]
         for lv in self.levels:
             lines.append(
-                f"{lv.h_x:.17g}\t{lv.tau:.17g}\t{lv.n_steps}\t{lv.norm:.17g}"
-                f"\t{lv.rel_norm:.17g}\t{lv.oracle_norm:.17g}\t{lv.stable}"
+                f"{FMT % lv.h_x}\t{FMT % lv.tau}\t{lv.n_steps}\t{FMT % lv.norm}"
+                f"\t{FMT % lv.rel_norm}\t{FMT % lv.oracle_norm}\t{lv.stable}"
             )
         lines.append(f"# fitted_order = {self.fitted_order}")
         lines.append(f"# fit_residual_log2 = {self.fit_residual}")

@@ -584,11 +584,13 @@ class TestOutOfMemory:
             f"config error: out of memory: Unable to allocate {size} ")
 
     def test_field_synthesis(self, outdir):
-        # steps to the end, then psi of shape (20000001, 256) fails; a dt
-        # below stable_tau keeps the run's own warning off stderr
+        # psi of shape (20000001, 256), formed at t = 0 with the run's
+        # other arrays, before it makes its output directory; a dt below
+        # stable_tau keeps the run's own warning off stderr
         done = self.run_capped(outdir, "run", "--modes", "1,10000000",
                                "--t-end", "0.0004", "--dt", "1e-5")
         self.assert_one_line(done, "38.1 GiB")
+        assert not (outdir / "oom").exists()
 
     def test_coefficient_tensor_in_the_preflight(self, outdir):
         # the dense (1500, 1500, 1500) tensor that the run builds, before
@@ -634,6 +636,24 @@ class TestConvergeCommand:
                        "--out", str(outdir), "--run-id", "cv") == 0
         text = (outdir / "cv" / "convergence_temporal_one-stage.dat").read_text()
         assert text == verification.measure_temporal_convergence().to_text()
+
+    @pytest.mark.parametrize("order, code", [(2.0, 0), (1.5, 1)])
+    def test_two_stage_judges_the_spatial_study(self, outdir, monkeypatch,
+                                                order, code):
+        # the default scheme's study, stubbed with a fixed report: an
+        # order inside SECOND_ORDER_WINDOW passes, one outside fails
+        level = verification.ConvergenceLevel(
+            h_x=0.125, tau=1e-3, n_steps=100, norm=0.1, rel_norm=0.01,
+            oracle_norm=0.2, stable=True)
+        report = verification.ConvergenceReport(
+            kind="spatial", scheme="two-stage", levels=(level,) * 3,
+            fitted_order=order, fit_residual=0.01, asymptotic=True)
+        monkeypatch.setattr(verification, "measure_spatial_convergence",
+                            lambda n_transits: report)
+        assert run_cli("converge", "--out", str(outdir), "--run-id",
+                       "cv2") == code
+        text = (outdir / "cv2" / "convergence_spatial_two-stage.dat").read_text()
+        assert text == report.to_text()
 
 
 class TestVerifyCommand:

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import wavetank.coefficients as coefficients
 from wavetank.coefficients import (
     ConsistencyError,
     _tensor_quadrature,
@@ -114,6 +117,24 @@ class TestNonlinearTensor:
         monkeypatch.setattr(modes, "QUAD_POINTS", 17)
         with pytest.raises(ConsistencyError):
             nonlinear_coeffs(basis, method="quadrature")
+
+    def test_off_resonance_stray_flags_inconsistency(self, basis,
+                                                     monkeypatch):
+        # a stray off-resonance entry of 1e-10 of its size passes the 1e-8
+        # cross-check, and the off-resonance limit 1e-12 catches it
+        def stray_quadrature(unit, sigma):
+            g, size = _tensor_quadrature(unit, sigma)
+            g[0, 0, 0] += 1e-10 * size[0, 0, 0]
+            return g, size
+
+        assert nonlinear_coeff_closed_form(basis, 2, 2, 2) == 0.0
+        monkeypatch.setattr(coefficients, "_tensor_quadrature",
+                            stray_quadrature)
+        with pytest.raises(ConsistencyError) as err:
+            nonlinear_coeffs(basis, method="quadrature")
+        assert type(err.value) is ConsistencyError
+        assert "off-resonance quadrature entries reach" in str(err.value)
+        assert "(limit 1e-12)" in str(err.value)
 
     def test_spot_values_from_reference_tables(self, coeffs):
         assert coeffs.g_entry(2, 2, 4) == pytest.approx(72.3, rel=5e-3)
@@ -262,6 +283,19 @@ class TestReconciliation:
                 f"reference {refv:.6g}") in lines
         assert sum(line.startswith("# mask mismatch") for line in lines) \
             == len(nonzero)
+
+    def test_nonzero_entry_where_the_reference_is_zero(self, coeffs):
+        # g[2][2,2] vanishes in the tables; a computed 0.5 there is
+        # classified against 0.0, never skipped
+        assert ref.REFERENCE_G[2][0][0] == 0.0
+        g = coeffs.g.copy()
+        g[0, 0, 0] = 0.5
+        report = reconcile_with_reference(replace(coeffs, g=g))
+        [entry] = [e for e in report.entries if e.label == "g[2][2,2]"]
+        assert (entry.quantity, entry.computed, entry.reference,
+                entry.status) == ("g", 0.5, 0.0, "DISCREPANT")
+        assert report.mask_mismatches == ((2, 2, 2, 0.5, 0.0),)
+        assert "g\tg[2][2,2]\t0.5\t0\t" in report.to_text()
 
     def test_rejects_wrong_mode_list(self):
         b = build_constant_n_basis(MCEWAN, (1, 2))

@@ -147,6 +147,12 @@ class TestInitialState:
         cfg = mcewan_default()
         assert cfg.paddle.phi1(0.0) == pytest.approx(cfg.paddle.a)
 
+    def test_basis_of_other_modes_rejected(self):
+        cfg = mcewan_default()
+        other = replace(cfg, modes=(2, 4)).basis()
+        with pytest.raises(ValueError, match="do not match config modes"):
+            build_initial_state(cfg, other)
+
     def test_separable_structure(self):
         cfg = mcewan_default()
         basis = cfg.basis()

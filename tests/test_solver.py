@@ -863,14 +863,37 @@ class TestInPlaceKernel:
             observers=[lambda j, s: seen.setdefault(j, s.theta)])
         ref = reference_trajectory(theta, coeffs, grid, tau, scheme, steps)
         assert report.steps == steps
-        assert np.array_equal(final.theta, ref[steps])
+        assert final.theta.tobytes() == ref[steps].tobytes()
         for j, snap in seen.items():
-            assert np.array_equal(snap, ref[j])
+            assert snap.tobytes() == ref[j].tobytes()
         # the dt = 1 increment the triad test reads is the same arithmetic
         e = _dispersion_coefficient(coeffs, grid, scheme)
-        assert np.array_equal(
-            kernel_increment(theta, coeffs, grid, scheme, 1.0),
-            reference_increment(theta, coeffs, grid, e, 1.0))
+        assert (kernel_increment(theta, coeffs, grid, scheme, 1.0).tobytes()
+                == reference_increment(theta, coeffs, grid, e, 1.0).tobytes())
+
+    @pytest.mark.parametrize("scheme", [TWO_STAGE, ONE_STAGE])
+    def test_zero_rows_keep_their_bytes(self, scheme):
+        # a linear set (sigma = 0) never feeds its zero mode row, which
+        # stays exact zeros: the bytes see the sign of each zero, which
+        # FMT writes and array_equal ignores
+        coeffs = build_coefficients(build_constant_n_basis(
+            Stratification(N=1.23, depth=0.25), (2, 4, 6)), sigma=0.0)
+        assert not coeffs.g.any()
+        n, steps = 32, 25
+        grid = Grid(h_x=0.5 / n, n_points=n)
+        theta = np.random.default_rng(5).standard_normal((3, n))
+        theta[1] = 0.0
+        tau = finite_tau(coeffs, grid, scheme, theta)
+        seen = {}
+        final, _ = advance(
+            ModeState(0.0, theta), coeffs, grid, SchemeParams(tau, scheme),
+            steps * tau, observe_every=4,
+            observers=[lambda j, s: seen.setdefault(j, s.theta)])
+        ref = reference_trajectory(theta, coeffs, grid, tau, scheme, steps)
+        assert not ref[steps][1].any()
+        assert final.theta.tobytes() == ref[steps].tobytes()
+        for j, snap in seen.items():
+            assert snap.tobytes() == ref[j].tobytes()
 
     @given(case=st.sampled_from(KERNEL_CASES),
            scheme=st.sampled_from([TWO_STAGE, ONE_STAGE]),
@@ -1043,7 +1066,7 @@ def test_several_modes_keep_the_per_stage_bits_over_a_long_horizon(form,
     ref = reference_trajectory(state.theta, coeffs, cfg.grid, tau,
                                TWO_STAGE, steps)
     assert report.steps == steps
-    assert np.array_equal(final.theta, ref[steps])
+    assert final.theta.tobytes() == ref[steps].tobytes()
 
 
 def test_mcewan_tank_lies_on_its_semi_discrete_limit(mcewan_tank):
@@ -1133,8 +1156,8 @@ def test_limit_keeps_the_bits_of_the_textbook_step(case):
     state, coeffs, grid, scheme, t_end = case
     assert not solver._triad_in_z(coeffs)
     limit = semi_discrete_limit(state, coeffs, grid, scheme, t_end)
-    assert np.array_equal(limit.theta,
-                          textbook_limit(state, coeffs, grid, scheme, t_end))
+    assert (limit.theta.tobytes()
+            == textbook_limit(state, coeffs, grid, scheme, t_end).tobytes())
 
 
 def test_limit_in_z_tracks_the_dense_limit(monkeypatch):
@@ -1184,8 +1207,8 @@ def test_limit_at_odd_n_keeps_the_bits_of_the_textbook_step():
     grid = Grid(h_x=wave.domain / 97, n_points=97)
     state = wave.state(grid, 0.0)
     limit = semi_discrete_limit(state, wave.coeffs, grid, TWO_STAGE, 0.5)
-    assert np.array_equal(limit.theta, textbook_limit(
-        state, wave.coeffs, grid, TWO_STAGE, 0.5))
+    assert limit.theta.tobytes() == textbook_limit(
+        state, wave.coeffs, grid, TWO_STAGE, 0.5).tobytes()
 
 
 @given(n=st.integers(8, 300), L=st.integers(1, 4),
